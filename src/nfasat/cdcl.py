@@ -1,17 +1,38 @@
-"""Compact deterministic CDCL SAT solver.
+"""Compact deterministic CDCL SAT solver on MiniSat-style data structures.
 
-Two-watched-literal propagation, first-UIP clause learning with
-non-chronological backjumping, and activity-based decisions with index
-tie-breaking.  No restarts and no randomness: identical inputs always take
-the identical search path, which keeps run reports reproducible.
+The layout follows MiniSat (Eén & Sörensson, SAT 2003), adapted to Python
+lists:
 
-Built for the small instances this package generates; for heavy lifting
-point the solver bridge at an external solver instead.
+- Every per-literal array (values, binary implication lists, watch lists,
+  seen flags, levels, reasons) has length 2n+1 and is indexed by the signed
+  literal itself: Python's negative indexing puts -v at slot 2n+1-v, so no
+  literal is ever converted to an index.  A literal's implication and watch
+  lists are created when the first entry arrives.
+- Binary clauses live only in implication lists of plain ints: ``bins[l]``
+  holds every q with a clause (l or q), visited when l becomes false.  The
+  reason of a binary implication is the other literal, stored as an int.
+- Longer clauses are watched by their first two literals in flat watch lists
+  ``[clause, blocker, clause, blocker, ...]``; a true blocker skips the
+  clause without touching it, and each list is compacted in place.
+- Decisions come from a lazy binary heap of (-activity, var) entries with an
+  in-heap flag, which picks the unassigned variable of highest activity,
+  lowest index on ties.  Assignments are undone by truncating the trail at a
+  decision boundary kept in ``trail_lim``.
+
+Search is first-UIP clause learning with non-chronological backjumping,
+local learnt-clause minimization, VSIDS-style activity and phase saving.  The
+solver is deterministic: no restarts and no randomness, so identical inputs
+always take the identical search path, which keeps run reports reproducible.
+
+Built for the instances this package generates; for heavy lifting point the
+solver bridge at an external solver instead.
 """
 
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 SAT = "SAT"
@@ -19,192 +40,353 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 _ACTIVITY_RESCALE = 1e100
+_ACTIVITY_DECAY = 0.95
 _DEADLINE_CHECK_PERIOD = 256
+
+
+def _extend(table: list, lit: int, items: tuple) -> None:
+    """Append items to table[lit], creating the list on first use."""
+    entries = table[lit]
+    if entries:
+        entries += items
+    else:
+        table[lit] = list(items)
 
 
 class CdclSolver:
     def __init__(self, var_count: int, clauses: Iterable[Sequence[int]]) -> None:
-        self.var_count = var_count
-        self.assign = [0] * (var_count + 1)  # 0 unassigned / 1 true / -1 false
-        self.level = [0] * (var_count + 1)
-        self.reason: list[list[int] | None] = [None] * (var_count + 1)
-        self.activity = [0.0] * (var_count + 1)
-        self.phase = [-1] * (var_count + 1)
-        self.seen = bytearray(var_count + 1)
-        self.watches: list[list[int]] = [[] for _ in range(2 * var_count + 2)]
-        self.clauses: list[list[int]] = []
+        n = var_count
+        size = 2 * n + 1
+        self.var_count = n
+        self.val = [0] * size  # by literal: 1 true / -1 false / 0 unassigned
+        self.level = [0] * size  # by false literal: level of its assignment
+        self.reason: list[list[int] | int | None] = [None] * size  # by true literal
+        self.seen = bytearray(size)  # by false literal, during analysis
+        # A literal's list is created on first use; () stands in until then.
+        self.bins: list[list[int] | tuple] = [()] * size
+        self.watches: list[list | tuple] = [()] * size
+        self.activity = [0.0] * (n + 1)
+        self.phase = list(range(0, -n - 1, -1))  # last literal assigned per var
+        self.in_heap = bytearray(b"\x01" * (n + 1))
+        self.heap = [(0.0, v) for v in range(1, n + 1)]  # already heap-ordered
         self.trail: list[int] = []
+        self.trail_lim: list[int] = []
         self.qhead = 0
-        self.decision_level = 0
         self.decisions = 0
+        self.conflicts = 0
+        self.propagations = 0
         self.var_inc = 1.0
         self.unsat_at_load = False
+        self._load(clauses)
 
+    # -- loading -----------------------------------------------------------
+
+    def _load(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Check literal ranges, then file each clause by size.
+
+        A clause with distinct variables (all the encoders emit) passes one
+        set test; only the others take the dedupe and tautology path.  Long
+        clauses are copied, so the caller's sequences are never mutated.
+        """
+        clauses = clauses if isinstance(clauses, list) else list(clauses)
+        n = self.var_count
+        literals = set(chain.from_iterable(clauses))
+        if literals and (0 in literals or max(literals) > n or min(literals) < -n):
+            bad = next(lit for lit in sorted(literals) if lit == 0 or abs(lit) > n)
+            raise ValueError(f"literal {bad} out of range for {n} variables")
+        bins = self.bins
+        watches = self.watches
         for raw in clauses:
-            self._add_clause(raw)
+            size = len(raw)
+            if size == 2:
+                a, b = raw
+                if a != b and a != -b:
+                    implied = bins[a]
+                    if implied:
+                        implied.append(b)
+                    else:
+                        bins[a] = [b]
+                    implied = bins[b]
+                    if implied:
+                        implied.append(a)
+                    else:
+                        bins[b] = [a]
+                    continue
+            elif size > 2 and len(set(map(abs, raw))) == size:
+                self._attach(list(raw))
+                continue
+            self._add_unusual(raw)
 
-    @staticmethod
-    def _lidx(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    def _lit_value(self, lit: int) -> int:
-        val = self.assign[abs(lit)]
-        return val if lit > 0 else -val
-
-    def _add_clause(self, raw: Sequence[int]) -> None:
-        seen: dict[int, int] = {}
+    def _add_unusual(self, raw: Sequence[int]) -> None:
+        """Units, empty clauses, and clauses with repeated or clashing variables."""
         lits: list[int] = []
         for lit in raw:
-            var = abs(lit)
-            if not 1 <= var <= self.var_count:
-                raise ValueError(f"literal {lit} out of range for {self.var_count} variables")
-            prev = seen.get(var)
-            if prev is None:
-                seen[var] = lit
-                lits.append(lit)
-            elif prev != lit:
+            if -lit in lits:
                 return  # tautology
+            if lit not in lits:
+                lits.append(lit)
         if not lits:
             self.unsat_at_load = True
-            return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self.unsat_at_load = True
-            return
-        cref = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[self._lidx(lits[0])].append(cref)
-        self.watches[self._lidx(lits[1])].append(cref)
+        elif len(lits) > 1:
+            self._attach(lits)
+        elif self.val[lits[0]] == 0:
+            self._assign(lits[0], None)
+        elif self.val[lits[0]] < 0:
+            self.unsat_at_load = True
 
-    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        var = abs(lit)
-        val = 1 if lit > 0 else -1
-        if self.assign[var] != 0:
-            return self.assign[var] == val
-        self.assign[var] = val
-        self.level[var] = self.decision_level
-        self.reason[var] = reason
+    def _attach(self, lits: list[int]) -> None:
+        """Store a clause of at least two distinct, non-clashing literals."""
+        first, second = lits[0], lits[1]
+        if len(lits) == 2:
+            _extend(self.bins, first, (second,))
+            _extend(self.bins, second, (first,))
+        else:
+            _extend(self.watches, first, (lits, second))
+            _extend(self.watches, second, (lits, first))
+
+    # -- assignment --------------------------------------------------------
+
+    def _assign(self, lit: int, reason: list[int] | int | None) -> None:
+        self.val[lit] = 1
+        self.val[-lit] = -1
+        self.level[-lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            fidx = self._lidx(-p)
-            wlist = self.watches[fidx]
-            keep: list[int] = []
-            conflict: list[int] | None = None
-            for pos, cref in enumerate(wlist):
-                clause = self.clauses[cref]
-                if clause[0] == -p:
-                    clause[0] = clause[1]
-                    clause[1] = -p
-                first = clause[0]
-                if self._lit_value(first) == 1:
-                    keep.append(cref)
-                    continue
-                moved = False
-                for idx in range(2, len(clause)):
-                    lit = clause[idx]
-                    if self._lit_value(lit) != -1:
-                        clause[idx] = clause[1]
-                        clause[1] = lit
-                        self.watches[self._lidx(lit)].append(cref)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                keep.append(cref)
-                if self._lit_value(first) == -1:
-                    conflict = clause
-                    keep.extend(wlist[pos + 1 :])
+        """Unit propagation over the trail; returns a falsified clause or None."""
+        trail = self.trail
+        val = self.val
+        level = self.level
+        reason = self.reason
+        bins = self.bins
+        watches = self.watches
+        dl = len(self.trail_lim)
+        start = qhead = self.qhead
+        conflict = None
+        for true_lit in islice(trail, qhead, None):  # also visits what is appended
+            qhead += 1
+            false_lit = -true_lit
+            for q in bins[false_lit]:
+                value = val[q]
+                if value == 0:
+                    val[q] = 1
+                    nq = -q
+                    val[nq] = -1
+                    level[nq] = dl
+                    reason[q] = false_lit
+                    trail.append(q)
+                elif value < 0:
+                    conflict = [q, false_lit]
                     break
-                self._enqueue(first, clause)
-            self.watches[fidx] = keep
             if conflict is not None:
-                return conflict
-        return None
+                break
+            ws = watches[false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
+                blocker = ws[i + 1]
+                i += 2
+                if val[blocker] == 1:
+                    ws[j] = clause
+                    ws[j + 1] = blocker
+                    j += 2
+                    continue
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] == 1:
+                    ws[j] = clause
+                    ws[j + 1] = first
+                    j += 2
+                    continue
+                k = 2
+                lit = clause[2]
+                if val[lit] < 0:
+                    k = 3
+                    size = len(clause)
+                    while k < size:
+                        lit = clause[k]
+                        if val[lit] >= 0:
+                            break
+                        k += 1
+                    else:
+                        ws[j] = clause
+                        ws[j + 1] = first
+                        j += 2
+                        if val[first] < 0:
+                            conflict = clause
+                            break
+                        val[first] = 1
+                        nq = -first
+                        val[nq] = -1
+                        level[nq] = dl
+                        reason[first] = clause
+                        trail.append(first)
+                        continue
+                clause[1] = lit
+                clause[k] = false_lit
+                moved = watches[lit]
+                if moved:
+                    moved.append(clause)
+                    moved.append(first)
+                else:
+                    watches[lit] = [clause, first]
+            if j < i:
+                del ws[j:i]
+            if conflict is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > _ACTIVITY_RESCALE:
-            scale = 1.0 / _ACTIVITY_RESCALE
-            for v in range(1, self.var_count + 1):
-                self.activity[v] *= scale
-            self.var_inc *= scale
+    # -- conflict analysis -------------------------------------------------
+
+    def _rescale_activity(self) -> None:
+        scale = 1.0 / _ACTIVITY_RESCALE
+        self.activity = [a * scale for a in self.activity]
+        self.var_inc *= scale
+        self._rebuild_heap()
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        learnt: list[int] = [0]
+        """First-UIP learnt clause (asserting literal first) and its backjump level."""
         seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        in_heap = self.in_heap
+        dl = len(self.trail_lim)
+        inc = self.var_inc
+        learnt = [0]
         counter = 0
-        p = 0
-        index = len(self.trail) - 1
-        bt_level = 0
-        clause = conflict
+        index = len(trail) - 1
+        lits: Sequence[int] = conflict
         while True:
-            for q in clause:
-                if p != 0 and q == p:
-                    continue
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = 1
-                    self._bump(var)
-                    if self.level[var] >= self.decision_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-                        if self.level[var] > bt_level:
-                            bt_level = self.level[var]
-            while not seen[abs(self.trail[index])]:
+            for q in lits:
+                if not seen[q]:
+                    lv = level[q]
+                    if lv > 0:
+                        seen[q] = 1
+                        var = q if q > 0 else -q
+                        act = activity[var] + inc
+                        activity[var] = act
+                        in_heap[var] = 0  # assigned now; re-queued with the new key on undo
+                        if act > _ACTIVITY_RESCALE:
+                            self._rescale_activity()
+                            activity = self.activity
+                            inc = self.var_inc
+                        if lv >= dl:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+            while not seen[-trail[index]]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
-            seen[abs(p)] = 0
+            seen[-p] = 0
             counter -= 1
             if counter == 0:
-                learnt[0] = -p
                 break
-            clause = self.reason[abs(p)] or []
+            why = reason[p]
+            lits = (why,) if why.__class__ is int else why[1:]
+        learnt[0] = -p
+
+        # Local minimization: q is redundant when every other literal of the
+        # reason of -q is in the clause already or fixed at level 0.
+        kept = [-p]
         for q in learnt[1:]:
-            seen[abs(q)] = 0
-        return learnt, bt_level
+            why = reason[-q]
+            if why is None:
+                kept.append(q)
+            elif why.__class__ is int:
+                if not (seen[why] or level[why] == 0):
+                    kept.append(q)
+            else:
+                for r in why[1:]:
+                    if not (seen[r] or level[r] == 0):
+                        kept.append(q)
+                        break
+        for q in learnt[1:]:
+            seen[q] = 0
+
+        bt_level = 0
+        if len(kept) > 1:
+            best = 1
+            for idx in range(2, len(kept)):
+                if level[kept[idx]] > level[kept[best]]:
+                    best = idx
+            kept[1], kept[best] = kept[best], kept[1]
+            bt_level = level[kept[1]]
+        return kept, bt_level
 
     def _cancel_until(self, target_level: int) -> None:
-        while self.trail and self.level[abs(self.trail[-1])] > target_level:
-            lit = self.trail.pop()
-            var = abs(lit)
-            self.phase[var] = 1 if lit > 0 else -1
-            self.assign[var] = 0
-            self.reason[var] = None
-        self.qhead = len(self.trail)
-        self.decision_level = target_level
+        """Undo every assignment above target_level, saving its phase."""
+        lim = self.trail_lim[target_level]
+        val = self.val
+        phase = self.phase
+        in_heap = self.in_heap
+        activity = self.activity
+        heap = self.heap
+        for lit in self.trail[lim:]:
+            val[lit] = 0
+            val[-lit] = 0
+            var = lit if lit > 0 else -lit
+            phase[var] = lit
+            if not in_heap[var]:
+                in_heap[var] = 1
+                heappush(heap, (-activity[var], var))
+        del self.trail[lim:]
+        del self.trail_lim[target_level:]
+        self.qhead = lim
+        if len(heap) > 2 * self.var_count + 64:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Drop stale heap entries: keep one per unassigned variable."""
+        val = self.val
+        activity = self.activity
+        in_heap = self.in_heap
+        heap = []
+        for var in range(1, self.var_count + 1):
+            if val[var] == 0:
+                in_heap[var] = 1
+                heap.append((-activity[var], var))
+            else:
+                in_heap[var] = 0
+        heapify(heap)
+        self.heap = heap
 
     def _record(self, learnt: list[int]) -> None:
+        """Store a learnt clause and assert its first literal."""
         if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
+            self._assign(learnt[0], None)
             return
-        best = 1
-        for idx in range(2, len(learnt)):
-            if self.level[abs(learnt[idx])] > self.level[abs(learnt[best])]:
-                best = idx
-        learnt[1], learnt[best] = learnt[best], learnt[1]
-        cref = len(self.clauses)
-        self.clauses.append(learnt)
-        self.watches[self._lidx(learnt[0])].append(cref)
-        self.watches[self._lidx(learnt[1])].append(cref)
-        self._enqueue(learnt[0], learnt)
+        self._attach(learnt)
+        self._assign(learnt[0], learnt[1] if len(learnt) == 2 else learnt)
 
     def _pick_variable(self) -> int:
-        best = 0
-        best_act = -1.0
-        assign = self.assign
+        """Unassigned variable of highest activity, lowest index on ties; 0 if none.
+
+        Every unassigned variable has a current entry (in_heap set, key equal
+        to its activity).  Entries left behind by a bump or an assignment are
+        stale and are dropped as they surface.
+        """
+        heap = self.heap
+        val = self.val
+        in_heap = self.in_heap
         activity = self.activity
-        for var in range(1, self.var_count + 1):
-            if assign[var] == 0 and activity[var] > best_act:
-                best = var
-                best_act = activity[var]
-        return best
+        while heap:
+            neg_act, var = heappop(heap)
+            if not in_heap[var] or -neg_act != activity[var]:
+                continue
+            in_heap[var] = 0
+            if val[var] == 0:
+                return var
+        return 0
 
     def solve(self, deadline: float | None = None) -> tuple[str, list[bool] | None, int]:
         """Returns (status, model, decisions); model is indexed by variable.
@@ -219,22 +401,21 @@ class CdclSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if self.decision_level == 0:
+                self.conflicts += 1
+                if not self.trail_lim:
                     return UNSAT, None, self.decisions
                 learnt, bt_level = self._analyze(conflict)
                 self._cancel_until(bt_level)
                 self._record(learnt)
-                self.var_inc /= 0.95
+                self.var_inc /= _ACTIVITY_DECAY
             else:
                 var = self._pick_variable()
                 if var == 0:
-                    model = [False] * (self.var_count + 1)
-                    for v in range(1, self.var_count + 1):
-                        model[v] = self.assign[v] == 1
+                    model = [value == 1 for value in self.val[: self.var_count + 1]]
                     return SAT, model, self.decisions
                 self.decisions += 1
-                self.decision_level += 1
-                self._enqueue(var if self.phase[var] > 0 else -var, None)
+                self.trail_lim.append(len(self.trail))
+                self._assign(self.phase[var], None)
             since_check += 1
             if since_check >= _DEADLINE_CHECK_PERIOD:
                 since_check = 0

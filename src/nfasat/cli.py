@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .cnf import CnfInstance, dimacs_text
+from .cnf import CnfError, CnfInstance, dimacs_text
 from .encoders import BudgetExceededError, DEFAULT_LITERAL_BUDGET, ModelKind, encode
 from .nfa import nfa_to_dot, nfa_to_json, verify
 from .sample import (
@@ -33,6 +33,7 @@ from .sample import (
 from .solver import (
     DEFAULT_TIMEOUT_SECONDS,
     SAT,
+    SolverError,
     decode_nfa,
     solve_dimacs_file,
     solve_external,
@@ -481,7 +482,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _run(argv)
-    except (SampleError, BudgetExceededError, InferenceError, OSError) as err:
+    except (
+        SampleError,
+        BudgetExceededError,
+        InferenceError,
+        SolverError,
+        CnfError,
+        OSError,
+    ) as err:
         raise SystemExit(f"nfasat: error: {err}") from err
 
 

@@ -10,6 +10,7 @@ transition variable without emitting any clause.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import IO, Iterable
 
 from .sample import Word
@@ -222,7 +223,12 @@ def dimacs_text(instance: CnfInstance) -> str:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Read DIMACS CNF text back into (var_count, clauses)."""
+    """Read DIMACS CNF text back into (var_count, clauses).
+
+    Raises CnfError for a missing or malformed header, a token that is not an
+    integer, an unterminated last clause, or a literal whose variable exceeds
+    the header's variable count.
+    """
     var_count = 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
@@ -233,13 +239,16 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not parts[2].isdigit():
                 raise CnfError(f"bad DIMACS header {line!r}")
             var_count = int(parts[2])
             saw_header = True
             continue
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise CnfError(f"bad DIMACS token {tok!r} in line {line!r}") from None
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending.clear()
@@ -249,4 +258,10 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
         raise CnfError("last clause is not zero-terminated")
     if not saw_header:
         raise CnfError("missing DIMACS header")
+    top = max(map(abs, chain.from_iterable(clauses)), default=0)
+    if top > var_count:
+        number = next(i for i, clause in enumerate(clauses, 1) if top in clause or -top in clause)
+        raise CnfError(
+            f"variable {top} in clause {number} exceeds the header's {var_count} variables"
+        )
     return var_count, clauses

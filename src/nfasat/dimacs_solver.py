@@ -1,9 +1,10 @@
 """Command-line DIMACS CNF solver built on the bundled CDCL core.
 
 Prints SAT-competition style output ("s ..." verdict, "v ..." model lines,
-"c decisions N") so the external-solver bridge can drive it like any other
-solver.  Exit codes follow convention: 10 satisfiable, 20 unsatisfiable,
-0 otherwise.
+"c decisions N", "c conflicts N", "c propagations N") so the external-solver
+bridge can drive it like any other solver.  Exit codes follow convention:
+10 satisfiable, 20 unsatisfiable, 0 otherwise; an unreadable or malformed
+input file prints one "nfasat-solve: error: ..." line and exits 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from pathlib import Path
 
 from .cdcl import SAT, UNSAT, CdclSolver
-from .cnf import parse_dimacs
+from .cnf import CnfError, parse_dimacs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -25,7 +26,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    var_count, clauses = parse_dimacs(Path(args.cnf).read_text())
+    try:
+        var_count, clauses = parse_dimacs(Path(args.cnf).read_text())
+    except (CnfError, OSError) as err:
+        print(f"nfasat-solve: error: {err}", file=sys.stderr)
+        return 1
     deadline = None
     if args.timeout is not None:
         deadline = time.perf_counter() + max(args.timeout, 0.0)
@@ -34,6 +39,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print("c nfasat bundled CDCL solver")
     print(f"c decisions {decisions}")
+    print(f"c conflicts {solver.conflicts}")
+    print(f"c propagations {solver.propagations}")
     if status == SAT:
         print("s SATISFIABLE")
         assert model is not None

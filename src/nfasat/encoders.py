@@ -45,6 +45,7 @@ from .cnf import (
 )
 from .sample import (
     Sample,
+    SampleError,
     SplitAssignment,
     Word,
     intern_word,
@@ -392,7 +393,7 @@ def encode(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     if k < 1:
-        raise ValueError(f"state count k must be >= 1, got {k}")
+        raise SampleError(f"state count k must be >= 1, got {k}")
     if kind == ModelKind.DIRECT:
         return encode_direct(sample, k, literal_budget)
     if kind == ModelKind.PREFIX:

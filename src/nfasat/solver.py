@@ -85,7 +85,10 @@ def _parse_solver_output(text: str, decision_pattern: str) -> tuple[str, list[in
     if match:
         decisions = int(match.group(1))
     if status is None:
-        raise SolverError(f"no 's' status line in solver output:\n{text[:2000]}")
+        last = next((line.strip() for line in reversed(text.splitlines()) if line.strip()), "")
+        raise SolverError(
+            "no 's' status line in solver output" + (f"; it ended with: {last}" if last else "")
+        )
     if status == SAT and not literals:
         raise SolverError("solver reported SATISFIABLE without any 'v' model lines")
     return status, literals, decisions

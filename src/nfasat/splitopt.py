@@ -23,6 +23,7 @@ from typing import IO
 
 from .sample import (
     Sample,
+    SampleError,
     SplitAssignment,
     Word,
     intern_word,
@@ -191,7 +192,7 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
     params.validate()
     words = sample.sorted_nonempty_words()
     if not words:
-        raise ValueError("sample has no non-empty words to split")
+        raise SampleError("sample has no non-empty words to split")
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
 
@@ -235,7 +236,7 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     params.validate()
     words = sample.sorted_nonempty_words()
     if not words:
-        raise ValueError("sample has no non-empty words to split")
+        raise SampleError("sample has no non-empty words to split")
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
     lengths = [len(w) for w in words]

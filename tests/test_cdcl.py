@@ -3,6 +3,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from nfasat.cdcl import SAT, UNKNOWN, UNSAT, CdclSolver
+from nfasat.cnf import dimacs_text, parse_dimacs
+from nfasat.encoders import encode_prefix
+from nfasat.sample import Sample
+from nfasat.solver import solve_in_process
 
 from _helpers import brute_force_sat
 
@@ -87,3 +91,76 @@ def test_deterministic_across_runs():
     first = CdclSolver(10, clauses).solve()
     second = CdclSolver(10, clauses).solve()
     assert first == second
+
+
+def encoder_like_formula(var_count, seed):
+    """Random clauses with the generated instances' mix: about 70% binary.
+
+    One to six clauses per variable keeps many formulas near the SAT/UNSAT
+    boundary, where the solver has to learn clauses.
+    """
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(rng.randint(var_count, 6 * var_count)):
+        size = rng.choice((1, 2, 2, 2, 2, 2, 2, 2, 3, 5))
+        clauses.append(tuple(rng.choice((-1, 1)) * rng.randint(1, var_count) for _ in range(size)))
+    return clauses
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_matches_brute_force_on_binary_heavy_formulas(var_count, seed):
+    clauses = encoder_like_formula(var_count, seed)
+    status, model, _ = CdclSolver(var_count, clauses).solve()
+    assert (status == SAT) == brute_force_sat(var_count, clauses)
+    if status == SAT:
+        assert all(any((lit > 0) == model[abs(lit)] for lit in c) for c in clauses)
+
+
+def test_parsed_dimacs_with_duplicates_tautologies_and_repeated_units():
+    text = (
+        "p cnf 4 8\n"
+        "1 1 2 0\n"  # duplicate literal
+        "3 -3 4 0\n"  # tautology
+        "-1 0\n"
+        "-1 0\n"  # repeated unit
+        "2 -4 2 -4 0\n"  # duplicates in a binary clause
+        "4 4 4 0\n"  # a unit written three times
+        "-2 3 1 3 0\n"
+        "1 -3 -3 2 0\n"
+    )
+    var_count, clauses = parse_dimacs(text)
+    status, model, _ = CdclSolver(var_count, clauses).solve()
+    assert status == SAT
+    assert model[1] is False and model[2] is True and model[3] is True and model[4] is True
+    status, _, _ = CdclSolver(var_count, clauses + [(-3, -4, -3)]).solve()
+    assert status == UNSAT
+
+
+def test_solving_leaves_the_instance_untouched():
+    sample = Sample.build(2, [(0, 1), (1, 1, 0), ()], [(1,), (0, 0), (1, 0, 1)])
+    for k in (1, 2, 3):
+        inst = encode_prefix(sample, k)
+        before = dimacs_text(inst)
+        solve_in_process(inst)
+        assert dimacs_text(inst) == before
+
+
+def test_pigeonhole_4_into_3_unsat_through_learnt_units_and_binaries():
+    def var(i, j):
+        return i * 3 + j + 1
+
+    clauses = [tuple(var(i, j) for j in range(3)) for i in range(4)]
+    for j in range(3):
+        for i1 in range(4):
+            for i2 in range(i1 + 1, 4):
+                clauses.append((-var(i1, j), -var(i2, j)))
+    binaries = sum(len(c) == 2 for c in clauses)
+    solver = CdclSolver(12, clauses)
+    status, _, _ = solver.solve()
+    assert status == UNSAT
+    # The proof needs learnt binary clauses, which join the implication lists,
+    # and learnt units: the input has none, yet level 0 ends with assignments.
+    assert sum(map(len, solver.bins)) > 2 * binaries
+    assert not solver.trail_lim and solver.trail
+    assert solver.conflicts > 0 and solver.propagations > 0

@@ -1,0 +1,20 @@
+"""Per-layer microbenchmark of the bundled CDCL core: load plus solve.
+
+One fixed UNSAT instance (the prefix encoding of a seeded random sample at
+k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
+Compare runs with ``pytest tests/test_cdcl_bench.py --benchmark-only``.
+"""
+
+from nfasat.cdcl import UNSAT, CdclSolver
+from nfasat.cli import random_sample
+from nfasat.encoders import encode_prefix
+
+
+def test_cdcl_load_and_solve(benchmark):
+    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+
+    def load_and_solve():
+        return CdclSolver(instance.var_count, instance.clauses).solve()[0]
+
+    status = benchmark.pedantic(load_and_solve, rounds=3, iterations=1)
+    assert status == UNSAT

@@ -117,6 +117,15 @@ class TestGenerateCommand:
         assert rows[0] == "step,best_fitness,elapsed_seconds"
         assert len(rows) >= 2
 
+    @pytest.mark.parametrize("cuts", ["ils", "ga"])
+    def test_optimizer_on_empty_word_only_sample_is_one_line_error(self, tmp_path, cuts):
+        path = tmp_path / "empty.txt"
+        path.write_text("n=2\n+\n")
+        argv = ["generate", str(path), "--model", "hm", "--k", "2", "--cuts", cuts]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "x.cnf")])
+        assert str(err.value) == "nfasat: error: sample has no non-empty words to split"
+
 
 class TestSolveCommand:
     def test_unit_sat(self, tmp_path, capsys):
@@ -138,6 +147,15 @@ class TestSolveCommand:
         code = main(["solve", str(cnf), "--timeout", "0"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["status"] == "UNKNOWN"
+
+    def test_literal_beyond_header_is_one_line_error(self, tmp_path):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text("p cnf 2 1\n1 5 0\n")
+        with pytest.raises(SystemExit) as err:
+            main(["solve", str(cnf)])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: ") and "\n" not in message
+        assert "variable 5 in clause 1 exceeds the header's 2 variables" in message
 
 
 class TestInferCommand:
@@ -186,6 +204,11 @@ class TestInferCommand:
         assert report.t_t_seconds == pytest.approx(
             report.t_m_seconds + report.t_s_seconds
         )
+
+    def test_zero_states_is_one_line_error(self, sample_file):
+        with pytest.raises(SystemExit) as err:
+            main(["infer", str(sample_file), "--model", "pm", "--k", "0"])
+        assert str(err.value) == "nfasat: error: state count k must be >= 1, got 0"
 
     def test_k_sweep_stops_at_first_satisfiable_size(self, tmp_path, capsys):
         path = tmp_path / "needs2.txt"
@@ -440,6 +463,37 @@ class TestDimacsSolverCli:
         )
         assert proc.returncode == 20
         assert "s UNSATISFIABLE" in proc.stdout
+
+    def test_subprocess_prints_search_counters(self, tmp_path):
+        cnf = tmp_path / "c.cnf"
+        cnf.write_text("p cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 3 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nfasat.dimacs_solver", str(cnf)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 10
+        counters = {}
+        for line in proc.stdout.splitlines():
+            parts = line.split()
+            if parts[0] == "c" and len(parts) == 3:
+                counters[parts[1]] = int(parts[2])
+        assert set(counters) == {"decisions", "conflicts", "propagations"}
+        assert counters["propagations"] >= 3
+
+    def test_subprocess_malformed_input_one_line_error(self, tmp_path):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text("p cnf 2 1\n1 5 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nfasat.dimacs_solver", str(cnf)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "nfasat-solve: error: variable 5 in clause 1 exceeds the header's 2 variables\n"
+        )
 
 
 class TestVerificationGate:

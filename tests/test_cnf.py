@@ -134,3 +134,17 @@ def test_registry_round_trip_with_aliases():
         idx = inst.lookup(name)
         canonical = inst.name_of(idx)
         assert inst.lookup(canonical) == idx
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 2 1\n1 5 0\n",
+        "p cnf 2 1\n-3 0\n",
+        "p cnf 2 1\n1 x 0\n",
+        "p cnf two 1\n1 0\n",
+    ],
+)
+def test_parse_dimacs_rejects_malformed_input(text):
+    with pytest.raises(CnfError):
+        parse_dimacs(text)
