@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .cnf import CnfError, CnfInstance, dimacs_text
@@ -137,14 +137,10 @@ def resolve_cuts(
     elif source == "suffix":
         cuts = all_suffix_cuts(sample)
     elif source == "ils":
-        params = ils_params or IlsParams()
-        params.rng_seed = seed
-        result = ils_optimize(sample, k, params)
+        result = ils_optimize(sample, k, replace(ils_params or IlsParams(), rng_seed=seed))
         return result.cuts, result.best_fitness, result
     elif source == "ga":
-        params = ga_params or GaParams()
-        params.rng_seed = seed
-        result = ga_optimize(sample, k, params)
+        result = ga_optimize(sample, k, replace(ga_params or GaParams(), rng_seed=seed))
         return result.cuts, result.best_fitness, result
     elif source.startswith("file:"):
         path = source[len("file:") :]
@@ -261,25 +257,21 @@ def bench_one(
     literal_budget: int,
     instance_name: str,
     use_external: bool,
+    ils_params: IlsParams | None = None,
+    ga_params: GaParams | None = None,
 ) -> RunReport:
     model, cuts_source = _bench_model_parts(label)
     seed = base_seed + run_index
     try:
-        instance, report, _ = generate_instance(
-            sample, model, k, cuts_source, seed, literal_budget, instance_name
+        report, _ = infer(
+            sample, model, k, cuts_source, seed, solver_cmd, timeout_seconds,
+            literal_budget, instance_name, use_external, ils_params, ga_params,
         )
     except BudgetExceededError:
         return RunReport(
             instance=instance_name, model=label, k=k, seed=seed, status="GENFAIL"
         )
     report.model = label
-    if use_external or solver_cmd is not None:
-        outcome = solve_external(instance, solver_cmd, timeout_seconds)
-    else:
-        outcome = solve_in_process(instance, timeout_seconds)
-    report.status = outcome.status
-    report.decisions = outcome.decisions
-    report.t_s_seconds = outcome.solve_seconds
     return report
 
 
@@ -364,6 +356,8 @@ def run_bench(
     base_seed: int,
     use_external: bool,
     log=print,
+    ils_params: IlsParams | None = None,
+    ga_params: GaParams | None = None,
 ) -> list[RunReport]:
     rows: list[RunReport] = []
     for name, sample in samples:
@@ -382,6 +376,8 @@ def run_bench(
                     literal_budget,
                     name,
                     use_external,
+                    ils_params,
+                    ga_params,
                 )
                 for run_index in range(series)
             ]
@@ -626,6 +622,7 @@ def _run(argv: list[str] | None = None) -> int:
         if not sample_paths:
             parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
         samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]
+        ils_params, ga_params = load_optimizer_config(args.config)
         models = [m.strip() for m in args.models.split(",") if m.strip()]
         for label in models:
             if label not in BENCH_MODELS:
@@ -647,6 +644,8 @@ def _run(argv: list[str] | None = None) -> int:
             args.budget_literals,
             args.seed,
             use_external=args.solver is not None,
+            ils_params=ils_params,
+            ga_params=ga_params,
         )
         with open(args.out_csv, "w", newline="") as sink:
             write_bench_csv(rows, sink)

@@ -20,9 +20,15 @@ in how word acceptance is expressed:
   and per-word linking clauses tie the two halves together at the cut state.
   Cut 0 or cut |w| collapse to the pure suffix/prefix forms.
 
-Every acceptance/definition equivalence is converted to CNF with one
-auxiliary variable per conjunction (Tseitin style), so instance sizes stay
-polynomial in the closure sizes for all but the direct encoding.
+Every prefix, suffix, link and direct-path definition goes through one
+helper, ``_define``: each output is the OR of AND terms, with one auxiliary
+variable per term (Tseitin style).  It creates the auxiliaries in term order,
+then emits, per term, one [-x, lit] per conjunct and [x, -lits...]; then one
+choice clause per output ([-y, aux...], or a single [aux...] when the OR is
+asserted outright); then [y, -x] per term.  Accepting a word through its
+reach variables keeps its own order (all binaries, then all ternaries).
+Instance sizes stay polynomial in the closure sizes for all but the direct
+encoding.
 """
 
 from __future__ import annotations
@@ -30,9 +36,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import neg
+from typing import Sequence
 
 from .cnf import (
     CnfInstance,
+    VarName,
     accept_aux_var,
     direct_path_aux_var,
     final_var,
@@ -50,9 +59,9 @@ from .sample import (
     Word,
     intern_word,
     prefixes,
+    split_sets,
     split_word,
     suffixes,
-    validate_cuts,
     word_key,
 )
 
@@ -101,39 +110,70 @@ def _base_instance(sample: Sample, k: int) -> CnfInstance:
     return inst
 
 
+# Clause families per definition: (one per conjunct), reverse, choice, output.
+_PREFIX_FAMILIES = (("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
+                    "prefix_rec_ternary", "prefix_rec_choice", "prefix_rec_bin_out")
+_SUFFIX_FAMILIES = (("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
+                    "suffix_rec_ternary", "suffix_rec_choice", "suffix_rec_bin_out")
+_LINK_FAMILIES = (("link_bin",) * 3, "link_reverse", "link_choice", None)
+
+
+def _define(
+    inst: CnfInstance,
+    outputs: list[int] | None,
+    terms: list[tuple[VarName, int | None, Sequence[int]]],
+    families: tuple[tuple[str, ...], str, str, str | None],
+) -> None:
+    """Define each output as the OR of its AND terms, one aux variable per term.
+
+    A term is (aux name, output index, conjunct literals).  families holds one
+    binary family per conjunct, then the reverse, choice and output families.
+    Clauses come in this order: per term, [-x, lit] for each conjunct and then
+    [x, -lits...]; one choice clause [-y, aux...] per output, or a single
+    [aux...] when outputs is None; then [y, -x] per term.
+    """
+    bin_families, reverse_family, choice_family, out_family = families
+    add = inst.add_clause
+    aux = [inst.fresh_var(name) for name, _, _ in terms]
+    for x, (_, _, lits) in zip(aux, terms):
+        for lit, family in zip(lits, bin_families):
+            add([-x, lit], family)
+        add([x, *map(neg, lits)], reverse_family)
+    if outputs is None:
+        add(aux, choice_family)
+        return
+    choices = [[-y] for y in outputs]
+    outs = [out for _, out, _ in terms]
+    for x, out in zip(aux, outs):
+        choices[out].append(x)
+    for clause in choices:
+        add(clause, choice_family)
+    for x, out in zip(aux, outs):
+        add([outputs[out], -x], out_family)
+
+
 def _emit_prefix_chain(inst: CnfInstance, prefix_set: set[Word], k: int) -> None:
     """Define reach-from-start variables for every prefix in the closure."""
+    states = range(1, k + 1)
     for word in sorted(prefix_set, key=word_key):
         if len(word) == 1:
-            for i in range(1, k + 1):
+            for i in states:
                 inst.alias_var(prefix_path_var(word, i), trans_var(word[0], 1, i))
             continue
         parent = intern_word(word[:-1])
         a = word[-1]
-        word_vars = [inst.fresh_var(prefix_path_var(word, i)) for i in range(1, k + 1)]
-        parent_vars = [inst.lookup(prefix_path_var(parent, j)) for j in range(1, k + 1)]
-        aux = {
-            (j, i): inst.fresh_var(prefix_rec_aux_var(parent, a, j, i))
-            for j in range(1, k + 1)
-            for i in range(1, k + 1)
-        }
-        for j in range(1, k + 1):
-            for i in range(1, k + 1):
-                x = aux[(j, i)]
-                step = inst.lookup(trans_var(a, j, i))
-                inst.add_clause([-x, parent_vars[j - 1]], family="prefix_rec_bin_prev")
-                inst.add_clause([-x, step], family="prefix_rec_bin_trans")
-                inst.add_clause(
-                    [x, -parent_vars[j - 1], -step], family="prefix_rec_ternary"
-                )
-        for i in range(1, k + 1):
-            inst.add_clause(
-                [-word_vars[i - 1]] + [aux[(j, i)] for j in range(1, k + 1)],
-                family="prefix_rec_choice",
+        outputs = [inst.fresh_var(prefix_path_var(word, i)) for i in states]
+        parent_vars = _prefix_reach(inst, parent, k)
+        terms = [
+            (
+                prefix_rec_aux_var(parent, a, j, i),
+                i - 1,
+                (parent_vars[j - 1], inst.lookup(trans_var(a, j, i))),
             )
-        for j in range(1, k + 1):
-            for i in range(1, k + 1):
-                inst.add_clause([word_vars[i - 1], -aux[(j, i)]], family="prefix_rec_bin_out")
+            for j in states
+            for i in states
+        ]
+        _define(inst, outputs, terms, _PREFIX_FAMILIES)
 
 
 def _suffix_all_start_words(suffix_set: set[Word], linked: set[Word]) -> set[Word]:
@@ -154,71 +194,70 @@ def _emit_suffix_chain(
     inst: CnfInstance, suffix_set: set[Word], all_start_words: set[Word], k: int
 ) -> None:
     """Define segment-run variables for every suffix in the closure."""
+    states = range(1, k + 1)
     for word in sorted(suffix_set, key=word_key):
-        starts = range(1, k + 1) if word in all_start_words else (1,)
+        starts = states if word in all_start_words else (1,)
         if len(word) == 1:
             for i in starts:
-                for j in range(1, k + 1):
+                for j in states:
                     inst.alias_var(suffix_path_var(word, i, j), trans_var(word[0], i, j))
             continue
         tail = intern_word(word[1:])
         a = word[0]
-        word_vars = {
-            (i, j): inst.fresh_var(suffix_path_var(word, i, j))
+        outputs = [inst.fresh_var(suffix_path_var(word, i, j)) for i in starts for j in states]
+        rests = [[inst.lookup(suffix_path_var(tail, mid, j)) for j in states] for mid in states]
+        steps = [[inst.lookup(trans_var(a, i, mid)) for mid in states] for i in starts]
+        terms = [
+            (
+                suffix_rec_aux_var(tail, a, i, mid, j),
+                (i - 1) * k + j - 1,
+                (rests[mid - 1][j - 1], steps[i - 1][mid - 1]),
+            )
             for i in starts
-            for j in range(1, k + 1)
-        }
-        aux = {
-            (i, mid, j): inst.fresh_var(suffix_rec_aux_var(tail, a, i, mid, j))
-            for i in starts
-            for mid in range(1, k + 1)
-            for j in range(1, k + 1)
-        }
-        for i in starts:
-            for mid in range(1, k + 1):
-                step = inst.lookup(trans_var(a, i, mid))
-                for j in range(1, k + 1):
-                    x = aux[(i, mid, j)]
-                    rest = inst.lookup(suffix_path_var(tail, mid, j))
-                    inst.add_clause([-x, rest], family="suffix_rec_bin_tail")
-                    inst.add_clause([-x, step], family="suffix_rec_bin_trans")
-                    inst.add_clause([x, -rest, -step], family="suffix_rec_ternary")
-        for i in starts:
-            for j in range(1, k + 1):
-                inst.add_clause(
-                    [-word_vars[(i, j)]] + [aux[(i, mid, j)] for mid in range(1, k + 1)],
-                    family="suffix_rec_choice",
-                )
-        for i in starts:
-            for mid in range(1, k + 1):
-                for j in range(1, k + 1):
-                    inst.add_clause(
-                        [word_vars[(i, j)], -aux[(i, mid, j)]], family="suffix_rec_bin_out"
-                    )
+            for mid in states
+            for j in states
+        ]
+        _define(inst, outputs, terms, _SUFFIX_FAMILIES)
 
 
-def _emit_accept(inst: CnfInstance, word: Word, k: int, reach_index) -> None:
+def _prefix_reach(inst: CnfInstance, word: Word, k: int) -> list[int]:
+    """Per end state, the variable "a run for word reaches it from state 1"."""
+    return [inst.lookup(prefix_path_var(word, i)) for i in range(1, k + 1)]
+
+
+def _suffix_reach(inst: CnfInstance, word: Word, k: int) -> list[int]:
+    """The same through the suffix machinery, from start state 1."""
+    return [inst.lookup(suffix_path_var(word, 1, i)) for i in range(1, k + 1)]
+
+
+def _emit_accept(inst: CnfInstance, word: Word, reach: list[int]) -> None:
     """Some end state is both reached by the word and final."""
+    finals = [inst.lookup(final_var(i)) for i in range(1, len(reach) + 1)]
     aux_vars = []
-    for i in range(1, k + 1):
+    for i, (lit, fin) in enumerate(zip(reach, finals), 1):
         x = inst.fresh_var(accept_aux_var(word, i))
         aux_vars.append(x)
-        inst.add_clause([-x, reach_index(i)], family="accept_bin")
-        inst.add_clause([-x, inst.lookup(final_var(i))], family="accept_bin")
-    for i in range(1, k + 1):
-        inst.add_clause(
-            [aux_vars[i - 1], -reach_index(i), -inst.lookup(final_var(i))],
-            family="accept_ternary",
-        )
+        inst.add_clause([-x, lit], family="accept_bin")
+        inst.add_clause([-x, fin], family="accept_bin")
+    for x, lit, fin in zip(aux_vars, reach, finals):
+        inst.add_clause([x, -lit, -fin], family="accept_ternary")
     inst.add_clause(aux_vars, family="accept_choice")
 
 
-def _emit_reject(inst: CnfInstance, word: Word, k: int, reach_index) -> None:
+def _emit_reject(inst: CnfInstance, reach: list[int]) -> None:
     """No reached end state may be final."""
-    for i in range(1, k + 1):
-        inst.add_clause(
-            [-reach_index(i), -inst.lookup(final_var(i))], family="reject_bin"
-        )
+    for i, lit in enumerate(reach, 1):
+        inst.add_clause([-lit, -inst.lookup(final_var(i))], family="reject_bin")
+
+
+def _emit_verdicts(inst: CnfInstance, sample: Sample, k: int, reach_of) -> None:
+    """Accept the non-empty positive words and reject the non-empty negative ones."""
+    for word in sample.sorted_positives():
+        if word:
+            _emit_accept(inst, word, reach_of(inst, word, k))
+    for word in sample.sorted_negatives():
+        if word:
+            _emit_reject(inst, reach_of(inst, word, k))
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +271,31 @@ def encode_direct(
     """Explicit state-path encoding; blows up as k^|word|."""
     _check_budget(_direct_literals(sample, k), literal_budget)
     inst = _base_instance(sample, k)
+    states = range(1, k + 1)
     for word in sample.sorted_positives():
-        if not word:
-            continue
-        aux_vars = []
-        for states in itertools.product(range(1, k + 1), repeat=len(word)):
-            end = states[-1]
-            path_lits = _path_literals(inst, word, states)
-            x = inst.fresh_var(direct_path_aux_var(word, states))
-            aux_vars.append(x)
-            for lit in path_lits:
-                inst.add_clause([-x, lit], family="direct_bin")
-            inst.add_clause([-x, inst.lookup(final_var(end))], family="direct_bin")
-            inst.add_clause(
-                [x] + [-lit for lit in path_lits] + [-inst.lookup(final_var(end))],
-                family="direct_reverse",
-            )
-        inst.add_clause(aux_vars, family="direct_choice")
+        if word:
+            terms = [
+                (direct_path_aux_var(word, path), None, _path_conjuncts(inst, word, path))
+                for path in itertools.product(states, repeat=len(word))
+            ]
+            families = (("direct_bin",) * (len(word) + 1), "direct_reverse", "direct_choice", None)
+            _define(inst, None, terms, families)
     for word in sample.sorted_negatives():
-        if not word:
-            continue
-        for states in itertools.product(range(1, k + 1), repeat=len(word)):
-            end = states[-1]
-            path_lits = _path_literals(inst, word, states)
-            inst.add_clause(
-                [-lit for lit in path_lits] + [-inst.lookup(final_var(end))],
-                family="direct_reject",
-            )
+        if word:
+            for path in itertools.product(states, repeat=len(word)):
+                lits = _path_conjuncts(inst, word, path)
+                inst.add_clause(map(neg, lits), family="direct_reject")
     return inst
 
 
-def _path_literals(inst: CnfInstance, word: Word, states: tuple[int, ...]) -> list[int]:
+def _path_conjuncts(inst: CnfInstance, word: Word, path: tuple[int, ...]) -> list[int]:
+    """Transitions along the state path (1, *path), then its end state's final."""
     lits = []
     prev = 1
-    for a, state in zip(word, states):
+    for a, state in zip(word, path):
         lits.append(inst.lookup(trans_var(a, prev, state)))
         prev = state
+    lits.append(inst.lookup(final_var(prev)))
     return lits
 
 
@@ -277,14 +305,8 @@ def encode_prefix(
     """Prefix-closure encoding: one reach variable per prefix and end state."""
     _check_budget(estimate_size(ModelKind.PREFIX, sample, k).total_literals(), literal_budget)
     inst = _base_instance(sample, k)
-    closure = prefixes(set(sample.words()))
-    _emit_prefix_chain(inst, closure, k)
-    for word in sample.sorted_positives():
-        if word:
-            _emit_accept(inst, word, k, lambda i, w=word: inst.lookup(prefix_path_var(w, i)))
-    for word in sample.sorted_negatives():
-        if word:
-            _emit_reject(inst, word, k, lambda i, w=word: inst.lookup(prefix_path_var(w, i)))
+    _emit_prefix_chain(inst, prefixes(set(sample.words())), k)
+    _emit_verdicts(inst, sample, k, _prefix_reach)
     return inst
 
 
@@ -294,19 +316,9 @@ def encode_suffix(
     """Suffix-closure encoding with start-state pruning for top-level words."""
     _check_budget(estimate_size(ModelKind.SUFFIX, sample, k).total_literals(), literal_budget)
     inst = _base_instance(sample, k)
-    words = set(sample.words())
-    closure = suffixes(words)
+    closure = suffixes(set(sample.words()))
     _emit_suffix_chain(inst, closure, _suffix_all_start_words(closure, set()), k)
-    for word in sample.sorted_positives():
-        if word:
-            _emit_accept(
-                inst, word, k, lambda i, w=word: inst.lookup(suffix_path_var(w, 1, i))
-            )
-    for word in sample.sorted_negatives():
-        if word:
-            _emit_reject(
-                inst, word, k, lambda i, w=word: inst.lookup(suffix_path_var(w, 1, i))
-            )
+    _emit_verdicts(inst, sample, k, _suffix_reach)
     return inst
 
 
@@ -317,64 +329,44 @@ def encode_hybrid(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     """Split-word encoding: prefix machinery feeds suffix machinery per word."""
-    validate_cuts(sample, cuts)
+    prefix_parts, suffix_parts = split_sets(sample, cuts)
     _check_budget(
         estimate_size(ModelKind.HYBRID, sample, k, cuts).total_literals(), literal_budget
     )
     inst = _base_instance(sample, k)
-
-    prefix_parts: set[Word] = set()
-    suffix_parts: set[Word] = set()
-    linked_suffix_parts: set[Word] = set()
-    for word, cut in cuts.items():
-        head, tail = split_word(word, cut)
-        if head:
-            prefix_parts.add(head)
-        if tail:
-            suffix_parts.add(tail)
-            if head:
-                linked_suffix_parts.add(tail)
-
+    linked = {split_word(w, cut)[1] for w, cut in cuts.items() if 0 < cut < len(w)}
     _emit_prefix_chain(inst, prefixes(prefix_parts), k)
     suffix_closure = suffixes(suffix_parts)
-    _emit_suffix_chain(
-        inst, suffix_closure, _suffix_all_start_words(suffix_closure, linked_suffix_parts), k
-    )
+    _emit_suffix_chain(inst, suffix_closure, _suffix_all_start_words(suffix_closure, linked), k)
+
+    states = range(1, k + 1)
+    finals = [inst.lookup(final_var(end)) for end in states]
 
     def emit_word(word: Word, positive: bool) -> None:
         head, tail = split_word(word, cuts[word])
-        if not tail:  # cut at |word|: behaves like the pure prefix encoding
-            reach = lambda i: inst.lookup(prefix_path_var(word, i))
-            (_emit_accept if positive else _emit_reject)(inst, word, k, reach)
+        if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
+            reach = (_prefix_reach if head else _suffix_reach)(inst, word, k)
+            if positive:
+                _emit_accept(inst, word, reach)
+            else:
+                _emit_reject(inst, reach)
             return
-        if not head:  # cut at 0: behaves like the pure suffix encoding
-            reach = lambda i: inst.lookup(suffix_path_var(word, 1, i))
-            (_emit_accept if positive else _emit_reject)(inst, word, k, reach)
-            return
-        head_vars = [inst.lookup(prefix_path_var(head, j)) for j in range(1, k + 1)]
+        head_vars = _prefix_reach(inst, head, k)
+        conjuncts = {
+            (j, end): [
+                head_vars[j - 1],
+                inst.lookup(suffix_path_var(tail, j, end)),
+                finals[end - 1],
+            ]
+            for j in states
+            for end in states
+        }
         if positive:
-            aux_vars = []
-            for j in range(1, k + 1):
-                for end in range(1, k + 1):
-                    tail_var = inst.lookup(suffix_path_var(tail, j, end))
-                    fin = inst.lookup(final_var(end))
-                    x = inst.fresh_var(link_aux_var(word, j, end))
-                    aux_vars.append(x)
-                    inst.add_clause([-x, head_vars[j - 1]], family="link_bin")
-                    inst.add_clause([-x, tail_var], family="link_bin")
-                    inst.add_clause([-x, fin], family="link_bin")
-                    inst.add_clause(
-                        [x, -head_vars[j - 1], -tail_var, -fin], family="link_reverse"
-                    )
-            inst.add_clause(aux_vars, family="link_choice")
+            terms = [(link_aux_var(word, *ends), None, lits) for ends, lits in conjuncts.items()]
+            _define(inst, None, terms, _LINK_FAMILIES)
         else:
-            for j in range(1, k + 1):
-                for end in range(1, k + 1):
-                    tail_var = inst.lookup(suffix_path_var(tail, j, end))
-                    fin = inst.lookup(final_var(end))
-                    inst.add_clause(
-                        [-head_vars[j - 1], -tail_var, -fin], family="link_reject_ternary"
-                    )
+            for lits in conjuncts.values():
+                inst.add_clause(map(neg, lits), family="link_reject_ternary")
 
     for word in sample.sorted_positives():
         if word:
@@ -527,9 +519,7 @@ def estimate_size(
     if kind == ModelKind.HYBRID:
         if cuts is None:
             raise ValueError("the hybrid estimate requires a split assignment")
-        validate_cuts(sample, cuts)
-        prefix_parts = {split_word(w, c)[0] for w, c in cuts.items() if c > 0}
-        suffix_parts = {split_word(w, c)[1] for w, c in cuts.items() if c < len(w)}
+        prefix_parts, suffix_parts = split_sets(sample, cuts)
         pure_prefix_pos = sum(1 for w in sample.positives if w and cuts[w] == len(w))
         pure_prefix_neg = sum(1 for w in sample.negatives if w and cuts[w] == len(w))
         pure_suffix_pos = sum(1 for w in sample.positives if w and cuts[w] == 0)

@@ -173,8 +173,10 @@ def all_suffix_cuts(sample: Sample) -> SplitAssignment:
 #
 # plain:      header "n=<alphabet size>", then one word per line followed by a
 #             '+' or '-' sentinel.  Symbols are single letters ('a' = 0) or
-#             digits, or comma-separated integer ids.  An empty word is an
-#             empty string before the sentinel.
+#             digits, or comma-separated integer ids.  Above n=10 a run of
+#             digits is ambiguous and rejected: write 1,1 (a lone id takes a
+#             trailing comma, 11,) or letters.  An empty word is an empty
+#             string before the sentinel.
 # abbadingo:  header "<word count> <alphabet size>", then lines
 #             "<label 0|1> <length> <symbol ids...>".
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def word_from_text(text: str) -> Word:
         return EMPTY_WORD
     if "," in text:
         try:
-            return intern_word(int(part) for part in text.split(","))
+            return intern_word(int(part) for part in text.removesuffix(",").split(","))
         except ValueError as exc:
             raise SampleError(f"bad comma-separated word {text!r}") from exc
     if text.isdigit():
@@ -226,7 +228,13 @@ def _parse_plain(lines: list[str]) -> Sample:
             positive = False
         else:
             raise SampleError(f"line {line!r} does not end in '+' or '-'")
-        entries.append((word_from_text(line[:-1]), positive))
+        text = line[:-1].strip()
+        if header > 10 and len(text) > 1 and text.isdigit():
+            raise SampleError(
+                f"word {text!r} is ambiguous with n={header}: symbol ids need "
+                "commas (1,1 for two symbols, 11, for one) or letters"
+            )
+        entries.append((word_from_text(text), positive))
     if header is None:
         raise SampleError("missing 'n=' header line")
     positives = {w for w, pos in entries if pos}
@@ -283,11 +291,13 @@ def parse_sample(stream: IO[str] | str, fmt: str = "plain") -> Sample:
 def format_sample(sample: Sample, fmt: str = "plain") -> str:
     """Serialize a sample so that parse_sample round-trips it."""
     if fmt == "plain":
-        lines = [f"n={sample.alphabet_size}"]
-        for word in sample.sorted_positives():
-            lines.append(word_to_text(word, sample.alphabet_size) + "+")
-        for word in sample.sorted_negatives():
-            lines.append(word_to_text(word, sample.alphabet_size) + "-")
+        n = sample.alphabet_size
+        lines = [f"n={n}"]
+        for words, sign in ((sample.sorted_positives(), "+"), (sample.sorted_negatives(), "-")):
+            for word in words:
+                # above the letters, a lone id takes a trailing comma or it reads as digits
+                lone = "," if n > 26 and len(word) == 1 else ""
+                lines.append(word_to_text(word, n) + lone + sign)
         return "\n".join(lines) + "\n"
     if fmt == "abbadingo":
         words = sample.sorted_positives() + sample.sorted_negatives()

@@ -21,6 +21,7 @@ from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind
 from nfasat.nfa import oracle_exists, verify
 from nfasat.sample import Sample, format_sample, parse_sample
+from nfasat.splitopt import GaParams, IlsParams
 
 A, B, AB = (0,), (1,), (0, 1)
 
@@ -210,6 +211,15 @@ class TestInferCommand:
             main(["infer", str(sample_file), "--model", "pm", "--k", "0"])
         assert str(err.value) == "nfasat: error: state count k must be >= 1, got 0"
 
+    def test_ambiguous_digit_word_is_one_line_error(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("n=12\n11+\n3-\n")
+        with pytest.raises(SystemExit) as err:
+            main(["infer", str(path), "--model", "pm", "--k", "1"])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: word '11' is ambiguous with n=12")
+        assert "\n" not in message
+
     def test_k_sweep_stops_at_first_satisfiable_size(self, tmp_path, capsys):
         path = tmp_path / "needs2.txt"
         path.write_text("n=1\na+\naa-\n")  # impossible with one state
@@ -247,6 +257,15 @@ class TestResolveCuts:
         path.write_text(json.dumps({"ab": 1, "b": 0}))
         cuts, _, _ = resolve_cuts(sample, f"file:{path}", 2, 0)
         assert cuts == {AB: 1, B: 0}
+
+    def test_optimizer_params_not_mutated(self):
+        sample = Sample.build(2, [AB, (1, 1, 0)], [B, (0, 0)])
+        ils = IlsParams(rng_seed=5)
+        ga = GaParams(population_size=4, max_gen=2, rng_seed=5)
+        resolve_cuts(sample, "ils", 2, 9, ils_params=ils)
+        resolve_cuts(sample, "ga", 2, 9, ga_params=ga)
+        assert ils == IlsParams(rng_seed=5)
+        assert ga == GaParams(population_size=4, max_gen=2, rng_seed=5)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(Exception):
@@ -305,6 +324,43 @@ class TestBench:
         for total in totals:
             model_rows = [r for r in plain if r.model == total.model]
             assert total.vars == pytest.approx(sum(r.vars for r in model_rows))
+
+    def test_ils_params_reach_the_optimizer(self):
+        sample = random_sample(2, 12, 6, 0.5, seed=2)
+        capped = IlsParams(max_iter=1, max_iter_without_improv=1)
+        rows = run_bench(
+            [("s", sample)],
+            ["hm-ils"],
+            k_of=lambda name: 2,
+            runs=1,
+            solver_cmd=None,
+            timeout_seconds=60,
+            literal_budget=10**8,
+            base_seed=0,
+            use_external=False,
+            log=lambda *_: None,
+            ils_params=capped,
+        )
+        _, expected, _ = resolve_cuts(sample, "ils", 2, 0, ils_params=capped)
+        assert rows[0].fitness == expected
+        assert expected != resolve_cuts(sample, "ils", 2, 0)[1]  # the cap matters here
+
+    def test_cli_bench_reads_config(self, tmp_path):
+        sdir = tmp_path / "samples"
+        sdir.mkdir()
+        sample = random_sample(2, 12, 6, 0.5, seed=2)
+        (sdir / "s.txt").write_text(format_sample(sample))
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"ils": {"max_iter": 1, "max_iter_without_improv": 1}}))
+        out_csv = tmp_path / "bench.csv"
+        args = ["bench", str(sdir), "--models", "hm-ils", "--k", "2", "--runs", "1"]
+        main(args + ["--config", str(config), "--out-csv", str(out_csv)])
+        with open(out_csv) as fh:
+            row = next(csv.DictReader(fh))
+        capped = IlsParams(max_iter=1, max_iter_without_improv=1)
+        _, report, _ = generate_instance(sample, ModelKind.HYBRID, 2, "ils", 0, ils_params=capped)
+        _, default, _ = generate_instance(sample, ModelKind.HYBRID, 2, "ils", 0)
+        assert int(row["vars"]) == report.vars != default.vars
 
     def test_deterministic_model_identical_across_runs(self):
         sample = Sample.build(2, [AB], [B])

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from nfasat.cli import random_sample
 from nfasat.cnf import (
     dimacs_text,
     final_var,
@@ -22,6 +25,7 @@ from nfasat.encoders import (
 from nfasat.nfa import accepts, oracle_exists, verify
 from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
 from nfasat.solver import decode_nfa, solve_in_process
+from nfasat.splitopt import IlsParams, ils_optimize
 
 from _helpers import instance_sat_by_enumeration, random_cut_assignment, random_tiny_sample
 
@@ -275,3 +279,86 @@ class TestCrossModel:
             lambda: encode_hybrid(sample, 2, cuts),
         ):
             assert dimacs_text(build()) == dimacs_text(build())
+
+
+def _stats_text(inst) -> str:
+    """Canonical text of the per-family clause and variable accounting."""
+    return json.dumps(
+        [
+            sorted((family, sorted(hist.items())) for family, hist in inst.family_hist.items()),
+            sorted(inst.var_family_counts.items()),
+            inst.alias_count(),
+        ]
+    )
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (random_sample arguments, k) -> model -> (sha256 of the DIMACS text, sha256
+# of _stats_text).  All-prefix and all-suffix cuts must reproduce pm and sm
+# byte for byte.  The hm-ils row also depends on the ILS optimizer, so a
+# declared change to the optimizer re-pins that row only.
+PINNED_CASES = {
+    ((2, 30, 6, 0.5, 3), 2): {
+        "dm": (
+            "860f97daf26ea42fe9f90397abbbc57fce47d5d4dbf2ce982620b8e98e13974a",
+            "9eac140075f20fb1",
+        ),
+        "pm": (
+            "92e69f4d0f3c52a4983337d7d6918aced617fcad3f32c9cfd198ddab958a9485",
+            "3df5a7d81ada5a86",
+        ),
+        "sm": (
+            "5d6489485a45ce921681e25b0cf94d0e728a540de4c73051e2cc3afc4ab31026",
+            "0cc085c1ad3cb31d",
+        ),
+        "hm-ils": (
+            "db1e43cfcfbb6447e4ad6c6243854a97b3e9294add9880fb78bba58f9e36a79d",
+            "2bb6e42ab133794a",
+        ),
+    },
+    ((3, 40, 8, 0.5, 5), 3): {
+        "pm": (
+            "b9db31b98ce138b4b882ad926ba564d7e2466999ce95c4d80bf02934f1b2a98c",
+            "36b53ca3e5c0d541",
+        ),
+        "sm": (
+            "babbc37bb4bece1ccb6705db9814e4ba2ffb563b5094a3bf02c92b63f54bf13f",
+            "730dc0dae35bc1fa",
+        ),
+        "hm-ils": (
+            "a12ac97b05228deb4a09761874320eb07bdd44b71e47a82790db4693c33fcb9e",
+            "dec63c5011193d3e",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_CASES), ids=lambda case: f"n{case[0][0]}-seed{case[0][4]}-k{case[1]}"
+)
+def test_pinned_dimacs_and_family_stats(case):
+    args, k = case
+    sample = random_sample(*args)
+    builds = {
+        "dm": lambda: encode_direct(sample, k),
+        "pm": lambda: encode_prefix(sample, k),
+        "sm": lambda: encode_suffix(sample, k),
+        "hm-prefix": lambda: encode_hybrid(sample, k, all_prefix_cuts(sample)),
+        "hm-suffix": lambda: encode_hybrid(sample, k, all_suffix_cuts(sample)),
+        "hm-ils": lambda: encode_hybrid(
+            sample, k, ils_optimize(sample, k, IlsParams(rng_seed=1)).cuts
+        ),
+    }
+    pins = PINNED_CASES[case]
+    same_as = {"hm-prefix": "pm", "hm-suffix": "sm"}
+    for label, build in builds.items():
+        pinned = pins.get(same_as.get(label, label))
+        if pinned is None:
+            continue
+        inst = build()
+        stats = _stats_text(inst)
+        assert _sha(dimacs_text(inst)) == pinned[0], label
+        assert _sha(stats)[:16] == pinned[1], (label, stats)

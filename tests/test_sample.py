@@ -45,6 +45,18 @@ class TestParsing:
         sample = parse_sample("n=3\n012+\n")
         assert (0, 1, 2) in sample.positives
 
+    def test_plain_digit_run_rejected_above_ten_symbols(self):
+        with pytest.raises(SampleError, match="ambiguous with n=12.*commas"):
+            parse_sample("n=12\n11+\n3-\n")
+        sample = parse_sample("n=12\n1,1+\n11,-\n3-\n")
+        assert sample.positives == {(1, 1)}
+        assert sample.negatives == {(11,), (3,)}
+        assert parse_sample("n=10\n11+\n").positives == {(1, 1)}
+
+    def test_plain_round_trip_lone_large_id(self):
+        sample = Sample.build(30, [(12,), (3,), (12, 5)], [(29,), ()])
+        assert parse_sample(format_sample(sample)) == sample
+
     def test_plain_unicode_minus(self):
         sample = parse_sample("n=2\na−\n")
         assert A in sample.negatives
