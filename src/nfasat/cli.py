@@ -145,7 +145,7 @@ def resolve_cuts(
     elif source.startswith("file:"):
         path = source[len("file:") :]
         raw = json.loads(Path(path).read_text())
-        cuts = {word_from_text(text): cut for text, cut in raw.items()}
+        cuts = {word_from_text(text, sample.alphabet_size): cut for text, cut in raw.items()}
     else:
         raise SampleError(
             f"unknown cuts source {source!r}; expected prefix, suffix, ils, ga, or file:<path>"

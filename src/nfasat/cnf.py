@@ -1,32 +1,29 @@
 """CNF construction substrate: named variables, clause store, DIMACS output.
 
-Solver variables are dense 1-based indices.  Every variable carries a
-semantic name (a tagged tuple) registered in a bidirectional map, so models
-can be decoded back into automaton components.  Names may alias an existing
-index, which is how single-symbol path variables share the underlying
-transition variable without emitting any clause.
+Solver variables are dense 1-based indices.  Final, transition and reach
+variables carry a semantic name (a tagged tuple) registered in a
+bidirectional map, so models can be decoded back into automaton components.
+Names may alias an existing index, which is how single-symbol path variables
+share the underlying transition variable without emitting any clause.
+Auxiliary variables are anonymous contiguous ranges known only by family.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 from .sample import Word
 
 VarName = tuple
 
-# Tag constants for the variable name union.
+# Tag constants for the named variables.
 FINAL = "final"
 TRANS = "trans"
 PREFIX_PATH = "pref"
 SUFFIX_PATH = "suf"
-ACCEPT_AUX = "acc"
-DIRECT_PATH_AUX = "dpath"
-PREFIX_REC_AUX = "prec"
-SUFFIX_REC_AUX = "srec"
-LINK_AUX = "link"
 
 # Stats family per tag, for variable-count accounting.
 _VAR_FAMILY = {
@@ -34,11 +31,6 @@ _VAR_FAMILY = {
     TRANS: "transition",
     PREFIX_PATH: "prefix_path",
     SUFFIX_PATH: "suffix_path",
-    ACCEPT_AUX: "accept_aux",
-    DIRECT_PATH_AUX: "direct_path_aux",
-    PREFIX_REC_AUX: "prefix_rec_aux",
-    SUFFIX_REC_AUX: "suffix_rec_aux",
-    LINK_AUX: "link_aux",
 }
 
 
@@ -62,50 +54,28 @@ def suffix_path_var(word: Word, i: int, j: int) -> VarName:
     return (SUFFIX_PATH, word, i, j)
 
 
-def accept_aux_var(word: Word, i: int) -> VarName:
-    """Word reaches state i and i is final."""
-    return (ACCEPT_AUX, word, i)
-
-
-def direct_path_aux_var(word: Word, states: tuple[int, ...]) -> VarName:
-    """The specific state path (1, *states) for word ends in a final state."""
-    return (DIRECT_PATH_AUX, word, states)
-
-
-def prefix_rec_aux_var(prev: Word, a: int, j: int, i: int) -> VarName:
-    """prev reaches j and the j->i transition on a extends it."""
-    return (PREFIX_REC_AUX, prev, a, j, i)
-
-
-def suffix_rec_aux_var(tail: Word, a: int, i: int, mid: int, j: int) -> VarName:
-    """The i->mid transition on a prepends to a tail path from mid to j."""
-    return (SUFFIX_REC_AUX, tail, a, i, mid, j)
-
-
-def link_aux_var(word: Word, j: int, k: int) -> VarName:
-    """Word's prefix part reaches j, its suffix part runs j->k, k is final."""
-    return (LINK_AUX, word, j, k)
-
-
 class CnfError(ValueError):
-    """Inconsistent use of the variable registry."""
+    """Inconsistent use of the variable registry or the clause store."""
 
 
 class CnfInstance:
-    """A clause store with a semantic variable registry and stats.
+    """A clause store with a variable registry and a (family, arity) clause tally.
 
-    Single writer while under construction; treat as immutable afterwards.
+    Only final, transition and reach variables are named; auxiliaries are
+    anonymous index ranges.  Single writer while under construction; treat
+    as immutable afterwards.
     """
 
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
         self.trivially_unsat = False
-        self.arity_hist: Counter[int] = Counter()
-        self.family_hist: dict[str, Counter[int]] = {}
         self.var_family_counts: Counter[str] = Counter()
+        self._tally: Counter[tuple[str, int]] = Counter()
         self._index: dict[VarName, int] = {}
         self._canonical: dict[int, VarName] = {}
+        self._aux_starts: list[int] = []
+        self._aux_families: list[str] = []
         self._alias_count = 0
 
     # -- registry ----------------------------------------------------------
@@ -121,6 +91,15 @@ class CnfInstance:
         self._canonical[idx] = name
         self.var_family_counts[_VAR_FAMILY.get(name[0], "other")] += 1
         return idx
+
+    def fresh_aux(self, family: str, count: int) -> int:
+        """First index of count new anonymous variables of one stats family."""
+        first = self.var_count + 1
+        self.var_count += count
+        self.var_family_counts[family] += count
+        self._aux_starts.append(first)
+        self._aux_families.append(family)
+        return first
 
     def alias_var(self, name: VarName, existing: VarName) -> int:
         """Make name resolve to the index of an already registered name."""
@@ -147,44 +126,58 @@ class CnfInstance:
     def has_var(self, name: VarName) -> bool:
         return name in self._index
 
-    def name_of(self, index: int) -> VarName:
-        """Canonical name of an index (the alias target, for aliased names)."""
-        try:
-            return self._canonical[index]
-        except KeyError:
-            raise CnfError(f"index {index} is not registered") from None
+    def name_of(self, index: int) -> VarName | str:
+        """Canonical name of an index (the alias target), or an aux index's family."""
+        name = self._canonical.get(index)
+        if name is not None:
+            return name
+        if not 1 <= index <= self.var_count:
+            raise CnfError(f"index {index} is not registered")
+        return self._aux_families[bisect(self._aux_starts, index) - 1]
 
     def alias_count(self) -> int:
         return self._alias_count
 
     # -- clauses -----------------------------------------------------------
 
-    def add_clause(self, literals: Iterable[int], family: str = "other") -> None:
-        """Store a clause after merging duplicates and dropping tautologies.
+    def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
+        """Store clauses, the i-th under the i-th family, after checking the batch.
 
-        An empty clause is stored and flags the instance trivially UNSAT.
+        Literal 0, a variable beyond var_count, or one variable twice in a
+        clause raises CnfError and stores nothing.  An empty clause flags the
+        instance trivially UNSAT.
         """
-        seen: dict[int, int] = {}
-        kept: list[int] = []
-        for lit in literals:
-            if lit == 0:
+        lits = list(chain.from_iterable(clauses))
+        if lits:
+            top = max(max(lits), -min(lits))
+            if top > self.var_count:
+                raise CnfError(f"a literal references unregistered variable {top}")
+            if 0 in lits:
                 raise CnfError("literal 0 is not allowed")
-            var = abs(lit)
-            if var > self.var_count:
-                raise CnfError(f"literal {lit} references unregistered variable {var}")
-            prev = seen.get(var)
-            if prev is None:
-                seen[var] = lit
-                kept.append(lit)
-            elif prev != lit:
-                return  # complementary pair: tautology
-        clause = tuple(kept)
-        if not clause:
+            if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != len(lits):
+                clause = next(c for c in clauses if len(set(map(abs, c))) < len(c))
+                raise CnfError(f"clause {clause} names a variable twice")
+        if not all(clauses):
             self.trivially_unsat = True
-        self.clauses.append(clause)
-        arity = len(clause)
-        self.arity_hist[arity] += 1
-        self.family_hist.setdefault(family, Counter())[arity] += 1
+        self.clauses += clauses
+        self._tally.update(zip(families, map(len, clauses)))
+
+    def add_clause(self, literals: Iterable[int], family: str = "other") -> None:
+        """Store one clause after merging duplicates; drop it if it is a tautology."""
+        clause = tuple(dict.fromkeys(literals))
+        if len(set(map(abs, clause))) == len(clause):
+            self.add_clauses([clause], (family,))
+
+    @property
+    def arity_hist(self) -> Counter[int]:
+        return sum(self.family_hist.values(), Counter())
+
+    @property
+    def family_hist(self) -> dict[str, Counter[int]]:
+        hist: dict[str, Counter[int]] = {}
+        for (family, arity), count in self._tally.items():
+            hist.setdefault(family, Counter())[arity] = count
+        return hist
 
     def clause_count(self) -> int:
         return len(self.clauses)
@@ -200,6 +193,8 @@ class CnfInstance:
             "vars": self.var_count,
             "clauses": self.clause_count(),
             "arity_histogram": {str(a): c for a, c in sorted(self.arity_hist.items())},
+            "family_clause_counts": dict(sorted(self.family_clause_counts().items())),
+            "var_family_counts": dict(sorted(self.var_family_counts.items())),
         }
 
 

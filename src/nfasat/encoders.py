@@ -21,11 +21,11 @@ in how word acceptance is expressed:
   Cut 0 or cut |w| collapse to the pure suffix/prefix forms.
 
 Every prefix, suffix, link and direct-path definition goes through one
-helper, ``_define``: each output is the OR of AND terms, with one auxiliary
-variable per term (Tseitin style).  It creates the auxiliaries in term order,
-then emits, per term, one [-x, lit] per conjunct and [x, -lits...]; then one
-choice clause per output ([-y, aux...], or a single [aux...] when the OR is
-asserted outright); then [y, -x] per term.  Accepting a word through its
+helper, ``_define``: each output is the OR of AND terms, with one anonymous
+auxiliary variable per term (Tseitin style).  It emits, per term, one
+[-x, lit] per conjunct and [x, -lits...]; then one choice clause per output
+([-y, aux...], or a single [aux...] when the OR is asserted outright); then
+[y, -x] per term, all as one checked batch.  Accepting a word through its
 reach variables keeps its own order (all binaries, then all ternaries).
 Instance sizes stay polynomial in the closure sizes for all but the direct
 encoding.
@@ -33,25 +33,13 @@ encoding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product, repeat
 from operator import neg
 from typing import Sequence
 
-from .cnf import (
-    CnfInstance,
-    VarName,
-    accept_aux_var,
-    direct_path_aux_var,
-    final_var,
-    link_aux_var,
-    prefix_path_var,
-    prefix_rec_aux_var,
-    suffix_path_var,
-    suffix_rec_aux_var,
-    trans_var,
-)
+from .cnf import CnfInstance, final_var, prefix_path_var, suffix_path_var, trans_var
 from .sample import (
     Sample,
     SampleError,
@@ -110,46 +98,47 @@ def _base_instance(sample: Sample, k: int) -> CnfInstance:
     return inst
 
 
-# Clause families per definition: (one per conjunct), reverse, choice, output.
-_PREFIX_FAMILIES = (("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
+# Per definition: aux family, (binary family per conjunct), reverse, choice, output.
+_PREFIX_FAMILIES = ("prefix_rec_aux", ("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
                     "prefix_rec_ternary", "prefix_rec_choice", "prefix_rec_bin_out")
-_SUFFIX_FAMILIES = (("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
+_SUFFIX_FAMILIES = ("suffix_rec_aux", ("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
                     "suffix_rec_ternary", "suffix_rec_choice", "suffix_rec_bin_out")
-_LINK_FAMILIES = (("link_bin",) * 3, "link_reverse", "link_choice", None)
+_LINK_FAMILIES = ("link_aux", ("link_bin",) * 3, "link_reverse", "link_choice", None)
 
 
 def _define(
     inst: CnfInstance,
     outputs: list[int] | None,
-    terms: list[tuple[VarName, int | None, Sequence[int]]],
-    families: tuple[tuple[str, ...], str, str, str | None],
+    terms: list[tuple[int | None, Sequence[int]]],
+    families: tuple[str, tuple[str, ...], str, str, str | None],
 ) -> None:
-    """Define each output as the OR of its AND terms, one aux variable per term.
+    """Define each output as the OR of its AND terms, in the module docstring's order.
 
-    A term is (aux name, output index, conjunct literals).  families holds one
-    binary family per conjunct, then the reverse, choice and output families.
-    Clauses come in this order: per term, [-x, lit] for each conjunct and then
-    [x, -lits...]; one choice clause [-y, aux...] per output, or a single
-    [aux...] when outputs is None; then [y, -x] per term.
+    A term is (output index, conjunct literals), all terms with as many
+    conjuncts.  families: aux variable family, one binary family per
+    conjunct, then the reverse, choice and output families.  The aux
+    variables are one index range.  Aliasing can repeat a conjunct; the
+    reverse clause names it once.
     """
-    bin_families, reverse_family, choice_family, out_family = families
-    add = inst.add_clause
-    aux = [inst.fresh_var(name) for name, _, _ in terms]
-    for x, (_, _, lits) in zip(aux, terms):
-        for lit, family in zip(lits, bin_families):
-            add([-x, lit], family)
-        add([x, *map(neg, lits)], reverse_family)
+    aux_family, bin_families, reverse_family, choice_family, out_family = families
+    first = inst.fresh_aux(aux_family, len(terms))
+    aux = range(first, first + len(terms))
+    clauses: list[tuple[int, ...]] = []
+    for x, (_, lits) in zip(aux, terms):
+        clauses += zip(repeat(-x), lits)
+        clauses.append((x, *map(neg, dict.fromkeys(lits))))
+    clause_families = [*bin_families, reverse_family] * len(terms)
     if outputs is None:
-        add(aux, choice_family)
+        clauses.append(tuple(aux))
+        inst.add_clauses(clauses, clause_families + [choice_family])
         return
     choices = [[-y] for y in outputs]
-    outs = [out for _, out, _ in terms]
-    for x, out in zip(aux, outs):
+    for x, (out, _) in zip(aux, terms):
         choices[out].append(x)
-    for clause in choices:
-        add(clause, choice_family)
-    for x, out in zip(aux, outs):
-        add([outputs[out], -x], out_family)
+    clauses += map(tuple, choices)
+    clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
+    clause_families += [choice_family] * len(outputs) + [out_family] * len(terms)
+    inst.add_clauses(clauses, clause_families)
 
 
 def _emit_prefix_chain(inst: CnfInstance, prefix_set: set[Word], k: int) -> None:
@@ -165,11 +154,7 @@ def _emit_prefix_chain(inst: CnfInstance, prefix_set: set[Word], k: int) -> None
         outputs = [inst.fresh_var(prefix_path_var(word, i)) for i in states]
         parent_vars = _prefix_reach(inst, parent, k)
         terms = [
-            (
-                prefix_rec_aux_var(parent, a, j, i),
-                i - 1,
-                (parent_vars[j - 1], inst.lookup(trans_var(a, j, i))),
-            )
+            (i - 1, (parent_vars[j - 1], inst.lookup(trans_var(a, j, i))))
             for j in states
             for i in states
         ]
@@ -208,11 +193,7 @@ def _emit_suffix_chain(
         rests = [[inst.lookup(suffix_path_var(tail, mid, j)) for j in states] for mid in states]
         steps = [[inst.lookup(trans_var(a, i, mid)) for mid in states] for i in starts]
         terms = [
-            (
-                suffix_rec_aux_var(tail, a, i, mid, j),
-                (i - 1) * k + j - 1,
-                (rests[mid - 1][j - 1], steps[i - 1][mid - 1]),
-            )
+            ((i - 1) * k + j - 1, (rests[mid - 1][j - 1], steps[i - 1][mid - 1]))
             for i in starts
             for mid in states
             for j in states
@@ -230,34 +211,37 @@ def _suffix_reach(inst: CnfInstance, word: Word, k: int) -> list[int]:
     return [inst.lookup(suffix_path_var(word, 1, i)) for i in range(1, k + 1)]
 
 
-def _emit_accept(inst: CnfInstance, word: Word, reach: list[int]) -> None:
+def _emit_accept(inst: CnfInstance, reach: list[int], finals: list[int]) -> None:
     """Some end state is both reached by the word and final."""
-    finals = [inst.lookup(final_var(i)) for i in range(1, len(reach) + 1)]
-    aux_vars = []
-    for i, (lit, fin) in enumerate(zip(reach, finals), 1):
-        x = inst.fresh_var(accept_aux_var(word, i))
-        aux_vars.append(x)
-        inst.add_clause([-x, lit], family="accept_bin")
-        inst.add_clause([-x, fin], family="accept_bin")
-    for x, lit, fin in zip(aux_vars, reach, finals):
-        inst.add_clause([x, -lit, -fin], family="accept_ternary")
-    inst.add_clause(aux_vars, family="accept_choice")
+    k = len(reach)
+    first = inst.fresh_aux("accept_aux", k)
+    aux = range(first, first + k)
+    clauses = []
+    for x, lit, fin in zip(aux, reach, finals):
+        clauses += ((-x, lit), (-x, fin))
+    clauses += zip(aux, map(neg, reach), map(neg, finals))
+    clauses.append(tuple(aux))
+    inst.add_clauses(clauses, ["accept_bin"] * (2 * k) + ["accept_ternary"] * k + ["accept_choice"])
 
 
-def _emit_reject(inst: CnfInstance, reach: list[int]) -> None:
+def _emit_reject(inst: CnfInstance, reach: list[int], finals: list[int]) -> None:
     """No reached end state may be final."""
-    for i, lit in enumerate(reach, 1):
-        inst.add_clause([-lit, -inst.lookup(final_var(i))], family="reject_bin")
+    inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
+
+
+def _final_vars(inst: CnfInstance, k: int) -> list[int]:
+    return [inst.lookup(final_var(i)) for i in range(1, k + 1)]
 
 
 def _emit_verdicts(inst: CnfInstance, sample: Sample, k: int, reach_of) -> None:
     """Accept the non-empty positive words and reject the non-empty negative ones."""
+    finals = _final_vars(inst, k)
     for word in sample.sorted_positives():
         if word:
-            _emit_accept(inst, word, reach_of(inst, word, k))
+            _emit_accept(inst, reach_of(inst, word, k), finals)
     for word in sample.sorted_negatives():
         if word:
-            _emit_reject(inst, reach_of(inst, word, k))
+            _emit_reject(inst, reach_of(inst, word, k), finals)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +259,23 @@ def encode_direct(
     for word in sample.sorted_positives():
         if word:
             terms = [
-                (direct_path_aux_var(word, path), None, _path_conjuncts(inst, word, path))
-                for path in itertools.product(states, repeat=len(word))
+                (None, _path_conjuncts(inst, word, path))
+                for path in product(states, repeat=len(word))
             ]
-            families = (("direct_bin",) * (len(word) + 1), "direct_reverse", "direct_choice", None)
+            bin_families = ("direct_bin",) * (len(word) + 1)
+            families = ("direct_path_aux", bin_families, "direct_reverse", "direct_choice", None)
             _define(inst, None, terms, families)
     for word in sample.sorted_negatives():
         if word:
-            for path in itertools.product(states, repeat=len(word)):
-                lits = _path_conjuncts(inst, word, path)
-                inst.add_clause(map(neg, lits), family="direct_reject")
+            paths = product(states, repeat=len(word))
+            blocked = [_negated(_path_conjuncts(inst, word, path)) for path in paths]
+            inst.add_clauses(blocked, repeat("direct_reject"))
     return inst
+
+
+def _negated(lits: Sequence[int]) -> tuple[int, ...]:
+    """The clause forbidding a conjunction; aliasing can repeat a conjunct."""
+    return tuple(map(neg, dict.fromkeys(lits)))
 
 
 def _path_conjuncts(inst: CnfInstance, word: Word, path: tuple[int, ...]) -> list[int]:
@@ -340,33 +330,24 @@ def encode_hybrid(
     _emit_suffix_chain(inst, suffix_closure, _suffix_all_start_words(suffix_closure, linked), k)
 
     states = range(1, k + 1)
-    finals = [inst.lookup(final_var(end)) for end in states]
+    finals = _final_vars(inst, k)
 
     def emit_word(word: Word, positive: bool) -> None:
         head, tail = split_word(word, cuts[word])
         if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
             reach = (_prefix_reach if head else _suffix_reach)(inst, word, k)
-            if positive:
-                _emit_accept(inst, word, reach)
-            else:
-                _emit_reject(inst, reach)
+            (_emit_accept if positive else _emit_reject)(inst, reach, finals)
             return
         head_vars = _prefix_reach(inst, head, k)
-        conjuncts = {
-            (j, end): [
-                head_vars[j - 1],
-                inst.lookup(suffix_path_var(tail, j, end)),
-                finals[end - 1],
-            ]
+        conjuncts = [
+            (head_vars[j - 1], inst.lookup(suffix_path_var(tail, j, end)), finals[end - 1])
             for j in states
             for end in states
-        }
+        ]
         if positive:
-            terms = [(link_aux_var(word, *ends), None, lits) for ends, lits in conjuncts.items()]
-            _define(inst, None, terms, _LINK_FAMILIES)
+            _define(inst, None, [(None, lits) for lits in conjuncts], _LINK_FAMILIES)
         else:
-            for lits in conjuncts.values():
-                inst.add_clause(map(neg, lits), family="link_reject_ternary")
+            inst.add_clauses(list(map(_negated, conjuncts)), repeat("link_reject_ternary"))
 
     for word in sample.sorted_positives():
         if word:

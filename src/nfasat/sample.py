@@ -184,7 +184,8 @@ def all_suffix_cuts(sample: Sample) -> SplitAssignment:
 FORMATS = ("plain", "abbadingo")
 
 
-def word_from_text(text: str) -> Word:
+def word_from_text(text: str, alphabet_size: int = 0) -> Word:
+    """Read one word; above ten symbols a run of several digits is an error."""
     text = text.strip()
     if not text:
         return EMPTY_WORD
@@ -194,6 +195,11 @@ def word_from_text(text: str) -> Word:
         except ValueError as exc:
             raise SampleError(f"bad comma-separated word {text!r}") from exc
     if text.isdigit():
+        if alphabet_size > 10 and len(text) > 1:
+            raise SampleError(
+                f"word {text!r} is ambiguous with n={alphabet_size}: symbol ids need "
+                "commas (1,1 for two symbols, 11, for one) or letters"
+            )
         return intern_word(int(ch) for ch in text)
     if text.isalpha() and text.islower():
         return intern_word(ord(ch) - ord("a") for ch in text)
@@ -228,13 +234,7 @@ def _parse_plain(lines: list[str]) -> Sample:
             positive = False
         else:
             raise SampleError(f"line {line!r} does not end in '+' or '-'")
-        text = line[:-1].strip()
-        if header > 10 and len(text) > 1 and text.isdigit():
-            raise SampleError(
-                f"word {text!r} is ambiguous with n={header}: symbol ids need "
-                "commas (1,1 for two symbols, 11, for one) or letters"
-            )
-        entries.append((word_from_text(text), positive))
+        entries.append((word_from_text(line[:-1], header), positive))
     if header is None:
         raise SampleError("missing 'n=' header line")
     positives = {w for w, pos in entries if pos}

@@ -9,6 +9,7 @@ thousands of small instances.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import subprocess
@@ -45,6 +46,13 @@ class SolveOutcome:
 def default_solver_command() -> str:
     """Command template for the bundled solver process."""
     return f"{shlex.quote(sys.executable)} -m nfasat.dimacs_solver {{cnf}} --timeout {{timeout}}"
+
+
+def _child_env() -> dict[str, str]:
+    """PYTHONPATH led by the directory nfasat came from, so ``-m nfasat...`` works
+    from a source checkout too."""
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def _render_command(template: str, cnf_path: str, timeout_seconds: float) -> list[str]:
@@ -109,6 +117,7 @@ def solve_dimacs_file(
             argv,
             capture_output=True,
             text=True,
+            env=_child_env(),
             timeout=timeout_seconds if timeout_seconds is not None else None,
         )
     except subprocess.TimeoutExpired:

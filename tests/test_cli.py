@@ -55,6 +55,18 @@ class TestGenerateCommand:
         assert int(header[3]) == stats["clauses"]
         assert stats["generation_seconds"] >= 0
 
+    def test_stats_sidecar_carries_family_counts(self, tmp_path, sample_file):
+        out = tmp_path / "demo.cnf"
+        assert main(["generate", str(sample_file), "--model", "hm", "--k", "2",
+                     "--out", str(out)]) == 0
+        stats = json.loads((tmp_path / "demo.cnf.stats.json").read_text())
+        instance, _, _ = generate_instance(parse_sample(sample_file.read_text()), ModelKind.HYBRID, 2)
+        assert stats["family_clause_counts"] == instance.family_clause_counts()
+        assert stats["var_family_counts"] == dict(instance.var_family_counts)
+        assert sum(stats["family_clause_counts"].values()) == stats["clauses"]
+        assert sum(stats["var_family_counts"].values()) == stats["vars"]
+        assert stats["var_family_counts"]["accept_aux"] > 0
+
     def test_hybrid_ils_deterministic_bytes(self, tmp_path, sample_file):
         outs = []
         for name in ("one.cnf", "two.cnf"):
@@ -257,6 +269,18 @@ class TestResolveCuts:
         path.write_text(json.dumps({"ab": 1, "b": 0}))
         cuts, _, _ = resolve_cuts(sample, f"file:{path}", 2, 0)
         assert cuts == {AB: 1, B: 0}
+
+    def test_file_source_ambiguous_digit_key_is_one_line_error(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("n=12\n11,+\n1,1-\n")
+        cuts = tmp_path / "cuts.json"
+        cuts.write_text(json.dumps({"11": 0, "1,1": 1}))
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(path), "--model", "hm", "--k", "1", "--cuts",
+                  f"file:{cuts}", "--out", str(tmp_path / "wide.cnf")])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: word '11' is ambiguous with n=12")
+        assert "\n" not in message
 
     def test_optimizer_params_not_mutated(self):
         sample = Sample.build(2, [AB, (1, 1, 0)], [B, (0, 0)])

@@ -148,3 +148,55 @@ def test_registry_round_trip_with_aliases():
 def test_parse_dimacs_rejects_malformed_input(text):
     with pytest.raises(CnfError):
         parse_dimacs(text)
+
+
+def _two_vars() -> CnfInstance:
+    inst = CnfInstance()
+    inst.fresh_var(final_var(1))
+    inst.fresh_var(final_var(2))
+    return inst
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [(1, 2), (0, 2)],  # literal 0
+        [(1, 2), (-3,)],  # variable beyond var_count
+        [(1, 2), (2, -2)],  # clashing pair
+        [(1, 2), (1, 1)],  # repeated variable
+    ],
+)
+def test_bulk_store_rejects_bad_batch_and_stores_nothing(batch):
+    inst = _two_vars()
+    with pytest.raises(CnfError):
+        inst.add_clauses(batch, ["a", "b"])
+    assert inst.clauses == [] and inst.family_hist == {}
+
+
+def test_bulk_store_tallies_families_in_order():
+    inst = _two_vars()
+    inst.add_clauses([(1, 2), (-1,), (-2, 1)], ["a", "b", "a"])
+    assert inst.clauses == [(1, 2), (-1,), (-2, 1)]
+    assert inst.family_hist == {"a": {2: 2}, "b": {1: 1}}
+    assert inst.arity_hist == {2: 2, 1: 1}
+
+
+def test_auxiliary_ranges_are_anonymous_and_named_by_family():
+    inst = CnfInstance()
+    inst.fresh_var(final_var(1))
+    first = inst.fresh_aux("prefix_rec_aux", 3)
+    inst.fresh_var(prefix_path_var((0, 1), 1))
+    second = inst.fresh_aux("accept_aux", 2)
+    assert (first, second, inst.var_count) == (2, 6, 7)
+    assert [inst.name_of(i) for i in range(1, 8)] == [
+        final_var(1),
+        *["prefix_rec_aux"] * 3,
+        prefix_path_var((0, 1), 1),
+        *["accept_aux"] * 2,
+    ]
+    assert inst.var_family_counts == {
+        "final": 1, "prefix_rec_aux": 3, "prefix_path": 1, "accept_aux": 2
+    }
+    for index in (0, 8):
+        with pytest.raises(CnfError):
+            inst.name_of(index)

@@ -1,0 +1,20 @@
+"""Per-layer microbenchmark of the encoders: encode one sample under pm, sm and hm.
+
+One seeded random sample at k=3 (hm with ILS cuts found beforehand), timed
+with pytest-benchmark over a few rounds so tier-1 stays fast.  Compare runs
+with ``pytest tests/test_encode_bench.py --benchmark-only``.
+"""
+
+import pytest
+
+from nfasat.cli import random_sample
+from nfasat.encoders import ModelKind, encode
+from nfasat.splitopt import IlsParams, ils_optimize
+
+
+@pytest.mark.parametrize("kind", [ModelKind.PREFIX, ModelKind.SUFFIX, ModelKind.HYBRID])
+def test_encode(benchmark, kind):
+    sample = random_sample(3, 60, 10, 0.5, seed=7)
+    cuts = ils_optimize(sample, 3, IlsParams(rng_seed=1)).cuts if kind == ModelKind.HYBRID else None
+    instance = benchmark.pedantic(encode, args=(kind, sample, 3, cuts), rounds=3, iterations=1)
+    assert instance.clause_count() > 0

@@ -12,8 +12,11 @@ from nfasat.cnf import (
     suffix_path_var,
     trans_var,
 )
+from nfasat.cnf import CnfError, CnfInstance
 from nfasat.encoders import (
+    _PREFIX_FAMILIES,
     BudgetExceededError,
+    _define,
     ModelKind,
     encode,
     encode_direct,
@@ -105,6 +108,13 @@ class TestPrefix:
         assert inst.var_family_counts["accept_aux"] == 2 * k
         hist = inst.family_hist["accept_choice"]
         assert sum(hist.values()) == 2 and set(hist) == {k}
+
+    def test_aliased_conjuncts_merge_in_the_reverse_clause(self):
+        # (0, 0) at k=1: parent (0,) reaches state 1 through trans(0,1,1) itself
+        inst = encode_prefix(Sample.build(1, [(0, 0)], []), 1)
+        assert inst.family_hist["prefix_rec_ternary"] == {2: 1}
+        assert inst.family_hist["prefix_rec_bin_prev"] == {2: 1}
+        assert inst.family_hist["prefix_rec_bin_trans"] == {2: 1}
 
     def test_same_word_both_polarities_unsat(self):
         sample = Sample.build(1, [A], [A])
@@ -362,3 +372,18 @@ def test_pinned_dimacs_and_family_stats(case):
         stats = _stats_text(inst)
         assert _sha(dimacs_text(inst)) == pinned[0], label
         assert _sha(stats)[:16] == pinned[1], (label, stats)
+
+
+class TestDefineChecks:
+    @pytest.mark.parametrize("lits", [(1, 0), (1, 99)])
+    def test_bad_conjunct_raises_and_stores_nothing(self, lits):
+        inst = CnfInstance()
+        y = inst.fresh_var(final_var(1))
+        with pytest.raises(CnfError):
+            _define(inst, [y], [(0, lits)], _PREFIX_FAMILIES)
+        assert inst.clauses == []
+
+    def test_auxiliaries_decode_to_their_family(self):
+        inst = encode_prefix(Sample.build(2, [AB], []), 2)
+        families = {inst.name_of(i) for i in range(1, inst.var_count + 1)}
+        assert {"prefix_rec_aux", "accept_aux"} <= families

@@ -55,6 +55,14 @@ class TestExternal:
         assert out.assignment == {1: True}
         assert out.decisions is not None
 
+    def test_default_command_without_pythonpath(self, monkeypatch, tmp_path):
+        # nfasat is importable here only through sys.path, as from a checkout
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        monkeypatch.chdir(tmp_path)
+        out = solve_external(unit_instance(1), timeout_seconds=60)
+        assert out.status == "SAT"
+        assert out.assignment == {1: True}
+
     def test_bundled_solver_unsat(self):
         out = solve_external(unit_instance(1, -1), timeout_seconds=60)
         assert out.status == "UNSAT"
