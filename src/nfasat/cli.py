@@ -104,18 +104,42 @@ class RunReport:
         return data
 
 
+class ConfigError(ValueError):
+    """Malformed optimizer config or cuts file."""
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object, not {type(raw).__name__}")
+    return raw
+
+
 def load_optimizer_config(path: str | None) -> tuple[IlsParams | None, GaParams | None]:
-    """Optional JSON config overriding optimizer defaults.
+    """Optional JSON config overriding optimizer defaults, checked on load.
 
     Shape: {"ils": {"max_iter": ..., "max_iter_without_improv": ...},
             "ga": {"population_size": ..., "max_gen": ..., "p_mut": ..., ...}}
     """
     if path is None:
         return None, None
-    raw = json.loads(Path(path).read_text())
-    ils = IlsParams(**raw["ils"]) if "ils" in raw else None
-    ga = GaParams(**raw["ga"]) if "ga" in raw else None
-    return ils, ga
+    raw = _read_json_object(path, "optimizer config")
+    if set(raw) - {"ils", "ga"}:
+        raise ConfigError(f"optimizer config {path}: sections must be 'ils' and/or 'ga'")
+    loaded = []
+    for section, cls in (("ils", IlsParams), ("ga", GaParams)):
+        params = None
+        if section in raw:
+            try:
+                params = cls(**raw[section])
+                params.validate()
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"optimizer config {path}, {section!r}: {err}") from err
+        loaded.append(params)
+    return loaded[0], loaded[1]
 
 
 def resolve_cuts(
@@ -144,7 +168,7 @@ def resolve_cuts(
         return result.cuts, result.best_fitness, result
     elif source.startswith("file:"):
         path = source[len("file:") :]
-        raw = json.loads(Path(path).read_text())
+        raw = _read_json_object(path, "cuts file")
         cuts = {word_from_text(text, sample.alphabet_size): cut for text, cut in raw.items()}
     else:
         raise SampleError(
@@ -296,12 +320,8 @@ def aggregate_runs(reports: list[RunReport]) -> RunReport:
         runs_completed=completed,
         status=status,
     )
-    agg.vars = _mean([r.vars for r in reports])
-    agg.clauses = _mean([r.clauses for r in reports])
-    agg.t_m_seconds = _mean([r.t_m_seconds for r in reports])
-    agg.decisions = _mean([r.decisions for r in reports])
-    agg.t_s_seconds = _mean([r.t_s_seconds for r in reports])
-    agg.fitness = _mean([r.fitness for r in reports])
+    for attr in ("vars", "clauses", "t_m_seconds", "decisions", "t_s_seconds", "fitness"):
+        setattr(agg, attr, _mean([getattr(r, attr) for r in reports]))
     return agg
 
 
@@ -335,11 +355,8 @@ def cumulative_rows(rows: list[RunReport], models: list[str]) -> list[RunReport]
         if not model_rows:
             continue
         total = RunReport(instance="CUMULATIVE", model=model, k=0, status="-")
-        total.vars = sum(substituted(r, "vars") for r in model_rows)
-        total.clauses = sum(substituted(r, "clauses") for r in model_rows)
-        total.t_m_seconds = sum(substituted(r, "t_m_seconds") for r in model_rows)
-        total.decisions = sum(substituted(r, "decisions") for r in model_rows)
-        total.t_s_seconds = sum(substituted(r, "t_s_seconds") for r in model_rows)
+        for attr in ("vars", "clauses", "t_m_seconds", "decisions", "t_s_seconds"):
+            setattr(total, attr, sum(substituted(r, attr) for r in model_rows))
         total.runs_completed = sum(r.runs_completed for r in model_rows)
         out.append(total)
     return out
@@ -366,18 +383,8 @@ def run_bench(
             series = runs if label in STOCHASTIC_MODELS else 1
             reports = [
                 bench_one(
-                    sample,
-                    label,
-                    k,
-                    run_index,
-                    base_seed,
-                    solver_cmd,
-                    timeout_seconds,
-                    literal_budget,
-                    name,
-                    use_external,
-                    ils_params,
-                    ga_params,
+                    sample, label, k, run_index, base_seed, solver_cmd, timeout_seconds,
+                    literal_budget, name, use_external, ils_params, ga_params,
                 )
                 for run_index in range(series)
             ]
@@ -484,6 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         InferenceError,
         SolverError,
         CnfError,
+        ConfigError,
         OSError,
     ) as err:
         raise SystemExit(f"nfasat: error: {err}") from err
@@ -544,11 +552,11 @@ def _run(argv: list[str] | None = None) -> int:
     p_rand.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    ils_params, ga_params = load_optimizer_config(getattr(args, "config", None))
 
     if args.command == "generate":
         sample = load_sample(args.sample, args.format)
         model = ModelKind.parse(args.model)
-        ils_params, ga_params = load_optimizer_config(args.config)
         instance, report, opt_result = generate_instance(
             sample,
             model,
@@ -587,7 +595,6 @@ def _run(argv: list[str] | None = None) -> int:
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
         model = ModelKind.parse(args.model)
-        ils_params, ga_params = load_optimizer_config(args.config)
         k_values = range(args.k, (args.k_max or args.k) + 1)
         report = nfa = None
         for k in k_values:
@@ -622,7 +629,6 @@ def _run(argv: list[str] | None = None) -> int:
         if not sample_paths:
             parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
         samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]
-        ils_params, ga_params = load_optimizer_config(args.config)
         models = [m.strip() for m in args.models.split(",") if m.strip()]
         for label in models:
             if label not in BENCH_MODELS:

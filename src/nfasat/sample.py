@@ -134,8 +134,8 @@ def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
             parts.append(f"{len(extra)} cut(s) for words not in the sample")
         raise SampleError("invalid split assignment: " + ", ".join(parts))
     for word, cut in cuts.items():
-        if not 0 <= cut <= len(word):
-            raise SampleError(f"cut {cut} out of range 0..{len(word)}")
+        if not isinstance(cut, int) or not 0 <= cut <= len(word):
+            raise SampleError(f"cut {cut!r} is not an integer in 0..{len(word)}")
 
 
 def split_word(word: Word, cut: int) -> tuple[Word, Word]:

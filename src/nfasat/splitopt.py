@@ -10,6 +10,15 @@ Two seeded optimizers search the cut space (one cut in 0..|w| per word):
 an iterated local search that re-cuts one roulette-picked word per step to
 its best position, and a steady-state genetic algorithm with per-word
 uniform crossover and uniform re-draw mutation.
+
+Both score through one split index built per call (``_split_index``): every
+distinct non-empty prefix and suffix of the sample's words gets a dense
+integer id, its prefix-trie or suffix-trie node, and each word keeps the ids
+of its prefixes by length and of its suffixes by start.  The ILS and
+``fitness`` count, per id, how many words contribute it (``_SplitScore``).
+The GA turns each word's ids into one cumulative int bitmask per cut, so an
+individual's score is an OR over its words' masks and two popcounts.  No
+process-global word cache is touched.
 """
 
 from __future__ import annotations
@@ -17,20 +26,21 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import or_
 from typing import IO
 
-from .sample import (
-    Sample,
-    SampleError,
-    SplitAssignment,
-    Word,
-    intern_word,
-    prefixes,
-    split_sets,
-    suffixes,
-)
+from .sample import Sample, SampleError, SplitAssignment, Word, validate_cuts
+
+
+def _check_types(params: IlsParams | GaParams) -> None:
+    """Each field must have its default's type; an int is also a valid float."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, type(f.default))):
+            raise ValueError(f"{f.name} must be of type {type(f.default).__name__}, got {value!r}")
 
 
 @dataclass
@@ -40,6 +50,7 @@ class IlsParams:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.max_iter < 1 or self.max_iter_without_improv < 1:
             raise ValueError("ILS iteration limits must be positive")
 
@@ -54,6 +65,7 @@ class GaParams:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")
         if self.max_gen < 1 or self.max_gen_without_improv < 1:
@@ -82,8 +94,29 @@ class OptResult:
 
 def fitness(sample: Sample, k: int, cuts: SplitAssignment) -> int:
     """Distinct prefixes of the prefix parts plus k times distinct suffixes."""
-    prefix_parts, suffix_parts = split_sets(sample, cuts)
-    return len(prefixes(prefix_parts)) + k * len(suffixes(suffix_parts))
+    validate_cuts(sample, cuts)
+    return _SplitScore(sample.sorted_nonempty_words(), cuts, k).fitness()
+
+
+def _trie_ids(word: Word, nodes: dict[tuple[int, int], int]) -> list[int]:
+    """Trie node id of each non-empty prefix of word, adding missing nodes."""
+    node, ids = -1, []
+    for symbol in word:
+        node = nodes.setdefault((node, symbol), len(nodes))
+        ids.append(node)
+    return ids
+
+
+def _split_index(words: list[Word]) -> tuple[list[list[int]], list[list[int]]]:
+    """Per word, the ids of its non-empty prefixes (by length) and suffixes (by start).
+
+    Ids are dense from 0 and local to one call; equal parts of different
+    words share an id.
+    """
+    pref_nodes: dict[tuple[int, int], int] = {}
+    suf_nodes: dict[tuple[int, int], int] = {}
+    pref_ids = [_trie_ids(w, pref_nodes) for w in words]
+    return pref_ids, [_trie_ids(w[::-1], suf_nodes)[::-1] for w in words]
 
 
 def word_weights(sample: Sample) -> dict[Word, float]:
@@ -99,55 +132,41 @@ def word_weights(sample: Sample) -> dict[Word, float]:
     return {w: even_share + 0.25 * len(w) / total_len for w in words}
 
 
-def random_cuts(sample: Sample, rng: random.Random) -> SplitAssignment:
-    return {w: rng.randint(0, len(w)) for w in sample.sorted_nonempty_words()}
+def _add_counts(counts: list[int], ids: list[int], step: int) -> int:
+    """Add step (1 or -1) to counts[i] per id; return the change in ids present."""
+    edge = 1 if step < 0 else 0  # an id appears or vanishes when its count was this
+    crossed = 0
+    for i in ids:
+        c = counts[i]
+        counts[i] = c + step
+        crossed += c == edge
+    return step * crossed
 
 
 class _SplitScore:
     """Incremental fitness bookkeeping over per-word cut moves.
 
-    Keeps multiplicities of every contributed prefix/suffix so that removing
-    one word's contribution and scanning all its candidate cuts costs O(|w|).
+    Keeps, per prefix and suffix id, how many words contribute it, so that
+    removing one word's contribution and scanning all its candidate cuts
+    costs O(|w|).
     """
 
     def __init__(self, words: list[Word], cuts: SplitAssignment, k: int) -> None:
         self.k = k
-        self.words = words
         self.cuts = dict(cuts)
-        self.head_runs = {
-            w: [intern_word(w[:i]) for i in range(1, len(w) + 1)] for w in words
-        }
-        self.tail_runs = {w: [intern_word(w[i:]) for i in range(len(w))] for w in words}
-        self._pref_count: dict[Word, int] = {}
-        self._suf_count: dict[Word, int] = {}
-        self.distinct_pref = 0
-        self.distinct_suf = 0
+        pref_ids, suf_ids = _split_index(words)
+        self.head_runs = dict(zip(words, pref_ids))
+        self.tail_runs = dict(zip(words, suf_ids))
+        self._pref_count = [0] * sum(map(len, pref_ids))
+        self._suf_count = [0] * sum(map(len, suf_ids))
+        self.distinct_pref = self.distinct_suf = 0
         for w in words:
-            self._insert(w, self.cuts[w])
+            self._shift(w, self.cuts[w], 1)
 
-    def _insert(self, word: Word, cut: int) -> None:
-        for p in self.head_runs[word][:cut]:
-            c = self._pref_count.get(p, 0)
-            self._pref_count[p] = c + 1
-            if c == 0:
-                self.distinct_pref += 1
-        for s in self.tail_runs[word][cut:]:
-            c = self._suf_count.get(s, 0)
-            self._suf_count[s] = c + 1
-            if c == 0:
-                self.distinct_suf += 1
-
-    def _remove(self, word: Word, cut: int) -> None:
-        for p in self.head_runs[word][:cut]:
-            c = self._pref_count[p] - 1
-            self._pref_count[p] = c
-            if c == 0:
-                self.distinct_pref -= 1
-        for s in self.tail_runs[word][cut:]:
-            c = self._suf_count[s] - 1
-            self._suf_count[s] = c
-            if c == 0:
-                self.distinct_suf -= 1
+    def _shift(self, word: Word, cut: int, step: int) -> None:
+        """Add (step 1) or take back (step -1) one word's parts at a cut."""
+        self.distinct_pref += _add_counts(self._pref_count, self.head_runs[word][:cut], step)
+        self.distinct_suf += _add_counts(self._suf_count, self.tail_runs[word][cut:], step)
 
     def fitness(self) -> int:
         return self.distinct_pref + self.k * self.distinct_suf
@@ -158,33 +177,19 @@ class _SplitScore:
         Returns (cut, resulting fitness).  Never worse than the current cut,
         which is among the candidates.
         """
-        self._remove(word, self.cuts[word])
-        base = self.fitness()
-        length = len(word)
-        heads = self.head_runs[word]
+        self._shift(word, self.cuts[word], -1)
+        pref_count, suf_count, k = self._pref_count, self._suf_count, self.k
         tails = self.tail_runs[word]
-        new_pref = [0] * (length + 1)
-        run = 0
-        for i in range(1, length + 1):
-            if self._pref_count.get(heads[i - 1], 0) == 0:
-                run += 1
-            new_pref[i] = run
-        new_suf = [0] * (length + 1)
-        run = 0
-        for j in range(length - 1, -1, -1):
-            if self._suf_count.get(tails[j], 0) == 0:
-                run += 1
-            new_suf[j] = run
-        best_cut = 0
-        best_fit = base + new_pref[0] + self.k * new_suf[0]
-        for cut in range(1, length + 1):
-            candidate = base + new_pref[cut] + self.k * new_suf[cut]
-            if candidate < best_fit:
-                best_fit = candidate
-                best_cut = cut
-        self._insert(word, best_cut)
+        # cost of cut c: the parts it adds that no other word has, suffixes times k
+        cost = k * [suf_count[s] for s in tails].count(0)
+        best_cut, best_cost = 0, cost
+        for cut, (p, s) in enumerate(zip(self.head_runs[word], tails), 1):
+            cost += (pref_count[p] == 0) - k * (suf_count[s] == 0)
+            if cost < best_cost:
+                best_cut, best_cost = cut, cost
+        self._shift(word, best_cut, 1)
         self.cuts[word] = best_cut
-        return best_cut, best_fit
+        return best_cut, self.fitness()
 
 
 def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
@@ -204,11 +209,8 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
     trace = [TracePoint(0, best_fit, 0.0)]
 
     weights = word_weights(sample)
-    cumulative: list[float] = []
-    acc = 0.0
-    for w in words:
-        acc += weights[w]
-        cumulative.append(acc)
+    cumulative = list(accumulate(weights[w] for w in words))
+    acc = cumulative[-1]
 
     iteration = 0
     stagnant = 0
@@ -228,7 +230,8 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
 
 def _uniform_crossover(rng: random.Random, first: list[int], second: list[int]) -> list[int]:
     """Per-word coin flip between the two parents' cuts."""
-    return [a if rng.random() < 0.5 else b for a, b in zip(first, second)]
+    coin = rng.random
+    return [a if coin() < 0.5 else b for a, b in zip(first, second)]
 
 
 def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
@@ -240,37 +243,38 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
     lengths = [len(w) for w in words]
-    width = len(words)
-    head_runs = [[intern_word(w[:i]) for i in range(1, len(w) + 1)] for w in words]
-    tail_runs = [[intern_word(w[i:]) for i in range(len(w))] for w in words]
+    pref_ids, suf_ids = _split_index(words)
+    # pmask[t][c]: bits of word t's prefixes below cut c; smask[t][c]: of its suffixes from c
+    pmask = [list(accumulate((1 << p for p in ids), or_, initial=0)) for ids in pref_ids]
+    smask = [list(accumulate((1 << s for s in ids[::-1]), or_, initial=0))[::-1] for ids in suf_ids]
 
     def score(ind: list[int]) -> int:
-        pref: set[Word] = set()
-        suf: set[Word] = set()
-        for t, cut in enumerate(ind):
-            pref.update(head_runs[t][:cut])
-            suf.update(tail_runs[t][cut:])
-        return len(pref) + k * len(suf)
+        p = s = 0
+        for pm, sm, cut in zip(pmask, smask, ind):
+            p |= pm[cut]
+            s |= sm[cut]
+        return p.bit_count() + k * s.bit_count()
 
     size = params.population_size
-    population = [[rng.randint(0, lengths[t]) for t in range(width)] for _ in range(size)]
+    population = [[rng.randint(0, length) for length in lengths] for _ in range(size)]
     fits = [score(ind) for ind in population]
 
-    def best_index() -> int:
-        return min(range(size), key=lambda i: (fits[i], tuple(population[i])))
+    def rank(i: int) -> tuple[int, list[int]]:
+        return fits[i], population[i]
 
-    idx = best_index()
+    idx = min(range(size), key=rank)
     best = list(population[idx])
     best_fit = fits[idx]
     initial_fit = best_fit
     trace = [TracePoint(0, best_fit, 0.0)]
 
     parent_count = min(size, max(2, math.ceil(params.p_parents * size)))
+    draw, p_mut = rng.random, params.p_mut
     generation = 0
     stagnant = 0
     while generation < params.max_gen and stagnant < params.max_gen_without_improv:
         generation += 1
-        order = sorted(range(size), key=lambda i: (fits[i], tuple(population[i])))
+        order = sorted(range(size), key=rank)
         parents = [list(population[i]) for i in order[:parent_count]]
         children: list[list[int]] = []
         for _ in range(size - parent_count):
@@ -281,11 +285,11 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
             children.append(_uniform_crossover(rng, parents[first], parents[second]))
         population = parents + children
         for ind in population:
-            for t in range(width):
-                if rng.random() < params.p_mut:
-                    ind[t] = rng.randint(0, lengths[t])
+            for t, length in enumerate(lengths):
+                if draw() < p_mut:
+                    ind[t] = rng.randint(0, length)
         fits = [score(ind) for ind in population]
-        idx = best_index()
+        idx = min(range(size), key=rank)
         if fits[idx] < best_fit:
             best_fit = fits[idx]
             best = list(population[idx])
@@ -293,8 +297,7 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
         else:
             stagnant += 1
         trace.append(TracePoint(generation, best_fit, time.perf_counter() - start))
-    cuts = {words[t]: best[t] for t in range(width)}
-    return OptResult(cuts, best_fit, initial_fit, trace, params.rng_seed)
+    return OptResult(dict(zip(words, best)), best_fit, initial_fit, trace, params.rng_seed)
 
 
 def write_trace_csv(trace: list[TracePoint], sink: IO[str]) -> None:
@@ -322,15 +325,6 @@ def spearman_rho(xs: list[float], ys: list[float]) -> float:
 
 
 def _average_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for t in range(i, j + 1):
-            ranks[order[t]] = rank
-        i = j + 1
-    return ranks
+    # a run of equal values at sorted positions i..j-1 shares the rank (i + j + 1) / 2
+    order = sorted(values)
+    return [(bisect_left(order, v) + bisect_right(order, v) + 1) / 2 for v in values]

@@ -321,6 +321,52 @@ class TestResolveCuts:
         # 5-iteration cap means the trace holds at most 6 rows plus a header
         assert len(trace.read_text().splitlines()) <= 7
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"ils": {"bogus": 1}}', "unexpected keyword argument 'bogus'"),
+            ('{"ga": {"population_size": 1}}', "population size must be at least 2"),
+            ('{"ga": {"population_size": 10.5}}', "population_size must be of type int"),
+            ('{"ils": {"max_iter": "5"}}', "max_iter must be of type int"),
+            ('{"ils": [1]}', "must be a mapping"),
+            ('{"GA": {}}', "sections must be 'ils' and/or 'ga'"),
+            ('{"ils": ', "is not valid JSON"),
+            (b'{"ils": {"max_iter": "\xff"}}', "is not valid JSON"),
+            ('["ils"]', "must hold a JSON object, not list"),
+        ],
+        ids=["unknown-key", "invalid-value", "float-count", "string-value", "section-not-object",
+             "unknown-section", "malformed-json", "not-utf8", "not-an-object"],
+    )
+    def test_bad_optimizer_config_is_one_line_error(self, tmp_path, sample_file, text, expected):
+        config = tmp_path / "params.json"
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(sample_file), "--model", "hm", "--cuts", "ils", "--k", "2",
+                  "--config", str(config), "--out", str(tmp_path / "x.cnf")])
+        message = str(err.value)
+        assert message.startswith(f"nfasat: error: optimizer config {config}")
+        assert expected in message and "\n" not in message
+        assert not (tmp_path / "x.cnf").exists()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"ab": 1, ', "cuts file {path} is not valid JSON"),
+            ('["ab"]', "cuts file {path} must hold a JSON object, not list"),
+            ('{"ab": "1", "a": 0, "b": 0, "bb": 1}', "cut '1' is not an integer in 0..2"),
+        ],
+        ids=["malformed-json", "not-an-object", "string-cut"],
+    )
+    def test_bad_cuts_file_is_one_line_error(self, tmp_path, sample_file, text, expected):
+        cuts = tmp_path / "cuts.json"
+        cuts.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(sample_file), "--model", "hm", "--k", "2", "--cuts",
+                  f"file:{cuts}", "--out", str(tmp_path / "x.cnf")])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: ") and "\n" not in message
+        assert expected.format(path=cuts) in message
+
 
 class TestBench:
     def test_csv_row_count_and_cumulative(self, tmp_path):

@@ -1,8 +1,13 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfasat import sample as sample_module
+from nfasat.cli import random_sample
+from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind, encode
 from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts, prefixes, suffixes
 from nfasat.splitopt import (
@@ -232,6 +237,105 @@ class TestFitnessProxy:
             fits.append(fitness(sample, k, cuts))
             sizes.append(encode(ModelKind.HYBRID, sample, k, cuts).var_count)
         assert spearman_rho(fits, sizes) > 0
+
+
+def _set_fitness(cuts, k):
+    """Reference count: distinct prefixes of the heads plus k times distinct suffixes of the tails."""
+    heads = {w[:i] for w, cut in cuts.items() for i in range(1, cut + 1)}
+    tails = {w[i:] for w, cut in cuts.items() for i in range(cut, len(w))}
+    return len(heads) + k * len(tails)
+
+
+class TestFitnessOracle:
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_scores_match_set_count(self, seed, k):
+        rng = random.Random(seed)
+        sample = random_tiny_sample(rng, n=rng.randint(1, 3), max_len=6, max_each=5)
+        words = sample.sorted_nonempty_words()
+        if not words:
+            return
+        cuts = {w: rng.randint(0, len(w)) for w in words}
+        assert fitness(sample, k, cuts) == _set_fitness(cuts, k)
+        score = _SplitScore(words, cuts, k)
+        assert score.fitness() == _set_fitness(cuts, k)
+        for _ in range(6):
+            _, fit = score.rescore_word(rng.choice(words))
+            assert fit == score.fitness() == _set_fitness(score.cuts, k)
+
+        ils = ils_optimize(sample, k, IlsParams(max_iter=30, rng_seed=seed))
+        draws = random.Random(seed)
+        assert ils.initial_fitness == _set_fitness({w: draws.randint(0, len(w)) for w in words}, k)
+        assert ils.best_fitness == _set_fitness(ils.cuts, k)
+
+        params = GaParams(population_size=6, max_gen=8, rng_seed=seed)
+        ga = ga_optimize(sample, k, params)
+        draws = random.Random(seed)
+        population = [{w: draws.randint(0, len(w)) for w in words} for _ in range(6)]
+        assert ga.initial_fitness == min(_set_fitness(ind, k) for ind in population)
+        assert ga.best_fitness == _set_fitness(ga.cuts, k)
+
+    def test_optimizers_leave_the_word_cache_alone(self):
+        sample = random_sample(5, 40, 9, 0.5, seed=9001)
+        before = len(sample_module._WORD_CACHE)
+        ils_optimize(sample, 3, IlsParams(rng_seed=2))
+        ga_optimize(sample, 3, GaParams(population_size=8, max_gen=5, rng_seed=2))
+        fitness(sample, 3, all_prefix_cuts(sample))
+        assert len(sample_module._WORD_CACHE) == before
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+# (random_sample arguments, k, seed, GaParams fields) -> optimizer -> (best
+# fitness, initial fitness, trace length, digest of the cuts in
+# sorted_nonempty_words order, digest of the trace's fitness list), plus the
+# sha256 of the hm DIMACS built from the GA cuts.  Any change to the RNG draw
+# order, the tie-breaks or the stopping rules moves these values.
+PINNED_TRAJECTORIES = {
+    ((2, 40, 8, 0.5, 3), 3, 1, (("population_size", 20), ("max_gen", 40))): {
+        "ils": (83, 167, 224, "030805648acc9b57", "9c8f955a70019e6c"),
+        "ga": (67, 106, 41, "c81b36664ef396e4", "a5404f338560b104"),
+        "hm-ga": "f1adad9a09aeb934c56bfeb8e5ad1fbae0f8f446beca0bad6da44edfe93253a6",
+    },
+    (
+        (3, 60, 10, 0.5, 7),
+        4,
+        5,
+        (("population_size", 16), ("max_gen", 300), ("max_gen_without_improv", 15),
+         ("p_mut", 0.1), ("p_parents", 0.2)),
+    ): {
+        "ils": (226, 491, 297, "97e1248c590cbe0d", "dea694806a84feb7"),
+        "ga": (237, 346, 47, "d638aeb7d9af7f10", "430c1b3e9c19081e"),
+        "hm-ga": "5dbdc694766368986e778c38b84a726deeeab9dc66f5a84a6171b4fd80f3d710",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_TRAJECTORIES), ids=lambda case: f"n{case[0][0]}-seed{case[0][4]}-k{case[1]}"
+)
+def test_pinned_optimizer_trajectory(case):
+    args, k, seed, ga_fields = case
+    sample = random_sample(*args)
+    words = sample.sorted_nonempty_words()
+
+    def summary(result):
+        return (
+            result.best_fitness,
+            result.initial_fitness,
+            len(result.trace),
+            _digest([result.cuts[w] for w in words]),
+            _digest([p.best_fitness for p in result.trace]),
+        )
+
+    pins = PINNED_TRAJECTORIES[case]
+    assert summary(ils_optimize(sample, k, IlsParams(rng_seed=seed))) == pins["ils"]
+    ga = ga_optimize(sample, k, GaParams(**dict(ga_fields), rng_seed=seed))
+    assert summary(ga) == pins["ga"]
+    text = dimacs_text(encode(ModelKind.HYBRID, sample, k, ga.cuts))
+    assert hashlib.sha256(text.encode()).hexdigest() == pins["hm-ga"]
 
 
 class TestSpearman:
