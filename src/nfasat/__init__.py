@@ -18,7 +18,7 @@ from .encoders import (
     encode_suffix,
     estimate_size,
 )
-from .nfa import Nfa, accepts, nfa_from_json, nfa_to_dot, nfa_to_json, oracle_exists, verify
+from .nfa import Nfa, accepts, nfa_from_json, nfa_to_dot, nfa_to_json, verify
 from .sample import (
     Sample,
     SampleError,

@@ -105,7 +105,7 @@ class RunReport:
 
 
 class ConfigError(ValueError):
-    """Malformed optimizer config or cuts file."""
+    """Malformed optimizer config, cuts file or k map."""
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -222,16 +222,19 @@ def infer(
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
     instance_name: str = "sample",
-    use_external: bool = False,
     ils_params: IlsParams | None = None,
     ga_params: GaParams | None = None,
 ):
-    """generate -> solve -> decode -> verify; returns (report, nfa or None)."""
+    """generate -> solve -> decode -> verify; returns (report, nfa or None).
+
+    A solver_cmd runs that solver process; without one the bundled solver
+    runs in-process.
+    """
     instance, report, _ = generate_instance(
         sample, model, k, cuts_source, seed, literal_budget, instance_name,
         ils_params, ga_params,
     )
-    if use_external or solver_cmd is not None:
+    if solver_cmd is not None:
         outcome = solve_external(instance, solver_cmd, timeout_seconds)
     else:
         outcome = solve_in_process(instance, timeout_seconds)
@@ -280,7 +283,6 @@ def bench_one(
     timeout_seconds: float,
     literal_budget: int,
     instance_name: str,
-    use_external: bool,
     ils_params: IlsParams | None = None,
     ga_params: GaParams | None = None,
 ) -> RunReport:
@@ -289,7 +291,7 @@ def bench_one(
     try:
         report, _ = infer(
             sample, model, k, cuts_source, seed, solver_cmd, timeout_seconds,
-            literal_budget, instance_name, use_external, ils_params, ga_params,
+            literal_budget, instance_name, ils_params, ga_params,
         )
     except BudgetExceededError:
         return RunReport(
@@ -371,7 +373,6 @@ def run_bench(
     timeout_seconds: float,
     literal_budget: int,
     base_seed: int,
-    use_external: bool,
     log=print,
     ils_params: IlsParams | None = None,
     ga_params: GaParams | None = None,
@@ -384,7 +385,7 @@ def run_bench(
             reports = [
                 bench_one(
                     sample, label, k, run_index, base_seed, solver_cmd, timeout_seconds,
-                    literal_budget, name, use_external, ils_params, ga_params,
+                    literal_budget, name, ils_params, ga_params,
                 )
                 for run_index in range(series)
             ]
@@ -423,12 +424,12 @@ def random_sample(
     max_len: int,
     positive_fraction: float,
     seed: int,
-    attempts_per_word: int = 200,
 ) -> Sample:
     """Seeded random sample with disjoint positive/negative sets.
 
-    Collisions redraw; when the word space is exhausted the sample simply
-    ends up smaller than requested.  Raises only if nothing can be generated.
+    Collisions redraw, up to 200 draws per word; when the word space is
+    exhausted the sample simply ends up smaller than requested.  Raises only
+    if nothing can be generated.
     """
     import random as _random
 
@@ -444,7 +445,7 @@ def random_sample(
         want_positive = index < target_pos
         bucket = positives if want_positive else negatives
         other = negatives if want_positive else positives
-        for _ in range(attempts_per_word):
+        for _ in range(200):
             length = rng.randint(0, max_len)
             word = tuple(rng.randrange(n) for _ in range(length))
             if word not in bucket and word not in other:
@@ -461,7 +462,11 @@ def random_sample(
 
 
 def load_sample(path: str, fmt: str) -> Sample:
-    return parse_sample(Path(path).read_text(), fmt)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise SampleError(f"sample {path} is not UTF-8 text: {err}") from err
+    return parse_sample(text, fmt)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -634,8 +639,14 @@ def _run(argv: list[str] | None = None) -> int:
             if label not in BENCH_MODELS:
                 parser.error(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
         if args.k_map:
-            k_table = json.loads(Path(args.k_map).read_text())
-            k_of = lambda name: int(k_table[name])
+            k_table = _read_json_object(args.k_map, "k map")
+            for name, _ in samples:
+                if name not in k_table:
+                    raise ConfigError(f"k map {args.k_map} has no entry for sample {name!r}")
+                k = k_table[name]
+                if type(k) is not int or k < 1:
+                    raise ConfigError(f"k map {args.k_map} maps {name!r} to {k!r}, not a positive int")
+            k_of = k_table.__getitem__
         elif args.k:
             k_of = lambda name: args.k
         else:
@@ -649,7 +660,6 @@ def _run(argv: list[str] | None = None) -> int:
             args.timeout,
             args.budget_literals,
             args.seed,
-            use_external=args.solver is not None,
             ils_params=ils_params,
             ga_params=ga_params,
         )

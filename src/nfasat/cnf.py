@@ -1,37 +1,26 @@
-"""CNF construction substrate: named variables, clause store, DIMACS output.
+"""CNF construction substrate: variables, clause store, DIMACS output.
 
-Solver variables are dense 1-based indices.  Final, transition and reach
-variables carry a semantic name (a tagged tuple) registered in a
-bidirectional map, so models can be decoded back into automaton components.
-Names may alias an existing index, which is how single-symbol path variables
-share the underlying transition variable without emitting any clause.
-Auxiliary variables are anonymous contiguous ranges known only by family.
+Solver variables are dense 1-based indices.  Final and transition variables
+also carry a semantic name (a tagged tuple), so models can be decoded back
+into automaton components.  Every other variable, reach variables included,
+is allocated as an anonymous contiguous range known only by its stats
+family; the encoders keep those indices in their own tables.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter
 from itertools import chain, repeat
 from typing import IO, Iterable
-
-from .sample import Word
 
 VarName = tuple
 
 # Tag constants for the named variables.
 FINAL = "final"
 TRANS = "trans"
-PREFIX_PATH = "pref"
-SUFFIX_PATH = "suf"
 
 # Stats family per tag, for variable-count accounting.
-_VAR_FAMILY = {
-    FINAL: "final",
-    TRANS: "transition",
-    PREFIX_PATH: "prefix_path",
-    SUFFIX_PATH: "suffix_path",
-}
+_VAR_FAMILY = {FINAL: "final", TRANS: "transition"}
 
 
 def final_var(i: int) -> VarName:
@@ -44,16 +33,6 @@ def trans_var(a: int, i: int, j: int) -> VarName:
     return (TRANS, a, i, j)
 
 
-def prefix_path_var(word: Word, i: int) -> VarName:
-    """Some state path for word exists from the initial state to state i."""
-    return (PREFIX_PATH, word, i)
-
-
-def suffix_path_var(word: Word, i: int, j: int) -> VarName:
-    """Some state path for word exists from state i to state j."""
-    return (SUFFIX_PATH, word, i, j)
-
-
 class CnfError(ValueError):
     """Inconsistent use of the variable registry or the clause store."""
 
@@ -61,8 +40,8 @@ class CnfError(ValueError):
 class CnfInstance:
     """A clause store with a variable registry and a (family, arity) clause tally.
 
-    Only final, transition and reach variables are named; auxiliaries are
-    anonymous index ranges.  Single writer while under construction; treat
+    Only final and transition variables are named; every other variable is
+    an anonymous index range.  Single writer while under construction; treat
     as immutable afterwards.
     """
 
@@ -73,10 +52,6 @@ class CnfInstance:
         self.var_family_counts: Counter[str] = Counter()
         self._tally: Counter[tuple[str, int]] = Counter()
         self._index: dict[VarName, int] = {}
-        self._canonical: dict[int, VarName] = {}
-        self._aux_starts: list[int] = []
-        self._aux_families: list[str] = []
-        self._alias_count = 0
 
     # -- registry ----------------------------------------------------------
 
@@ -88,7 +63,6 @@ class CnfInstance:
         self.var_count += 1
         idx = self.var_count
         self._index[name] = idx
-        self._canonical[idx] = name
         self.var_family_counts[_VAR_FAMILY.get(name[0], "other")] += 1
         return idx
 
@@ -97,46 +71,13 @@ class CnfInstance:
         first = self.var_count + 1
         self.var_count += count
         self.var_family_counts[family] += count
-        self._aux_starts.append(first)
-        self._aux_families.append(family)
         return first
-
-    def alias_var(self, name: VarName, existing: VarName) -> int:
-        """Make name resolve to the index of an already registered name."""
-        target = self._index.get(existing)
-        if target is None:
-            raise CnfError(f"alias target {existing!r} is not registered")
-        current = self._index.get(name)
-        if current is not None:
-            if current != target:
-                raise CnfError(
-                    f"{name!r} already bound to index {current}, cannot alias to {target}"
-                )
-            return current
-        self._index[name] = target
-        self._alias_count += 1
-        return target
 
     def lookup(self, name: VarName) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise CnfError(f"variable {name!r} is not registered") from None
-
-    def has_var(self, name: VarName) -> bool:
-        return name in self._index
-
-    def name_of(self, index: int) -> VarName | str:
-        """Canonical name of an index (the alias target), or an aux index's family."""
-        name = self._canonical.get(index)
-        if name is not None:
-            return name
-        if not 1 <= index <= self.var_count:
-            raise CnfError(f"index {index} is not registered")
-        return self._aux_families[bisect(self._aux_starts, index) - 1]
-
-    def alias_count(self) -> int:
-        return self._alias_count
 
     # -- clauses -----------------------------------------------------------
 

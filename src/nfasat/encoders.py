@@ -8,13 +8,14 @@ in how word acceptance is expressed:
   word (k^|w| of them) and one blocking clause per state path of each
   negative word.  Exponential; only small instances are tractable.
 * prefix: one variable per (non-empty prefix, end state) meaning "some run
-  for the prefix reaches this state from the start".  Single-symbol prefixes
-  share the transition variable outright, longer ones are defined from their
+  for the prefix reaches this state from the start".  A one-letter prefix
+  is its transition row out of state 1; longer ones are defined from their
   parent prefix through auxiliary conjunction variables over k^2 state pairs.
 * suffix: one variable per (non-empty suffix, start state, end state); the
-  chain grows leftwards and costs k^3 auxiliaries per suffix.  Runs that can
-  only ever start in state 1 (full sample words not shared as suffixes of
-  longer words) are pruned to start state 1.
+  chain grows leftwards and costs k^3 auxiliaries per suffix.  A one-letter
+  suffix is its transition table.  Runs that can only ever start in state 1
+  (full sample words not shared as suffixes of longer words) are pruned to
+  start state 1.
 * hybrid: each word is cut into a prefix part and a suffix part; the prefix
   machinery covers the prefix parts, the suffix machinery the suffix parts,
   and per-word linking clauses tie the two halves together at the cut state.
@@ -29,6 +30,10 @@ auxiliary variable per term (Tseitin style).  It emits, per term, one
 reach variables keeps its own order (all binaries, then all ternaries).
 Instance sizes stay polynomial in the closure sizes for all but the direct
 encoding.
+
+Only the final and transition variables are named in the instance.  The
+encoders index them through the tables ``_base_instance`` returns, and keep
+the reach variables of each closure word in a dict keyed by the word.
 """
 
 from __future__ import annotations
@@ -37,18 +42,16 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product, repeat
 from operator import neg
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .cnf import CnfInstance, final_var, prefix_path_var, suffix_path_var, trans_var
+from .cnf import CnfInstance, final_var, trans_var
 from .sample import (
     Sample,
     SampleError,
     SplitAssignment,
     Word,
-    intern_word,
     prefixes,
     split_sets,
-    split_word,
     suffixes,
     word_key,
 )
@@ -82,20 +85,27 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _base_instance(sample: Sample, k: int) -> CnfInstance:
-    """Finals, transitions, and the empty-word unit clauses."""
+Table = list[list[int]]  # [start state - 1][end state - 1]
+
+
+def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list[Table]]:
+    """Finals, transitions, and the empty-word unit clauses.
+
+    Returns the instance, the final variable per state (finals[i - 1]) and
+    the transition variables per symbol (trans[a][i - 1][j - 1]).
+    """
     inst = CnfInstance()
-    for i in range(1, k + 1):
-        inst.fresh_var(final_var(i))
-    for a in range(sample.alphabet_size):
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                inst.fresh_var(trans_var(a, i, j))
+    states = range(1, k + 1)
+    finals = [inst.fresh_var(final_var(i)) for i in states]
+    trans = [
+        [[inst.fresh_var(trans_var(a, i, j)) for j in states] for i in states]
+        for a in range(sample.alphabet_size)
+    ]
     if () in sample.positives:
-        inst.add_clause([inst.lookup(final_var(1))], family="empty_word_unit")
+        inst.add_clause([finals[0]], family="empty_word_unit")
     if () in sample.negatives:
-        inst.add_clause([-inst.lookup(final_var(1))], family="empty_word_unit")
-    return inst
+        inst.add_clause([-finals[0]], family="empty_word_unit")
+    return inst, finals, trans
 
 
 # Per definition: aux family, (binary family per conjunct), reverse, choice, output.
@@ -117,8 +127,9 @@ def _define(
     A term is (output index, conjunct literals), all terms with as many
     conjuncts.  families: aux variable family, one binary family per
     conjunct, then the reverse, choice and output families.  The aux
-    variables are one index range.  Aliasing can repeat a conjunct; the
-    reverse clause names it once.
+    variables are one index range.  A one-letter word's reach variables are
+    transition variables, so a conjunct can repeat; the reverse clause names
+    it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
     first = inst.fresh_aux(aux_family, len(terms))
@@ -141,24 +152,27 @@ def _define(
     inst.add_clauses(clauses, clause_families)
 
 
-def _emit_prefix_chain(inst: CnfInstance, prefix_set: set[Word], k: int) -> None:
-    """Define reach-from-start variables for every prefix in the closure."""
-    states = range(1, k + 1)
+def _emit_prefix_chain(
+    inst: CnfInstance, prefix_set: set[Word], trans: list[Table], k: int
+) -> dict[Word, list[int]]:
+    """Define reach-from-start variables for every prefix in the closure.
+
+    Returns per prefix the variables "a run for it reaches state i from
+    state 1", at index i - 1.
+    """
+    states = range(k)
+    reach: dict[Word, list[int]] = {}
     for word in sorted(prefix_set, key=word_key):
         if len(word) == 1:
-            for i in states:
-                inst.alias_var(prefix_path_var(word, i), trans_var(word[0], 1, i))
+            reach[word] = trans[word[0]][0]
             continue
-        parent = intern_word(word[:-1])
-        a = word[-1]
-        outputs = [inst.fresh_var(prefix_path_var(word, i)) for i in states]
-        parent_vars = _prefix_reach(inst, parent, k)
-        terms = [
-            (i - 1, (parent_vars[j - 1], inst.lookup(trans_var(a, j, i))))
-            for j in states
-            for i in states
-        ]
+        first = inst.fresh_aux("prefix_path", k)
+        outputs = reach[word] = list(range(first, first + k))
+        parent = reach[word[:-1]]
+        step = trans[word[-1]]
+        terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
         _define(inst, outputs, terms, _PREFIX_FAMILIES)
+    return reach
 
 
 def _suffix_all_start_words(suffix_set: set[Word], linked: set[Word]) -> set[Word]:
@@ -171,44 +185,39 @@ def _suffix_all_start_words(suffix_set: set[Word], linked: set[Word]) -> set[Wor
     needs_all = set(linked)
     for word in suffix_set:
         for i in range(1, len(word)):
-            needs_all.add(intern_word(word[i:]))
+            needs_all.add(word[i:])
     return needs_all & suffix_set
 
 
 def _emit_suffix_chain(
-    inst: CnfInstance, suffix_set: set[Word], all_start_words: set[Word], k: int
-) -> None:
-    """Define segment-run variables for every suffix in the closure."""
-    states = range(1, k + 1)
+    inst: CnfInstance, suffix_set: set[Word], all_start_words: set[Word], trans: list[Table], k: int
+) -> dict[Word, Table]:
+    """Define segment-run variables for every suffix in the closure.
+
+    Returns per suffix the variables "a run for it leads from state i to
+    state j", at [i - 1][j - 1]; a suffix pruned to start state 1 has that
+    row only.
+    """
+    states = range(k)
+    reach: dict[Word, Table] = {}
     for word in sorted(suffix_set, key=word_key):
-        starts = states if word in all_start_words else (1,)
         if len(word) == 1:
-            for i in starts:
-                for j in states:
-                    inst.alias_var(suffix_path_var(word, i, j), trans_var(word[0], i, j))
+            reach[word] = trans[word[0]]
             continue
-        tail = intern_word(word[1:])
-        a = word[0]
-        outputs = [inst.fresh_var(suffix_path_var(word, i, j)) for i in starts for j in states]
-        rests = [[inst.lookup(suffix_path_var(tail, mid, j)) for j in states] for mid in states]
-        steps = [[inst.lookup(trans_var(a, i, mid)) for mid in states] for i in starts]
+        starts = states if word in all_start_words else range(1)
+        first = inst.fresh_aux("suffix_path", len(starts) * k)
+        outputs = list(range(first, first + len(starts) * k))
+        reach[word] = [outputs[i * k : i * k + k] for i in starts]
+        rests = reach[word[1:]]
+        steps = trans[word[0]]
         terms = [
-            ((i - 1) * k + j - 1, (rests[mid - 1][j - 1], steps[i - 1][mid - 1]))
+            (i * k + j, (rests[mid][j], steps[i][mid]))
             for i in starts
             for mid in states
             for j in states
         ]
         _define(inst, outputs, terms, _SUFFIX_FAMILIES)
-
-
-def _prefix_reach(inst: CnfInstance, word: Word, k: int) -> list[int]:
-    """Per end state, the variable "a run for word reaches it from state 1"."""
-    return [inst.lookup(prefix_path_var(word, i)) for i in range(1, k + 1)]
-
-
-def _suffix_reach(inst: CnfInstance, word: Word, k: int) -> list[int]:
-    """The same through the suffix machinery, from start state 1."""
-    return [inst.lookup(suffix_path_var(word, 1, i)) for i in range(1, k + 1)]
+    return reach
 
 
 def _emit_accept(inst: CnfInstance, reach: list[int], finals: list[int]) -> None:
@@ -229,19 +238,16 @@ def _emit_reject(inst: CnfInstance, reach: list[int], finals: list[int]) -> None
     inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
 
 
-def _final_vars(inst: CnfInstance, k: int) -> list[int]:
-    return [inst.lookup(final_var(i)) for i in range(1, k + 1)]
-
-
-def _emit_verdicts(inst: CnfInstance, sample: Sample, k: int, reach_of) -> None:
+def _emit_verdicts(
+    inst: CnfInstance, sample: Sample, finals: list[int], reach: Callable[[Word], list[int]]
+) -> None:
     """Accept the non-empty positive words and reject the non-empty negative ones."""
-    finals = _final_vars(inst, k)
     for word in sample.sorted_positives():
         if word:
-            _emit_accept(inst, reach_of(inst, word, k), finals)
+            _emit_accept(inst, reach(word), finals)
     for word in sample.sorted_negatives():
         if word:
-            _emit_reject(inst, reach_of(inst, word, k), finals)
+            _emit_reject(inst, reach(word), finals)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +260,12 @@ def encode_direct(
 ) -> CnfInstance:
     """Explicit state-path encoding; blows up as k^|word|."""
     _check_budget(_direct_literals(sample, k), literal_budget)
-    inst = _base_instance(sample, k)
-    states = range(1, k + 1)
+    inst, finals, trans = _base_instance(sample, k)
+    states = range(k)
     for word in sample.sorted_positives():
         if word:
             terms = [
-                (None, _path_conjuncts(inst, word, path))
+                (None, _path_conjuncts(trans, finals, word, path))
                 for path in product(states, repeat=len(word))
             ]
             bin_families = ("direct_bin",) * (len(word) + 1)
@@ -268,24 +274,26 @@ def encode_direct(
     for word in sample.sorted_negatives():
         if word:
             paths = product(states, repeat=len(word))
-            blocked = [_negated(_path_conjuncts(inst, word, path)) for path in paths]
+            blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
             inst.add_clauses(blocked, repeat("direct_reject"))
     return inst
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
-    """The clause forbidding a conjunction; aliasing can repeat a conjunct."""
+    """The clause forbidding a conjunction; a conjunct can repeat."""
     return tuple(map(neg, dict.fromkeys(lits)))
 
 
-def _path_conjuncts(inst: CnfInstance, word: Word, path: tuple[int, ...]) -> list[int]:
-    """Transitions along the state path (1, *path), then its end state's final."""
+def _path_conjuncts(
+    trans: list[Table], finals: list[int], word: Word, path: tuple[int, ...]
+) -> list[int]:
+    """Transitions along the 0-based state path (0, *path), then its end state's final."""
     lits = []
-    prev = 1
+    prev = 0
     for a, state in zip(word, path):
-        lits.append(inst.lookup(trans_var(a, prev, state)))
+        lits.append(trans[a][prev][state])
         prev = state
-    lits.append(inst.lookup(final_var(prev)))
+    lits.append(finals[prev])
     return lits
 
 
@@ -294,9 +302,9 @@ def encode_prefix(
 ) -> CnfInstance:
     """Prefix-closure encoding: one reach variable per prefix and end state."""
     _check_budget(estimate_size(ModelKind.PREFIX, sample, k).total_literals(), literal_budget)
-    inst = _base_instance(sample, k)
-    _emit_prefix_chain(inst, prefixes(set(sample.words())), k)
-    _emit_verdicts(inst, sample, k, _prefix_reach)
+    inst, finals, trans = _base_instance(sample, k)
+    reach = _emit_prefix_chain(inst, prefixes(set(sample.words())), trans, k)
+    _emit_verdicts(inst, sample, finals, reach.__getitem__)
     return inst
 
 
@@ -305,10 +313,10 @@ def encode_suffix(
 ) -> CnfInstance:
     """Suffix-closure encoding with start-state pruning for top-level words."""
     _check_budget(estimate_size(ModelKind.SUFFIX, sample, k).total_literals(), literal_budget)
-    inst = _base_instance(sample, k)
+    inst, finals, trans = _base_instance(sample, k)
     closure = suffixes(set(sample.words()))
-    _emit_suffix_chain(inst, closure, _suffix_all_start_words(closure, set()), k)
-    _emit_verdicts(inst, sample, k, _suffix_reach)
+    rows = _emit_suffix_chain(inst, closure, _suffix_all_start_words(closure, set()), trans, k)
+    _emit_verdicts(inst, sample, finals, lambda word: rows[word][0])
     return inst
 
 
@@ -323,24 +331,26 @@ def encode_hybrid(
     _check_budget(
         estimate_size(ModelKind.HYBRID, sample, k, cuts).total_literals(), literal_budget
     )
-    inst = _base_instance(sample, k)
-    linked = {split_word(w, cut)[1] for w, cut in cuts.items() if 0 < cut < len(w)}
-    _emit_prefix_chain(inst, prefixes(prefix_parts), k)
+    inst, finals, trans = _base_instance(sample, k)
+    linked = {w[cut:] for w, cut in cuts.items() if 0 < cut < len(w)}
+    prefix_reach = _emit_prefix_chain(inst, prefixes(prefix_parts), trans, k)
     suffix_closure = suffixes(suffix_parts)
-    _emit_suffix_chain(inst, suffix_closure, _suffix_all_start_words(suffix_closure, linked), k)
+    all_starts = _suffix_all_start_words(suffix_closure, linked)
+    suffix_rows = _emit_suffix_chain(inst, suffix_closure, all_starts, trans, k)
 
-    states = range(1, k + 1)
-    finals = _final_vars(inst, k)
+    states = range(k)
 
     def emit_word(word: Word, positive: bool) -> None:
-        head, tail = split_word(word, cuts[word])
+        cut = cuts[word]
+        head, tail = word[:cut], word[cut:]
         if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
-            reach = (_prefix_reach if head else _suffix_reach)(inst, word, k)
+            reach = prefix_reach[word] if head else suffix_rows[word][0]
             (_emit_accept if positive else _emit_reject)(inst, reach, finals)
             return
-        head_vars = _prefix_reach(inst, head, k)
+        head_vars = prefix_reach[head]
+        tail_rows = suffix_rows[tail]
         conjuncts = [
-            (head_vars[j - 1], inst.lookup(suffix_path_var(tail, j, end)), finals[end - 1])
+            (head_vars[j], tail_rows[j][end], finals[end])
             for j in states
             for end in states
         ]

@@ -1,13 +1,8 @@
-"""NFA values: membership, sample verification, and an exhaustive oracle.
+"""NFA values: membership, sample verification, and serialization.
 
 States are numbered 1..k and state 1 is always initial.  Membership uses
 subset propagation (linear in word length times k^2) rather than path
-enumeration, which would blow up as k^|word|.  A second, deliberately
-independent depth-first membership routine exists for cross-checking.
-
-The oracle enumerates every transition relation / final set combination in a
-fixed order and is the ground truth the SAT encodings are tested against; it
-never touches the encoder or solver code paths.
+enumeration, which would blow up as k^|word|.
 """
 
 from __future__ import annotations
@@ -15,16 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .sample import Sample, Word, word_key, word_to_text
-
-_EXACT_TABLE_MAX_BITS = 20  # vectorized reach tables up to 2^20 relations
-_REACH_CACHE_LIMIT = 64
-
-
-class OracleBoundError(ValueError):
-    """The requested (alphabet size, k) search space is too large."""
 
 
 @dataclass(frozen=True)
@@ -78,20 +64,6 @@ def _accepts_with_masks(masks: list[list[int]], finals: int, k: int, word: Word)
     return bool(current & finals)
 
 
-def accepts_by_path_search(nfa: Nfa, word: Word) -> bool:
-    """Depth-first path search; independent cross-check for accepts()."""
-    succ: dict[tuple[int, int], list[int]] = {}
-    for i, a, j in nfa.transitions:
-        succ.setdefault((i, a), []).append(j)
-
-    def walk(state: int, pos: int) -> bool:
-        if pos == len(word):
-            return state in nfa.finals
-        return any(walk(t, pos + 1) for t in succ.get((state, word[pos]), ()))
-
-    return walk(1, 0)
-
-
 @dataclass
 class VerifyReport:
     ok: bool
@@ -110,162 +82,6 @@ def verify(nfa: Nfa, sample: Sample) -> VerifyReport:
         if _accepts_with_masks(masks, finals, nfa.k, word):
             bad.append((word, "negative"))
     return VerifyReport(ok=not bad, counterexamples=bad)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive inference oracle.
-# ---------------------------------------------------------------------------
-
-
-class _ReachTable:
-    """Per-relation reach sets over every transition relation for (n, k).
-
-    Relation r (an integer bitmask) has the transition i --a--> j iff bit
-    a*k*k + (i-1)*k + (j-1) of r is set.  reach(word)[r] is the bitmask of
-    states reachable from state 1 reading word under relation r.
-    """
-
-    def __init__(self, n: int, k: int) -> None:
-        self.n = n
-        self.k = k
-        self.bits = n * k * k
-        count = 1 << self.bits
-        idx = np.arange(count, dtype=np.uint64)
-        mask = (1 << k) - 1
-        self.rows = [
-            [((idx >> np.uint64(a * k * k + i * k)) & np.uint64(mask)).astype(np.uint8) for i in range(k)]
-            for a in range(n)
-        ]
-        self._reach: dict[Word, np.ndarray] = {}
-
-    def reach(self, word: Word) -> np.ndarray:
-        cached = self._reach.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            arr = np.ones(1 << self.bits, dtype=np.uint8)
-        else:
-            prev = self.reach(word[:-1])
-            rows = self.rows[word[-1]]
-            arr = np.zeros(1 << self.bits, dtype=np.uint8)
-            for i in range(self.k):
-                np.bitwise_or(arr, np.where(prev & (1 << i), rows[i], 0), out=arr)
-        if len(self._reach) >= _REACH_CACHE_LIMIT:
-            self._reach.pop(next(iter(self._reach)))
-        self._reach[word] = arr
-        return arr
-
-
-_TABLES: dict[tuple[int, int], _ReachTable] = {}
-
-
-def _get_table(n: int, k: int) -> _ReachTable:
-    table = _TABLES.get((n, k))
-    if table is None:
-        table = _ReachTable(n, k)
-        _TABLES[(n, k)] = table
-    return table
-
-
-def _relation_to_transitions(relation: int, n: int, k: int) -> frozenset[tuple[int, int, int]]:
-    out = []
-    for a in range(n):
-        for i in range(k):
-            for j in range(k):
-                if relation >> (a * k * k + i * k + j) & 1:
-                    out.append((i + 1, a, j + 1))
-    return frozenset(out)
-
-
-def _first_final_set(k: int, avoid: int, positive_reach: list[int]) -> int | None:
-    """Smallest final-set bitmask avoiding avoid and hitting every reach set."""
-    for finals in range(1 << k):
-        if finals & avoid:
-            continue
-        if all(r & finals for r in positive_reach):
-            return finals
-    return None
-
-
-def oracle_exists(sample: Sample, k: int) -> tuple[bool, Nfa | None]:
-    """Exhaustively search for a k-state NFA consistent with the sample.
-
-    Enumerates transition relations in ascending bitmask order and, for the
-    first relation admitting a consistent final set, the smallest such set.
-    Bounded to n*k^2 + k <= 26; beyond the vectorized range (n*k^2 <= 20)
-    it falls back to a plain loop, which is exponential and slow.
-    """
-    n = sample.alphabet_size
-    bits = n * k * k
-    if bits + k > 26:
-        raise OracleBoundError(
-            f"search space 2^{bits + k} exceeds the 2^26 oracle bound (n={n}, k={k})"
-        )
-    positives = sorted(sample.positives, key=word_key)
-    negatives = sorted(sample.negatives, key=word_key)
-
-    if bits <= _EXACT_TABLE_MAX_BITS:
-        table = _get_table(n, k)
-        avoid = np.zeros(1 << bits, dtype=np.uint8)
-        for word in negatives:
-            np.bitwise_or(avoid, table.reach(word), out=avoid)
-        feasible = np.ones(1 << bits, dtype=bool)
-        for word in positives:
-            feasible &= (table.reach(word) & ~avoid) != 0
-        relation = int(np.argmax(feasible))
-        if not feasible[relation]:
-            return False, None
-        reach_at = [int(table.reach(w)[relation]) for w in positives]
-        finals = _first_final_set(k, int(avoid[relation]), reach_at)
-        assert finals is not None
-    else:
-        relation_finals = _slow_scan(n, k, positives, negatives)
-        if relation_finals is None:
-            return False, None
-        relation, finals = relation_finals
-
-    nfa = Nfa(
-        k=k,
-        n=n,
-        transitions=_relation_to_transitions(relation, n, k),
-        finals=frozenset(i + 1 for i in range(k) if finals >> i & 1),
-    )
-    return True, nfa
-
-
-def _slow_scan(
-    n: int, k: int, positives: list[Word], negatives: list[Word]
-) -> tuple[int, int] | None:
-    bits = n * k * k
-    kmask = (1 << k) - 1
-    for relation in range(1 << bits):
-        rows = [
-            [relation >> (a * k * k + i * k) & kmask for i in range(k)] for a in range(n)
-        ]
-
-        def reach(word: Word) -> int:
-            cur = 1
-            for a in word:
-                nxt = 0
-                row = rows[a]
-                for i in range(k):
-                    if cur >> i & 1:
-                        nxt |= row[i]
-                cur = nxt
-                if not cur:
-                    break
-            return cur
-
-        avoid = 0
-        for word in negatives:
-            avoid |= reach(word)
-        positive_reach = [reach(w) for w in positives]
-        if any(r & ~avoid == 0 for r in positive_reach):
-            continue
-        finals = _first_final_set(k, avoid, positive_reach)
-        if finals is not None:
-            return relation, finals
-    return None
 
 
 # ---------------------------------------------------------------------------

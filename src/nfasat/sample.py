@@ -22,20 +22,6 @@ class SampleError(ValueError):
     """Malformed sample input or inconsistent sample data."""
 
 
-_WORD_CACHE: dict[Word, Word] = {}
-
-
-def intern_word(symbols: Iterable[int]) -> Word:
-    """Return a canonical shared tuple for the given symbol sequence.
-
-    Closure computations produce the same prefixes and suffixes over and
-    over; sharing one tuple object per distinct word keeps the sets compact
-    and lets equality checks short-circuit on identity.
-    """
-    word = tuple(symbols)
-    return _WORD_CACHE.setdefault(word, word)
-
-
 def word_key(word: Word) -> tuple[int, Word]:
     """Sort key ordering words by length, then lexicographically."""
     return (len(word), word)
@@ -72,8 +58,8 @@ class Sample:
     ) -> "Sample":
         return Sample(
             alphabet_size,
-            frozenset(intern_word(w) for w in positives),
-            frozenset(intern_word(w) for w in negatives),
+            frozenset(map(tuple, positives)),
+            frozenset(map(tuple, negatives)),
         )
 
     def words(self) -> Iterator[Word]:
@@ -107,7 +93,7 @@ def prefixes(words: Iterable[Word]) -> set[Word]:
     out: set[Word] = set()
     for word in words:
         for i in range(1, len(word) + 1):
-            out.add(intern_word(word[:i]))
+            out.add(word[:i])
     return out
 
 
@@ -116,7 +102,7 @@ def suffixes(words: Iterable[Word]) -> set[Word]:
     out: set[Word] = set()
     for word in words:
         for i in range(len(word)):
-            out.add(intern_word(word[i:]))
+            out.add(word[i:])
     return out
 
 
@@ -138,10 +124,6 @@ def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
             raise SampleError(f"cut {cut!r} is not an integer in 0..{len(word)}")
 
 
-def split_word(word: Word, cut: int) -> tuple[Word, Word]:
-    return intern_word(word[:cut]), intern_word(word[cut:])
-
-
 def split_sets(sample: Sample, cuts: SplitAssignment) -> tuple[set[Word], set[Word]]:
     """Prefix parts and suffix parts induced by a split assignment.
 
@@ -152,7 +134,7 @@ def split_sets(sample: Sample, cuts: SplitAssignment) -> tuple[set[Word], set[Wo
     prefix_parts: set[Word] = set()
     suffix_parts: set[Word] = set()
     for word, cut in cuts.items():
-        head, tail = split_word(word, cut)
+        head, tail = word[:cut], word[cut:]
         if head:
             prefix_parts.add(head)
         if tail:
@@ -191,7 +173,7 @@ def word_from_text(text: str, alphabet_size: int = 0) -> Word:
         return EMPTY_WORD
     if "," in text:
         try:
-            return intern_word(int(part) for part in text.removesuffix(",").split(","))
+            return tuple(int(part) for part in text.removesuffix(",").split(","))
         except ValueError as exc:
             raise SampleError(f"bad comma-separated word {text!r}") from exc
     if text.isdigit():
@@ -200,9 +182,9 @@ def word_from_text(text: str, alphabet_size: int = 0) -> Word:
                 f"word {text!r} is ambiguous with n={alphabet_size}: symbol ids need "
                 "commas (1,1 for two symbols, 11, for one) or letters"
             )
-        return intern_word(int(ch) for ch in text)
+        return tuple(int(ch) for ch in text)
     if text.isalpha() and text.islower():
-        return intern_word(ord(ch) - ord("a") for ch in text)
+        return tuple(ord(ch) - ord("a") for ch in text)
     raise SampleError(f"cannot parse word {text!r}")
 
 
@@ -266,7 +248,7 @@ def _parse_abbadingo(lines: list[str]) -> Sample:
             raise SampleError(
                 f"abbadingo line declares length {length} but has {len(symbols)} symbols"
             )
-        word = intern_word(symbols)
+        word = tuple(symbols)
         (positives if label == 1 else negatives).add(word)
     if declared_count != len(rows) - 1:
         raise SampleError(

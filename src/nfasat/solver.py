@@ -28,7 +28,7 @@ UNSAT = cdcl.UNSAT
 UNKNOWN = cdcl.UNKNOWN
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
-DEFAULT_DECISION_PATTERN = r"decisions\s*[:=]?\s*(\d+)"
+DECISION_PATTERN = r"decisions\s*[:=]?\s*(\d+)"
 
 
 class SolverError(RuntimeError):
@@ -106,7 +106,6 @@ def solve_dimacs_file(
     cnf_path: str | Path,
     solver_cmd: str | None = None,
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-    decision_pattern: str = DEFAULT_DECISION_PATTERN,
 ) -> SolveOutcome:
     """Run a solver process on a DIMACS file and parse its output."""
     template = solver_cmd or default_solver_command()
@@ -126,7 +125,7 @@ def solve_dimacs_file(
         raise SolverError(f"failed to run solver {argv!r}: {exc}") from exc
     elapsed = time.perf_counter() - start
     output = proc.stdout + "\n" + proc.stderr
-    status, literals, decisions = _parse_solver_output(output, decision_pattern)
+    status, literals, decisions = _parse_solver_output(output, DECISION_PATTERN)
     assignment = None
     if status == SAT:
         assignment = {abs(lit): lit > 0 for lit in literals}
@@ -137,7 +136,6 @@ def solve_external(
     instance: CnfInstance,
     solver_cmd: str | None = None,
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-    decision_pattern: str = DEFAULT_DECISION_PATTERN,
 ) -> SolveOutcome:
     """Write the instance to DIMACS, run a solver process, parse the result.
 
@@ -148,7 +146,7 @@ def solve_external(
         cnf_path = Path(tmp) / "instance.cnf"
         with open(cnf_path, "w") as sink:
             write_dimacs(instance, sink)
-        outcome = solve_dimacs_file(cnf_path, solver_cmd, timeout_seconds, decision_pattern)
+        outcome = solve_dimacs_file(cnf_path, solver_cmd, timeout_seconds)
     if outcome.assignment is not None:
         for var in range(1, instance.var_count + 1):
             outcome.assignment.setdefault(var, False)

@@ -31,7 +31,7 @@ from nfasat.encoders import (
     encode_suffix,
     estimate_size,
 )
-from nfasat.nfa import oracle_exists, verify
+from nfasat.nfa import verify
 from nfasat.sample import Sample, all_prefix_cuts, parse_sample
 from nfasat.solver import decode_nfa, solve_external, solve_in_process
 from nfasat.splitopt import (
@@ -43,6 +43,8 @@ from nfasat.splitopt import (
     ils_optimize,
     word_weights,
 )
+
+from oracle import oracle_exists
 
 MAX_SWEEP_SECONDS = 900.0  # hard budget for the oracle sweep
 

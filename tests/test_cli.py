@@ -19,9 +19,11 @@ from nfasat.cli import (
 )
 from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind
-from nfasat.nfa import oracle_exists, verify
+from nfasat.nfa import verify
 from nfasat.sample import Sample, format_sample, parse_sample
 from nfasat.splitopt import GaParams, IlsParams
+
+from oracle import oracle_exists
 
 A, B, AB = (0,), (1,), (0, 1)
 
@@ -223,6 +225,15 @@ class TestInferCommand:
             main(["infer", str(sample_file), "--model", "pm", "--k", "0"])
         assert str(err.value) == "nfasat: error: state count k must be >= 1, got 0"
 
+    def test_sample_not_utf8_is_one_line_error(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfen\x00=\x002\x00")
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(path), "--model", "pm", "--k", "1", "--out", str(tmp_path / "x.cnf")])
+        message = str(err.value)
+        assert message.startswith(f"nfasat: error: sample {path} is not UTF-8 text")
+        assert "\n" not in message
+
     def test_ambiguous_digit_word_is_one_line_error(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("n=12\n11+\n3-\n")
@@ -384,7 +395,6 @@ class TestBench:
             timeout_seconds=60,
             literal_budget=10**8,
             base_seed=0,
-            use_external=False,
             log=lambda *_: None,
         )
         plain = [r for r in rows if r.instance != "CUMULATIVE"]
@@ -407,7 +417,6 @@ class TestBench:
             timeout_seconds=60,
             literal_budget=10**8,
             base_seed=0,
-            use_external=False,
             log=lambda *_: None,
             ils_params=capped,
         )
@@ -436,8 +445,8 @@ class TestBench:
         sample = Sample.build(2, [AB], [B])
         from nfasat.cli import bench_one
 
-        first = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x", False)
-        second = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x", False)
+        first = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x")
+        second = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x")
         assert first.comparable_dict() == second.comparable_dict()
 
     def test_generation_failure_gets_600s_credit(self):
@@ -499,6 +508,44 @@ class TestBench:
         assert agg.runs_completed == 1
         assert agg.vars == 10
         assert agg.status == "MIXED"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"a": 2, ', "k map {path} is not valid JSON"),
+            ('{"a": 2}', "k map {path} has no entry for sample 'b'"),
+            ('{"a": 2, "b": "2"}', "k map {path} maps 'b' to '2', not a positive int"),
+            ('{"a": 0, "b": 2}', "k map {path} maps 'a' to 0, not a positive int"),
+        ],
+        ids=["malformed-json", "missing-sample", "string-value", "zero"],
+    )
+    def test_bad_k_map_is_one_line_error(self, tmp_path, text, expected):
+        sdir = tmp_path / "samples"
+        sdir.mkdir()
+        (sdir / "a.txt").write_text("n=2\nab+\nb-\n")
+        (sdir / "b.txt").write_text("n=2\na+\nbb-\n")
+        k_map = tmp_path / "k.json"
+        k_map.write_text(text)
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", str(sdir), "--models", "pm", "--k-map", str(k_map), "--out-csv", str(out_csv)])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: ") and "\n" not in message
+        assert expected.format(path=k_map) in message
+        assert not out_csv.exists()
+
+    def test_k_map_sets_each_sample_k(self, tmp_path):
+        sdir = tmp_path / "samples"
+        sdir.mkdir()
+        (sdir / "a.txt").write_text("n=2\nab+\nb-\n")
+        (sdir / "b.txt").write_text("n=2\na+\nbb-\n")
+        k_map = tmp_path / "k.json"
+        k_map.write_text('{"a": 1, "b": 2, "unused": 3}')
+        out_csv = tmp_path / "bench.csv"
+        main(["bench", str(sdir), "--models", "pm", "--k-map", str(k_map), "--out-csv", str(out_csv)])
+        with open(out_csv) as fh:
+            ks = {row["instance"]: row["k"] for row in csv.DictReader(fh)}
+        assert ks == {"a": "1", "b": "2", "CUMULATIVE": "0"}
 
     def test_cli_end_to_end_csv(self, tmp_path):
         sdir = tmp_path / "samples"
@@ -620,6 +667,13 @@ class TestDimacsSolverCli:
         assert proc.stderr == (
             "nfasat-solve: error: variable 5 in clause 1 exceeds the header's 2 variables\n"
         )
+
+
+class TestImport:
+    def test_package_does_not_import_numpy(self):
+        code = "import sys, nfasat, nfasat.cli, nfasat.dimacs_solver; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestVerificationGate:

@@ -7,7 +7,6 @@ from nfasat.cnf import (
     dimacs_text,
     final_var,
     parse_dimacs,
-    prefix_path_var,
     trans_var,
 )
 
@@ -18,31 +17,6 @@ def test_fresh_var_dense_numbering():
     assert inst.fresh_var(trans_var(0, 1, 1)) == 2
     assert inst.fresh_var(final_var(1)) == 1
     assert inst.var_count == 2
-
-
-def test_alias_shares_index_without_growth():
-    inst = CnfInstance()
-    base = inst.fresh_var(trans_var(0, 1, 1))
-    alias = inst.alias_var(prefix_path_var((0,), 1), trans_var(0, 1, 1))
-    assert alias == base
-    assert inst.var_count == 1
-    assert inst.lookup(prefix_path_var((0,), 1)) == base
-    assert inst.name_of(base) == trans_var(0, 1, 1)
-
-
-def test_alias_unregistered_target_fails():
-    inst = CnfInstance()
-    with pytest.raises(CnfError):
-        inst.alias_var(prefix_path_var((0,), 1), trans_var(0, 1, 1))
-
-
-def test_alias_conflicting_binding_fails():
-    inst = CnfInstance()
-    inst.fresh_var(final_var(1))
-    inst.fresh_var(final_var(2))
-    inst.alias_var(prefix_path_var((0,), 1), final_var(1))
-    with pytest.raises(CnfError):
-        inst.alias_var(prefix_path_var((0,), 1), final_var(2))
 
 
 def test_duplicate_literals_merged():
@@ -125,17 +99,6 @@ def test_dimacs_round_trip(clause_lists):
     assert sorted(clauses) == sorted(inst.clauses)
 
 
-def test_registry_round_trip_with_aliases():
-    inst = CnfInstance()
-    for i in range(1, 4):
-        inst.fresh_var(final_var(i))
-    inst.alias_var(prefix_path_var((0,), 2), final_var(2))
-    for name in [final_var(1), final_var(2), final_var(3), prefix_path_var((0,), 2)]:
-        idx = inst.lookup(name)
-        canonical = inst.name_of(idx)
-        assert inst.lookup(canonical) == idx
-
-
 @pytest.mark.parametrize(
     "text",
     [
@@ -185,18 +148,12 @@ def test_auxiliary_ranges_are_anonymous_and_named_by_family():
     inst = CnfInstance()
     inst.fresh_var(final_var(1))
     first = inst.fresh_aux("prefix_rec_aux", 3)
-    inst.fresh_var(prefix_path_var((0, 1), 1))
+    reach = inst.fresh_aux("prefix_path", 1)
     second = inst.fresh_aux("accept_aux", 2)
-    assert (first, second, inst.var_count) == (2, 6, 7)
-    assert [inst.name_of(i) for i in range(1, 8)] == [
-        final_var(1),
-        *["prefix_rec_aux"] * 3,
-        prefix_path_var((0, 1), 1),
-        *["accept_aux"] * 2,
-    ]
+    assert (first, reach, second, inst.var_count) == (2, 5, 6, 7)
     assert inst.var_family_counts == {
         "final": 1, "prefix_rec_aux": 3, "prefix_path": 1, "accept_aux": 2
     }
-    for index in (0, 8):
-        with pytest.raises(CnfError):
-            inst.name_of(index)
+    assert inst.lookup(final_var(1)) == 1
+    with pytest.raises(CnfError):
+        inst.lookup(trans_var(0, 1, 1))

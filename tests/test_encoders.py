@@ -5,14 +5,7 @@ import random
 import pytest
 
 from nfasat.cli import random_sample
-from nfasat.cnf import (
-    dimacs_text,
-    final_var,
-    prefix_path_var,
-    suffix_path_var,
-    trans_var,
-)
-from nfasat.cnf import CnfError, CnfInstance
+from nfasat.cnf import CnfError, CnfInstance, dimacs_text, final_var, trans_var
 from nfasat.encoders import (
     _PREFIX_FAMILIES,
     BudgetExceededError,
@@ -25,12 +18,13 @@ from nfasat.encoders import (
     encode_suffix,
     estimate_size,
 )
-from nfasat.nfa import accepts, oracle_exists, verify
+from nfasat.nfa import accepts, verify
 from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
 from nfasat.solver import decode_nfa, solve_in_process
 from nfasat.splitopt import IlsParams, ils_optimize
 
 from _helpers import instance_sat_by_enumeration, random_cut_assignment, random_tiny_sample
+from oracle import oracle_exists
 
 A, B = (0,), (1,)
 AB = (0, 1)
@@ -88,9 +82,11 @@ class TestPrefix:
     def test_single_symbol_prefixes_alias_transitions(self):
         sample = Sample.build(2, [AB], [B])
         inst = encode_prefix(sample, 2)
-        for i in (1, 2):
-            assert inst.lookup(prefix_path_var(A, i)) == inst.lookup(trans_var(0, 1, i))
-            assert inst.lookup(prefix_path_var(B, i)) == inst.lookup(trans_var(1, 1, i))
+        # b, the one negative word, is rejected last, through its transition row out of state 1
+        assert inst.family_hist["reject_bin"] == {2: 2}
+        assert inst.clauses[-2:] == [
+            (-inst.lookup(trans_var(1, 1, i)), -inst.lookup(final_var(i))) for i in (1, 2)
+        ]
 
     def test_example_sat_and_decodes_correctly(self):
         sample = Sample.build(2, [AB], [B])
@@ -134,7 +130,6 @@ class TestSuffix:
     def test_example_alias_and_prune_counts(self):
         sample = Sample.build(2, [AB], [])
         inst = encode_suffix(sample, 2)
-        assert inst.alias_count() == 4  # every (i, j) for the length-1 suffix
         assert inst.var_family_counts["suffix_path"] == 2  # start state 1 only
         assert inst.var_family_counts["suffix_rec_aux"] == 4
         assert solve_status(inst) == "SAT"
@@ -160,11 +155,13 @@ class TestSuffix:
     def test_shared_full_word_not_pruned(self):
         sample = Sample.build(2, [(0, 0, 1)], [AB])
         inst = encode_suffix(sample, 2)
-        # ab is a sample word but also a proper suffix of aab: all start states
-        assert inst.has_var(suffix_path_var(AB, 2, 1))
+        # ab is a sample word but also a proper suffix of aab: all k^2 (start,
+        # end) pairs; aab itself is pruned to start state 1, so k more
+        assert inst.var_family_counts["suffix_path"] == 4 + 2
         sample2 = Sample.build(2, [(0, 0, 1)], [(1, 1)])
         inst2 = encode_suffix(sample2, 2)
-        assert not inst2.has_var(suffix_path_var((1, 1), 2, 1))
+        # bb is pruned too: k more on top of ab's k^2 and aab's k
+        assert inst2.var_family_counts["suffix_path"] == 4 + 2 + 2
 
 
 class TestHybrid:
@@ -297,7 +294,6 @@ def _stats_text(inst) -> str:
         [
             sorted((family, sorted(hist.items())) for family, hist in inst.family_hist.items()),
             sorted(inst.var_family_counts.items()),
-            inst.alias_count(),
         ]
     )
 
@@ -314,33 +310,33 @@ PINNED_CASES = {
     ((2, 30, 6, 0.5, 3), 2): {
         "dm": (
             "860f97daf26ea42fe9f90397abbbc57fce47d5d4dbf2ce982620b8e98e13974a",
-            "9eac140075f20fb1",
+            "88fe0b065170d61e",
         ),
         "pm": (
             "92e69f4d0f3c52a4983337d7d6918aced617fcad3f32c9cfd198ddab958a9485",
-            "3df5a7d81ada5a86",
+            "fe3f5859ef94b974",
         ),
         "sm": (
             "5d6489485a45ce921681e25b0cf94d0e728a540de4c73051e2cc3afc4ab31026",
-            "0cc085c1ad3cb31d",
+            "94bd96d33a9b67a3",
         ),
         "hm-ils": (
             "db1e43cfcfbb6447e4ad6c6243854a97b3e9294add9880fb78bba58f9e36a79d",
-            "2bb6e42ab133794a",
+            "6c01f421b96f2bcc",
         ),
     },
     ((3, 40, 8, 0.5, 5), 3): {
         "pm": (
             "b9db31b98ce138b4b882ad926ba564d7e2466999ce95c4d80bf02934f1b2a98c",
-            "36b53ca3e5c0d541",
+            "bc1009756d4f34bf",
         ),
         "sm": (
             "babbc37bb4bece1ccb6705db9814e4ba2ffb563b5094a3bf02c92b63f54bf13f",
-            "730dc0dae35bc1fa",
+            "72e1187dc4fd19b4",
         ),
         "hm-ils": (
             "a12ac97b05228deb4a09761874320eb07bdd44b71e47a82790db4693c33fcb9e",
-            "dec63c5011193d3e",
+            "dd3ef7c79a459c49",
         ),
     },
 }
@@ -382,8 +378,3 @@ class TestDefineChecks:
         with pytest.raises(CnfError):
             _define(inst, [y], [(0, lits)], _PREFIX_FAMILIES)
         assert inst.clauses == []
-
-    def test_auxiliaries_decode_to_their_family(self):
-        inst = encode_prefix(Sample.build(2, [AB], []), 2)
-        families = {inst.name_of(i) for i in range(1, inst.var_count + 1)}
-        assert {"prefix_rec_aux", "accept_aux"} <= families

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfasat import sample as sample_module
 from nfasat.cli import random_sample
 from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind, encode
@@ -274,14 +273,6 @@ class TestFitnessOracle:
         population = [{w: draws.randint(0, len(w)) for w in words} for _ in range(6)]
         assert ga.initial_fitness == min(_set_fitness(ind, k) for ind in population)
         assert ga.best_fitness == _set_fitness(ga.cuts, k)
-
-    def test_optimizers_leave_the_word_cache_alone(self):
-        sample = random_sample(5, 40, 9, 0.5, seed=9001)
-        before = len(sample_module._WORD_CACHE)
-        ils_optimize(sample, 3, IlsParams(rng_seed=2))
-        ga_optimize(sample, 3, GaParams(population_size=8, max_gen=5, rng_seed=2))
-        fitness(sample, 3, all_prefix_cuts(sample))
-        assert len(sample_module._WORD_CACHE) == before
 
 
 def _digest(obj) -> str:
