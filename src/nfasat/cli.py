@@ -105,7 +105,7 @@ class RunReport:
 
 
 class ConfigError(ValueError):
-    """Malformed optimizer config, cuts file or k map."""
+    """Malformed optimizer config, cuts file, k map or command-line bound."""
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -428,15 +428,18 @@ def random_sample(
     """Seeded random sample with disjoint positive/negative sets.
 
     Collisions redraw, up to 200 draws per word; when the word space is
-    exhausted the sample simply ends up smaller than requested.  Raises only
-    if nothing can be generated.
+    exhausted the sample simply ends up smaller than requested.  Raises
+    SampleError for an argument out of range or if nothing can be generated.
     """
     import random as _random
 
     if n < 1 or word_count < 1 or max_len < 0:
-        raise ValueError("n and word_count must be positive, max_len non-negative")
+        raise SampleError(
+            f"alphabet size n ({n}) and word count ({word_count}) must be >= 1 "
+            f"and max length ({max_len}) >= 0"
+        )
     if not 0.0 <= positive_fraction <= 1.0:
-        raise ValueError("positive_fraction must be in [0, 1]")
+        raise SampleError(f"positive fraction must be in [0, 1], got {positive_fraction}")
     rng = _random.Random(seed)
     target_pos = round(word_count * positive_fraction)
     positives: set = set()
@@ -600,6 +603,8 @@ def _run(argv: list[str] | None = None) -> int:
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
         model = ModelKind.parse(args.model)
+        if args.k_max is not None and args.k_max < args.k:
+            raise ConfigError(f"--k-max {args.k_max} is below --k {args.k}")
         k_values = range(args.k, (args.k_max or args.k) + 1)
         report = nfa = None
         for k in k_values:
@@ -630,6 +635,8 @@ def _run(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "bench":
+        if args.runs < 1:
+            raise ConfigError(f"--runs must be >= 1, got {args.runs}")
         sample_paths = sorted(Path(args.sample_dir).glob(args.glob))
         if not sample_paths:
             parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
@@ -647,7 +654,9 @@ def _run(argv: list[str] | None = None) -> int:
                 if type(k) is not int or k < 1:
                     raise ConfigError(f"k map {args.k_map} maps {name!r} to {k!r}, not a positive int")
             k_of = k_table.__getitem__
-        elif args.k:
+        elif args.k is not None:
+            if args.k < 1:
+                raise ConfigError(f"state count k must be >= 1, got {args.k}")
             k_of = lambda name: args.k
         else:
             parser.error("bench requires --k or --k-map")

@@ -21,15 +21,31 @@ in how word acceptance is expressed:
   and per-word linking clauses tie the two halves together at the cut state.
   Cut 0 or cut |w| collapse to the pure suffix/prefix forms.
 
-Every prefix, suffix, link and direct-path definition goes through one
-helper, ``_define``: each output is the OR of AND terms, with one anonymous
-auxiliary variable per term (Tseitin style).  It emits, per term, one
-[-x, lit] per conjunct and [x, -lits...]; then one choice clause per output
-([-y, aux...], or a single [aux...] when the OR is asserted outright); then
-[y, -x] per term, all as one checked batch.  Accepting a word through its
-reach variables keeps its own order (all binaries, then all ternaries).
-Instance sizes stay polynomial in the closure sizes for all but the direct
-encoding.
+Every prefix, suffix, link, direct-path and accept definition goes through
+one helper, ``_define``: each output is the OR of AND terms, with one
+anonymous auxiliary variable per term (Tseitin style).  It emits only the
+halves the sample uses (Plaisted & Greenbaum, J. Symb. Comp. 1986).  A word
+that is accepted needs "reach => some path" of its reach variables, a word
+that is rejected needs "some path => reach".  So each closure word carries
+polarity bits: a positive sample word marks its closure word positive and a
+negative one marks it negative; a prefix (suffix) takes the union of the
+marks of the words one letter longer on the right (left); in the hybrid
+model a word's head and tail both take the word's mark.  Per definition:
+
+* positive use only: per term one [-x, lit] per conjunct; then one choice
+  clause per output ([-y, aux...], or a single [aux...] when the OR is
+  asserted outright, as accepting a word, a hybrid positive link and a
+  direct positive word are);
+* negative use only: no auxiliary variables, one [y, -lits...] per term;
+* both: per term one [-x, lit] per conjunct and [x, -lits...]; then the
+  choice clauses; then [y, -x] per term.
+
+Each definition is one checked batch.  Sound and complete: only final and
+transition variables are decoded, the surviving clauses still force every
+accepted word to have an accepting run and every rejected word to have
+none, and any NFA consistent with the sample extends to a model by setting
+each reach and auxiliary variable to its true value.  Instance sizes stay
+polynomial in the closure sizes for all but the direct encoding.
 
 Only the final and transition variables are named in the instance.  The
 encoders index them through the tables ``_base_instance`` returns, and keep
@@ -42,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product, repeat
 from operator import neg
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cnf import CnfInstance, final_var, trans_var
 from .sample import (
@@ -108,37 +124,52 @@ def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list
     return inst, finals, trans
 
 
+# Polarity bits: how the sample uses a closure word's reach variables.
+_POSITIVE, _NEGATIVE = 1, 2
+_BOTH = _POSITIVE | _NEGATIVE
+
 # Per definition: aux family, (binary family per conjunct), reverse, choice, output.
+# Asserted ORs are positive uses only, so they have no reverse or output family.
 _PREFIX_FAMILIES = ("prefix_rec_aux", ("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
                     "prefix_rec_ternary", "prefix_rec_choice", "prefix_rec_bin_out")
 _SUFFIX_FAMILIES = ("suffix_rec_aux", ("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
                     "suffix_rec_ternary", "suffix_rec_choice", "suffix_rec_bin_out")
-_LINK_FAMILIES = ("link_aux", ("link_bin",) * 3, "link_reverse", "link_choice", None)
+_LINK_FAMILIES = ("link_aux", ("link_bin",) * 3, None, "link_choice", None)
+_ACCEPT_FAMILIES = ("accept_aux", ("accept_bin",) * 2, None, "accept_choice", None)
 
 
 def _define(
     inst: CnfInstance,
     outputs: list[int] | None,
     terms: list[tuple[int | None, Sequence[int]]],
-    families: tuple[str, tuple[str, ...], str, str, str | None],
+    families: tuple[str, tuple[str, ...], str | None, str, str | None],
+    uses: int = _POSITIVE,
 ) -> None:
     """Define each output as the OR of its AND terms, in the module docstring's order.
 
     A term is (output index, conjunct literals), all terms with as many
     conjuncts.  families: aux variable family, one binary family per
-    conjunct, then the reverse, choice and output families.  The aux
-    variables are one index range.  A one-letter word's reach variables are
-    transition variables, so a conjunct can repeat; the reverse clause names
-    it once.
+    conjunct, then the reverse, choice and output families.  uses: the
+    polarity bits of the outputs; an asserted OR (outputs None) is a
+    positive use.  The aux variables are one index range.  A one-letter
+    word's reach variables are transition variables, so a conjunct can
+    repeat; a reverse clause names it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
+    if uses == _NEGATIVE:
+        clauses = [(outputs[out], *_negated(lits)) for out, lits in terms]
+        inst.add_clauses(clauses, repeat(reverse_family))
+        return
+    both = uses == _BOTH
     first = inst.fresh_aux(aux_family, len(terms))
     aux = range(first, first + len(terms))
     clauses: list[tuple[int, ...]] = []
     for x, (_, lits) in zip(aux, terms):
         clauses += zip(repeat(-x), lits)
-        clauses.append((x, *map(neg, dict.fromkeys(lits))))
-    clause_families = [*bin_families, reverse_family] * len(terms)
+        if both:
+            clauses.append((x, *_negated(lits)))
+    clause_families = [*bin_families, reverse_family] if both else list(bin_families)
+    clause_families *= len(terms)
     if outputs is None:
         clauses.append(tuple(aux))
         inst.add_clauses(clauses, clause_families + [choice_family])
@@ -147,22 +178,52 @@ def _define(
     for x, (out, _) in zip(aux, terms):
         choices[out].append(x)
     clauses += map(tuple, choices)
-    clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
-    clause_families += [choice_family] * len(outputs) + [out_family] * len(terms)
+    clause_families += [choice_family] * len(outputs)
+    if both:
+        clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
+        clause_families += [out_family] * len(terms)
     inst.add_clauses(clauses, clause_families)
 
 
+def _negated(lits: Sequence[int]) -> tuple[int, ...]:
+    """The negated literals of a conjunction, each once; a conjunct can repeat."""
+    return tuple(map(neg, dict.fromkeys(lits)))
+
+
+def _marks(sample: Sample) -> list[tuple[Word, int]]:
+    """Each sample word with the polarity bit of its label."""
+    return [(w, _POSITIVE) for w in sample.positives] + [(w, _NEGATIVE) for w in sample.negatives]
+
+
+def _closure_uses(
+    marked: Iterable[tuple[Word, int]], parent: Callable[[Word], Word]
+) -> dict[Word, int]:
+    """Polarity bits of every non-empty word of a closure; the keys are the closure.
+
+    Each marked word passes its bits on to parent(word), the word its chain
+    defines it from, down to the one-letter words.  A word that already has
+    the bits has passed them on before, so the walk stops there.
+    """
+    uses: dict[Word, int] = {}
+    for word, bits in marked:
+        while word and bits & ~uses.get(word, 0):
+            uses[word] = uses.get(word, 0) | bits
+            word = parent(word)
+    return uses
+
+
 def _emit_prefix_chain(
-    inst: CnfInstance, prefix_set: set[Word], trans: list[Table], k: int
+    inst: CnfInstance, marked: Iterable[tuple[Word, int]], trans: list[Table], k: int
 ) -> dict[Word, list[int]]:
-    """Define reach-from-start variables for every prefix in the closure.
+    """Define reach-from-start variables for every prefix of the marked words.
 
     Returns per prefix the variables "a run for it reaches state i from
     state 1", at index i - 1.
     """
     states = range(k)
+    uses = _closure_uses(marked, lambda word: word[:-1])
     reach: dict[Word, list[int]] = {}
-    for word in sorted(prefix_set, key=word_key):
+    for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]][0]
             continue
@@ -171,11 +232,11 @@ def _emit_prefix_chain(
         parent = reach[word[:-1]]
         step = trans[word[-1]]
         terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(inst, outputs, terms, _PREFIX_FAMILIES)
+        _define(inst, outputs, terms, _PREFIX_FAMILIES, uses[word])
     return reach
 
 
-def _suffix_all_start_words(suffix_set: set[Word], linked: set[Word]) -> set[Word]:
+def _suffix_all_start_words(suffix_set: Iterable[Word], linked: set[Word]) -> set[Word]:
     """Suffixes whose runs must exist from every start state.
 
     A suffix referenced inside a longer suffix's definition, or linked behind
@@ -186,21 +247,27 @@ def _suffix_all_start_words(suffix_set: set[Word], linked: set[Word]) -> set[Wor
     for word in suffix_set:
         for i in range(1, len(word)):
             needs_all.add(word[i:])
-    return needs_all & suffix_set
+    return needs_all.intersection(suffix_set)
 
 
 def _emit_suffix_chain(
-    inst: CnfInstance, suffix_set: set[Word], all_start_words: set[Word], trans: list[Table], k: int
+    inst: CnfInstance,
+    marked: Iterable[tuple[Word, int]],
+    linked: set[Word],
+    trans: list[Table],
+    k: int,
 ) -> dict[Word, Table]:
-    """Define segment-run variables for every suffix in the closure.
+    """Define segment-run variables for every suffix of the marked words.
 
-    Returns per suffix the variables "a run for it leads from state i to
-    state j", at [i - 1][j - 1]; a suffix pruned to start state 1 has that
-    row only.
+    linked: the suffix parts that follow a non-empty prefix part.  Returns
+    per suffix the variables "a run for it leads from state i to state j",
+    at [i - 1][j - 1]; a suffix pruned to start state 1 has that row only.
     """
     states = range(k)
+    uses = _closure_uses(marked, lambda word: word[1:])
+    all_start_words = _suffix_all_start_words(uses, linked)
     reach: dict[Word, Table] = {}
-    for word in sorted(suffix_set, key=word_key):
+    for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]]
             continue
@@ -216,38 +283,26 @@ def _emit_suffix_chain(
             for mid in states
             for j in states
         ]
-        _define(inst, outputs, terms, _SUFFIX_FAMILIES)
+        _define(inst, outputs, terms, _SUFFIX_FAMILIES, uses[word])
     return reach
 
 
-def _emit_accept(inst: CnfInstance, reach: list[int], finals: list[int]) -> None:
-    """Some end state is both reached by the word and final."""
-    k = len(reach)
-    first = inst.fresh_aux("accept_aux", k)
-    aux = range(first, first + k)
-    clauses = []
-    for x, lit, fin in zip(aux, reach, finals):
-        clauses += ((-x, lit), (-x, fin))
-    clauses += zip(aux, map(neg, reach), map(neg, finals))
-    clauses.append(tuple(aux))
-    inst.add_clauses(clauses, ["accept_bin"] * (2 * k) + ["accept_ternary"] * k + ["accept_choice"])
-
-
-def _emit_reject(inst: CnfInstance, reach: list[int], finals: list[int]) -> None:
-    """No reached end state may be final."""
-    inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
+def _emit_verdict(inst: CnfInstance, reach: list[int], finals: list[int], positive: bool) -> None:
+    """Accept: some end state is both reached and final.  Reject: none is."""
+    if positive:
+        _define(inst, None, [(None, pair) for pair in zip(reach, finals)], _ACCEPT_FAMILIES)
+    else:
+        inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
 
 
 def _emit_verdicts(
     inst: CnfInstance, sample: Sample, finals: list[int], reach: Callable[[Word], list[int]]
 ) -> None:
     """Accept the non-empty positive words and reject the non-empty negative ones."""
-    for word in sample.sorted_positives():
-        if word:
-            _emit_accept(inst, reach(word), finals)
-    for word in sample.sorted_negatives():
-        if word:
-            _emit_reject(inst, reach(word), finals)
+    for words, positive in ((sample.sorted_positives(), True), (sample.sorted_negatives(), False)):
+        for word in words:
+            if word:
+                _emit_verdict(inst, reach(word), finals, positive)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +324,7 @@ def encode_direct(
                 for path in product(states, repeat=len(word))
             ]
             bin_families = ("direct_bin",) * (len(word) + 1)
-            families = ("direct_path_aux", bin_families, "direct_reverse", "direct_choice", None)
+            families = ("direct_path_aux", bin_families, None, "direct_choice", None)
             _define(inst, None, terms, families)
     for word in sample.sorted_negatives():
         if word:
@@ -277,11 +332,6 @@ def encode_direct(
             blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
             inst.add_clauses(blocked, repeat("direct_reject"))
     return inst
-
-
-def _negated(lits: Sequence[int]) -> tuple[int, ...]:
-    """The clause forbidding a conjunction; a conjunct can repeat."""
-    return tuple(map(neg, dict.fromkeys(lits)))
 
 
 def _path_conjuncts(
@@ -303,7 +353,7 @@ def encode_prefix(
     """Prefix-closure encoding: one reach variable per prefix and end state."""
     _check_budget(estimate_size(ModelKind.PREFIX, sample, k).total_literals(), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
-    reach = _emit_prefix_chain(inst, prefixes(set(sample.words())), trans, k)
+    reach = _emit_prefix_chain(inst, _marks(sample), trans, k)
     _emit_verdicts(inst, sample, finals, reach.__getitem__)
     return inst
 
@@ -314,8 +364,7 @@ def encode_suffix(
     """Suffix-closure encoding with start-state pruning for top-level words."""
     _check_budget(estimate_size(ModelKind.SUFFIX, sample, k).total_literals(), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
-    closure = suffixes(set(sample.words()))
-    rows = _emit_suffix_chain(inst, closure, _suffix_all_start_words(closure, set()), trans, k)
+    rows = _emit_suffix_chain(inst, _marks(sample), set(), trans, k)
     _emit_verdicts(inst, sample, finals, lambda word: rows[word][0])
     return inst
 
@@ -327,16 +376,16 @@ def encode_hybrid(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     """Split-word encoding: prefix machinery feeds suffix machinery per word."""
-    prefix_parts, suffix_parts = split_sets(sample, cuts)
     _check_budget(
         estimate_size(ModelKind.HYBRID, sample, k, cuts).total_literals(), literal_budget
     )
     inst, finals, trans = _base_instance(sample, k)
+    marked = [(word, bits) for word, bits in _marks(sample) if word]
+    heads = [(w[: cuts[w]], bits) for w, bits in marked]
+    tails = [(w[cuts[w] :], bits) for w, bits in marked]
     linked = {w[cut:] for w, cut in cuts.items() if 0 < cut < len(w)}
-    prefix_reach = _emit_prefix_chain(inst, prefixes(prefix_parts), trans, k)
-    suffix_closure = suffixes(suffix_parts)
-    all_starts = _suffix_all_start_words(suffix_closure, linked)
-    suffix_rows = _emit_suffix_chain(inst, suffix_closure, all_starts, trans, k)
+    prefix_reach = _emit_prefix_chain(inst, heads, trans, k)
+    suffix_rows = _emit_suffix_chain(inst, tails, linked, trans, k)
 
     states = range(k)
 
@@ -345,7 +394,7 @@ def encode_hybrid(
         head, tail = word[:cut], word[cut:]
         if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
             reach = prefix_reach[word] if head else suffix_rows[word][0]
-            (_emit_accept if positive else _emit_reject)(inst, reach, finals)
+            _emit_verdict(inst, reach, finals, positive)
             return
         head_vars = prefix_reach[head]
         tail_rows = suffix_rows[tail]
@@ -404,7 +453,7 @@ def _direct_literals(sample: Sample, k: int) -> int:
         m = len(word)
         if m:
             paths = k**m
-            total += paths * (m + 1) * 2 + paths * (m + 2) + paths
+            total += paths * (m + 1) * 2 + paths
     for word in sample.negatives:
         m = len(word)
         if m:
@@ -465,14 +514,12 @@ def estimate_size(
         paths_plus = k**wplus
         variables["direct_path_aux"] = pos * paths_plus
         clauses["direct_bin"] = (pos * (wplus + 1) * paths_plus, 2)
-        clauses["direct_reverse"] = (pos * paths_plus, wplus + 2)
         clauses["direct_choice"] = (pos, paths_plus)
         clauses["direct_reject"] = (neg * k**wminus, wminus + 1)
         return SizeEstimate(variables, clauses)
 
     def accept_reject_bounds(n_pos: int, n_neg: int) -> None:
         clauses["accept_bin"] = (2 * k * n_pos, 2)
-        clauses["accept_ternary"] = (k * n_pos, 3)
         clauses["accept_choice"] = (n_pos, k)
         clauses["reject_bin"] = (k * n_neg, 2)
         variables["accept_aux"] = n_pos * k
@@ -522,7 +569,6 @@ def estimate_size(
         suffix_bounds(suffixes(suffix_parts))
         variables["link_aux"] = linked_pos * k * k
         clauses["link_bin"] = (3 * k * k * linked_pos, 2)
-        clauses["link_reverse"] = (k * k * linked_pos, 4)
         clauses["link_choice"] = (linked_pos, k * k)
         clauses["link_reject_ternary"] = (k * k * linked_neg, 3)
         return SizeEstimate(variables, clauses)

@@ -243,6 +243,11 @@ class TestInferCommand:
         assert message.startswith("nfasat: error: word '11' is ambiguous with n=12")
         assert "\n" not in message
 
+    def test_k_max_below_k_is_one_line_error(self, sample_file):
+        with pytest.raises(SystemExit) as err:
+            main(["infer", str(sample_file), "--model", "pm", "--k", "3", "--k-max", "2"])
+        assert str(err.value) == "nfasat: error: --k-max 2 is below --k 3"
+
     def test_k_sweep_stops_at_first_satisfiable_size(self, tmp_path, capsys):
         path = tmp_path / "needs2.txt"
         path.write_text("n=1\na+\naa-\n")  # impossible with one state
@@ -534,6 +539,24 @@ class TestBench:
         assert expected.format(path=k_map) in message
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--k", "2", "--runs", "0"], "--runs must be >= 1, got 0"),
+            (["--k", "0"], "state count k must be >= 1, got 0"),
+        ],
+        ids=["zero-runs", "zero-k"],
+    )
+    def test_bad_bound_is_one_line_error(self, tmp_path, flags, expected):
+        sdir = tmp_path / "samples"
+        sdir.mkdir()
+        (sdir / "a.txt").write_text("n=2\nab+\nb-\n")
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", str(sdir), "--models", "hm-ils", *flags, "--out-csv", str(out_csv)])
+        assert str(err.value) == f"nfasat: error: {expected}"
+        assert not out_csv.exists()
+
     def test_k_map_sets_each_sample_k(self, tmp_path):
         sdir = tmp_path / "samples"
         sdir.mkdir()
@@ -591,6 +614,28 @@ class TestRandomSample:
     def test_disjoint_sets(self):
         sample = random_sample(2, 30, 4, 0.5, seed=1)
         sample.check_consistent()
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--n", "0", "alphabet size n (0) and word count (10) must be >= 1"),
+            ("--words", "0", "alphabet size n (2) and word count (0) must be >= 1"),
+            ("--max-len", "-1", "and max length (-1) >= 0"),
+            ("--positive-fraction", "2", "positive fraction must be in [0, 1], got 2.0"),
+        ],
+        ids=["zero-n", "zero-words", "negative-max-len", "fraction-above-1"],
+    )
+    def test_bad_argument_is_one_line_error(self, tmp_path, flag, value, expected):
+        out = tmp_path / "rand.txt"
+        argv = ["random-sample", "--out", str(out)]
+        for item in {"--n": "2", "--words": "10", "--max-len": "4", flag: value}.items():
+            argv += item
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        message = str(err.value)
+        assert message.startswith("nfasat: error: ") and "\n" not in message
+        assert expected in message
+        assert not out.exists()
 
     def test_cli_writes_parseable_file(self, tmp_path):
         out = tmp_path / "rand.txt"

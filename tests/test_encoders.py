@@ -18,7 +18,7 @@ from nfasat.encoders import (
     encode_suffix,
     estimate_size,
 )
-from nfasat.nfa import accepts, verify
+from nfasat.nfa import Nfa, accepts, verify
 from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
 from nfasat.solver import decode_nfa, solve_in_process
 from nfasat.splitopt import IlsParams, ils_optimize
@@ -42,9 +42,8 @@ class TestDirect:
         d = inst.lookup(trans_var(0, 1, 1))
         assert inst.var_count == 3  # final, transition, one path aux
         aux = 3
-        assert sorted(inst.clauses) == sorted(
-            [(-aux, d), (-aux, f1), (aux, -d, -f1), (aux,)]
-        )
+        # an accepted path only needs "aux => path": no reverse clause
+        assert sorted(inst.clauses) == sorted([(-aux, d), (-aux, f1), (aux,)])
         assert instance_sat_by_enumeration(inst)  # all 2^3 assignments checked
         assert solve_status(inst) == "SAT"
 
@@ -66,10 +65,11 @@ class TestDirect:
         sample = Sample.build(2, [AB], [(1, 0)])
         k = 2
         inst = encode_direct(sample, k)
-        assert set(inst.family_hist["direct_bin"]) == {2}
-        assert set(inst.family_hist["direct_reverse"]) == {2 + 2}
-        assert set(inst.family_hist["direct_choice"]) == {k**2}
-        assert set(inst.family_hist["direct_reject"]) == {2 + 1}
+        # the positive word's paths are an asserted OR: no reverse clauses
+        assert set(inst.family_hist) == {"direct_bin", "direct_choice", "direct_reject"}
+        assert inst.family_hist["direct_bin"] == {2: k**2 * (2 + 1)}
+        assert inst.family_hist["direct_choice"] == {k**2: 1}
+        assert inst.family_hist["direct_reject"] == {2 + 1: k**2}
 
     def test_budget_refuses_long_word(self):
         word = tuple(0 for _ in range(30))
@@ -106,11 +106,15 @@ class TestPrefix:
         assert sum(hist.values()) == 2 and set(hist) == {k}
 
     def test_aliased_conjuncts_merge_in_the_reverse_clause(self):
-        # (0, 0) at k=1: parent (0,) reaches state 1 through trans(0,1,1) itself
-        inst = encode_prefix(Sample.build(1, [(0, 0)], []), 1)
-        assert inst.family_hist["prefix_rec_ternary"] == {2: 1}
+        # (0, 0) at k=1: parent (0,) reaches state 1 through trans(0,1,1) itself.
+        # It is a prefix of a positive and of a negative word, so it keeps its
+        # reverse clause, merged to arity 2; the negative-only (0, 0, 0) gets one
+        # reverse clause of arity 3 and nothing else.
+        inst = encode_prefix(Sample.build(1, [(0, 0)], [(0, 0, 0)]), 1)
+        assert inst.family_hist["prefix_rec_ternary"] == {2: 1, 3: 1}
         assert inst.family_hist["prefix_rec_bin_prev"] == {2: 1}
         assert inst.family_hist["prefix_rec_bin_trans"] == {2: 1}
+        assert solve_status(inst) == "UNSAT"  # one state accepts all of a* or none
 
     def test_same_word_both_polarities_unsat(self):
         sample = Sample.build(1, [A], [A])
@@ -210,8 +214,112 @@ class TestHybrid:
         assert inst.var_family_counts["link_aux"] == k * k
         assert sum(inst.family_hist["link_choice"].values()) == 1
         assert set(inst.family_hist["link_choice"]) == {k * k}
-        assert set(inst.family_hist["link_reverse"]) == {4}
+        # the positive link is an asserted OR: binaries and choice, no reverse clauses
+        assert inst.family_hist["link_bin"] == {2: 3 * k * k}
+        assert {f for f in inst.family_hist if f.startswith("link")} == {
+            "link_bin", "link_choice", "link_reject_ternary"
+        }
         assert sum(inst.family_hist["link_reject_ternary"].values()) == k * k
+
+
+class TestPolarity:
+    """Each definition emits only the halves its closure word's labels use."""
+
+    def test_negative_only_prefix_has_no_aux(self):
+        k = 2
+        inst = encode_prefix(Sample.build(2, [], [AB]), k)
+        assert "prefix_rec_aux" not in inst.var_family_counts
+        # one [y, -parent, -trans] per term and nothing else
+        assert {f for f in inst.family_hist if f.startswith("prefix")} == {"prefix_rec_ternary"}
+        assert inst.family_hist["prefix_rec_ternary"] == {3: k * k}
+
+    def test_positive_only_prefix_has_no_reverse_or_output_clauses(self):
+        k = 2
+        inst = encode_prefix(Sample.build(2, [AB], []), k)
+        assert inst.var_family_counts["prefix_rec_aux"] == k * k
+        assert "prefix_rec_ternary" not in inst.family_hist
+        assert "prefix_rec_bin_out" not in inst.family_hist
+        assert inst.family_hist["prefix_rec_choice"] == {k + 1: k}
+
+    def test_prefix_shared_by_both_polarities_keeps_all_five_families(self):
+        # (0, 1) is a prefix of the positive (0, 1, 0) and of the negative (0, 1, 1)
+        k = 2
+        inst = encode_prefix(Sample.build(2, [(0, 1, 0)], [(0, 1, 1)]), k)
+        counts = inst.family_clause_counts()
+        assert counts["prefix_rec_bin_prev"] == counts["prefix_rec_bin_trans"] == 2 * k * k
+        assert counts["prefix_rec_ternary"] == 2 * k * k  # (0, 1), then the negative-only word
+        assert counts["prefix_rec_choice"] == 2 * k
+        assert counts["prefix_rec_bin_out"] == k * k  # (0, 1) only
+        assert inst.var_family_counts["prefix_rec_aux"] == 2 * k * k
+
+    def test_suffix_chain_inherits_from_left_extensions(self):
+        # (1, 1) is a suffix of the negative (0, 1, 1) only; (0, 1) of the positive only
+        k = 2
+        inst = encode_suffix(Sample.build(2, [(1, 0, 1)], [(0, 1, 1)]), k)
+        counts = inst.family_clause_counts()
+        # (0, 1) is inside (1, 0, 1): all starts, k^3 terms; (1, 0, 1) is pruned: k^2
+        assert inst.var_family_counts["suffix_rec_aux"] == k**3 + k * k
+        assert counts["suffix_rec_ternary"] == k**3 + k * k  # (1, 1), then (0, 1, 1)
+        assert "suffix_rec_bin_out" not in counts
+
+    def test_hybrid_head_and_tail_inherit_the_word_mark(self):
+        k = 2
+        sample = Sample.build(2, [(0, 1, 1, 0)], [(1, 0, 0, 1)])
+        inst = encode_hybrid(sample, k, {(0, 1, 1, 0): 2, (1, 0, 0, 1): 2})
+        # the positive word's head (0, 1) and tail (1, 0) get aux variables, the
+        # negative word's head (1, 0) and tail (0, 1) reverse clauses only
+        assert inst.var_family_counts["prefix_rec_aux"] == k * k
+        assert inst.family_clause_counts()["prefix_rec_ternary"] == k * k
+        assert inst.var_family_counts["suffix_rec_aux"] == k**3  # linked tails: all starts
+        assert inst.family_clause_counts()["suffix_rec_ternary"] == k**3
+        assert not {"prefix_rec_bin_out", "suffix_rec_bin_out"} & set(inst.family_hist)
+
+
+def _random_target(rng: random.Random, n: int, k: int) -> Nfa:
+    transitions = frozenset(
+        (i, a, j)
+        for i in range(1, k + 1)
+        for a in range(n)
+        for j in range(1, k + 1)
+        if rng.random() < 0.4
+    )
+    finals = frozenset(i for i in range(1, k + 1) if rng.random() < 0.5)
+    return Nfa(k, n, transitions, finals)
+
+
+def test_planted_target_satisfies_every_model():
+    """A target NFA fixed as units satisfies every encoding of the words it labels.
+
+    The reach and auxiliary variables are left free, so this checks that the
+    halves each definition drops are never needed by a consistent NFA.
+    """
+    rng = random.Random(2024)
+    for _ in range(24):
+        n, k = rng.choice((2, 3)), rng.choice((2, 3))
+        target = _random_target(rng, n, k)
+        words = {
+            tuple(rng.randrange(n) for _ in range(rng.randint(0, 7))) for _ in range(16)
+        }
+        positives = {w for w in words if accepts(target, w)}
+        sample = Sample.build(n, positives, words - positives)
+        instances = {
+            "pm": encode_prefix(sample, k),
+            "sm": encode_suffix(sample, k),
+            "hm-prefix": encode_hybrid(sample, k, all_prefix_cuts(sample)),
+            "hm-suffix": encode_hybrid(sample, k, all_suffix_cuts(sample)),
+            "hm-random": encode_hybrid(sample, k, random_cut_assignment(rng, sample)),
+        }
+        if sum(k ** len(w) for w in words) <= 3000:
+            instances["dm"] = encode_direct(sample, k)
+        for label, inst in instances.items():
+            for i in range(1, k + 1):
+                f = inst.lookup(final_var(i))
+                inst.add_clause([f if i in target.finals else -f])
+                for a in range(n):
+                    for j in range(1, k + 1):
+                        t = inst.lookup(trans_var(a, i, j))
+                        inst.add_clause([t if (i, a, j) in target.transitions else -t])
+            assert solve_status(inst) == "SAT", (label, target, sample)
 
 
 class TestSizeEstimates:
@@ -309,34 +417,34 @@ def _sha(text: str) -> str:
 PINNED_CASES = {
     ((2, 30, 6, 0.5, 3), 2): {
         "dm": (
-            "860f97daf26ea42fe9f90397abbbc57fce47d5d4dbf2ce982620b8e98e13974a",
-            "88fe0b065170d61e",
+            "83ed7e5e20c6586e8203f4779ce17135fc509df0d93e3836316b68cf019d7cc6",
+            "0b613da3e3e6c524",
         ),
         "pm": (
-            "92e69f4d0f3c52a4983337d7d6918aced617fcad3f32c9cfd198ddab958a9485",
-            "fe3f5859ef94b974",
+            "b2136fca3396ecf56196cdbab422d14b37f8c4ab5aebc87370839b11a0abb5e5",
+            "085b7b85da90a441",
         ),
         "sm": (
-            "5d6489485a45ce921681e25b0cf94d0e728a540de4c73051e2cc3afc4ab31026",
-            "94bd96d33a9b67a3",
+            "1830e681760a0351225228e6932e07cd1bc8251322a7edda4c75d138302a8317",
+            "6f927bc9c688e7b9",
         ),
         "hm-ils": (
-            "db1e43cfcfbb6447e4ad6c6243854a97b3e9294add9880fb78bba58f9e36a79d",
-            "6c01f421b96f2bcc",
+            "a58cd6133df678a532cb297fc632d5015070959f7da853ce6cc9d95b2216f5d0",
+            "e126a5c6bccdd0e4",
         ),
     },
     ((3, 40, 8, 0.5, 5), 3): {
         "pm": (
-            "b9db31b98ce138b4b882ad926ba564d7e2466999ce95c4d80bf02934f1b2a98c",
-            "bc1009756d4f34bf",
+            "5b37a8bacc868ec632a9815aa0f830a38a49778ace88f1760b2542ef8c2dcf07",
+            "914e33bd4db11b68",
         ),
         "sm": (
-            "babbc37bb4bece1ccb6705db9814e4ba2ffb563b5094a3bf02c92b63f54bf13f",
-            "72e1187dc4fd19b4",
+            "62462e476b7e4c91fce59c76075d174427497f905b15118d4e1331b77f23068a",
+            "38c382ad05279160",
         ),
         "hm-ils": (
-            "a12ac97b05228deb4a09761874320eb07bdd44b71e47a82790db4693c33fcb9e",
-            "dd3ef7c79a459c49",
+            "628e99612f705b6feced147e8d26ec98890501f42d773739cf98c3232210cc45",
+            "6ac15b416a5fdb71",
         ),
     },
 }

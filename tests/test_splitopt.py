@@ -288,7 +288,7 @@ PINNED_TRAJECTORIES = {
     ((2, 40, 8, 0.5, 3), 3, 1, (("population_size", 20), ("max_gen", 40))): {
         "ils": (83, 167, 224, "030805648acc9b57", "9c8f955a70019e6c"),
         "ga": (67, 106, 41, "c81b36664ef396e4", "a5404f338560b104"),
-        "hm-ga": "f1adad9a09aeb934c56bfeb8e5ad1fbae0f8f446beca0bad6da44edfe93253a6",
+        "hm-ga": "0801cfcf6d15cf7b5d5912c43a276e9ca1cb1229214ea082a6ace029cc739dde",
     },
     (
         (3, 60, 10, 0.5, 7),
@@ -299,7 +299,7 @@ PINNED_TRAJECTORIES = {
     ): {
         "ils": (226, 491, 297, "97e1248c590cbe0d", "dea694806a84feb7"),
         "ga": (237, 346, 47, "d638aeb7d9af7f10", "430c1b3e9c19081e"),
-        "hm-ga": "5dbdc694766368986e778c38b84a726deeeab9dc66f5a84a6171b4fd80f3d710",
+        "hm-ga": "91eacaa92edd52122b1fc45bee6ae5673fe0a978a3547fbeb0c69e4a4f5f6492",
     },
 }
 
