@@ -7,19 +7,18 @@ in how word acceptance is expressed:
 * direct: one auxiliary variable per explicit state path of each positive
   word (k^|w| of them) and one blocking clause per state path of each
   negative word.  Exponential; only small instances are tractable.
-* prefix: one variable per (non-empty prefix, end state) meaning "some run
-  for the prefix reaches this state from the start".  A one-letter prefix
-  is its transition row out of state 1; longer ones are defined from their
-  parent prefix through auxiliary conjunction variables over k^2 state pairs.
-* suffix: one variable per (non-empty suffix, start state, end state); the
-  chain grows leftwards and costs k^3 auxiliaries per suffix.  A one-letter
-  suffix is its transition table.  Runs that can only ever start in state 1
-  (full sample words not shared as suffixes of longer words) are pruned to
-  start state 1.
-* hybrid: each word is cut into a prefix part and a suffix part; the prefix
-  machinery covers the prefix parts, the suffix machinery the suffix parts,
-  and per-word linking clauses tie the two halves together at the cut state.
-  Cut 0 or cut |w| collapse to the pure suffix/prefix forms.
+* hybrid: each word is cut into a prefix part and a suffix part.  A prefix
+  part gets one variable per end state, "some run for it reaches this state
+  from the start"; a one-letter prefix is its transition row out of state 1,
+  a longer one is defined from its parent prefix over k^2 state pairs.  A
+  suffix part gets one variable per start and end state; a one-letter suffix
+  is its transition table, a longer one is defined leftwards over k^3
+  triples.  A suffix that is never linked behind a prefix part nor shared
+  inside a longer suffix only runs from state 1 and keeps that row only.
+  A word cut inside is linked at the cut state; a word cut at an end takes
+  the verdict of its one part.
+* prefix: the hybrid with every word cut at |w|.
+* suffix: the hybrid with every word cut at 0.
 
 Every prefix, suffix, link, direct-path and accept definition goes through
 one helper, ``_define``: each output is the OR of AND terms, with one
@@ -29,8 +28,8 @@ that is accepted needs "reach => some path" of its reach variables, a word
 that is rejected needs "some path => reach".  So each closure word carries
 polarity bits: a positive sample word marks its closure word positive and a
 negative one marks it negative; a prefix (suffix) takes the union of the
-marks of the words one letter longer on the right (left); in the hybrid
-model a word's head and tail both take the word's mark.  Per definition:
+marks of the words one letter longer on the right (left); a word's prefix
+part and suffix part both take the word's mark.  Per definition:
 
 * positive use only: per term one [-x, lit] per conjunct; then one choice
   clause per output ([-y, aux...], or a single [aux...] when the OR is
@@ -66,6 +65,8 @@ from .sample import (
     SampleError,
     SplitAssignment,
     Word,
+    all_prefix_cuts,
+    all_suffix_cuts,
     prefixes,
     split_sets,
     suffixes,
@@ -295,16 +296,6 @@ def _emit_verdict(inst: CnfInstance, reach: list[int], finals: list[int], positi
         inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
 
 
-def _emit_verdicts(
-    inst: CnfInstance, sample: Sample, finals: list[int], reach: Callable[[Word], list[int]]
-) -> None:
-    """Accept the non-empty positive words and reject the non-empty negative ones."""
-    for words, positive in ((sample.sorted_positives(), True), (sample.sorted_negatives(), False)):
-        for word in words:
-            if word:
-                _emit_verdict(inst, reach(word), finals, positive)
-
-
 # ---------------------------------------------------------------------------
 # The four encoders.
 # ---------------------------------------------------------------------------
@@ -350,23 +341,15 @@ def _path_conjuncts(
 def encode_prefix(
     sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
 ) -> CnfInstance:
-    """Prefix-closure encoding: one reach variable per prefix and end state."""
-    _check_budget(estimate_size(ModelKind.PREFIX, sample, k).total_literals(), literal_budget)
-    inst, finals, trans = _base_instance(sample, k)
-    reach = _emit_prefix_chain(inst, _marks(sample), trans, k)
-    _emit_verdicts(inst, sample, finals, reach.__getitem__)
-    return inst
+    """Prefix-closure encoding: the hybrid with every word cut at its end."""
+    return encode_hybrid(sample, k, all_prefix_cuts(sample), literal_budget)
 
 
 def encode_suffix(
     sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
 ) -> CnfInstance:
-    """Suffix-closure encoding with start-state pruning for top-level words."""
-    _check_budget(estimate_size(ModelKind.SUFFIX, sample, k).total_literals(), literal_budget)
-    inst, finals, trans = _base_instance(sample, k)
-    rows = _emit_suffix_chain(inst, _marks(sample), set(), trans, k)
-    _emit_verdicts(inst, sample, finals, lambda word: rows[word][0])
-    return inst
+    """Suffix-closure encoding: the hybrid with every word cut at its start."""
+    return encode_hybrid(sample, k, all_suffix_cuts(sample), literal_budget)
 
 
 def encode_hybrid(
@@ -499,8 +482,6 @@ def estimate_size(
     cuts: SplitAssignment | None = None,
 ) -> SizeEstimate:
     n = sample.alphabet_size
-    pos = len(sample.positives)
-    neg = len(sample.negatives)
     lam = int(() in sample.positives) + int(() in sample.negatives)
 
     variables = {"final": k, "transition": n * k * k}
@@ -509,6 +490,7 @@ def estimate_size(
         clauses["empty_word_unit"] = (lam, 1)
 
     if kind == ModelKind.DIRECT:
+        pos, neg = len(sample.positives), len(sample.negatives)
         wplus = max((len(w) for w in sample.positives), default=0)
         wminus = max((len(w) for w in sample.negatives), default=0)
         paths_plus = k**wplus
@@ -518,59 +500,53 @@ def estimate_size(
         clauses["direct_reject"] = (neg * k**wminus, wminus + 1)
         return SizeEstimate(variables, clauses)
 
-    def accept_reject_bounds(n_pos: int, n_neg: int) -> None:
-        clauses["accept_bin"] = (2 * k * n_pos, 2)
-        clauses["accept_choice"] = (n_pos, k)
-        clauses["reject_bin"] = (k * n_neg, 2)
-        variables["accept_aux"] = n_pos * k
-
-    def prefix_bounds(closure: set[Word]) -> None:
-        long = _long_closure_count(closure)
-        variables["prefix_path"] = long * k
-        variables["prefix_rec_aux"] = long * k * k
-        clauses["prefix_rec_bin_prev"] = (long * k * k, 2)
-        clauses["prefix_rec_bin_trans"] = (long * k * k, 2)
-        clauses["prefix_rec_ternary"] = (long * k * k, 3)
-        clauses["prefix_rec_choice"] = (long * k, k + 1)
-        clauses["prefix_rec_bin_out"] = (long * k * k, 2)
-
-    def suffix_bounds(closure: set[Word]) -> None:
-        long = _long_closure_count(closure)
-        variables["suffix_path"] = long * k * k
-        variables["suffix_rec_aux"] = long * k * k * k
-        clauses["suffix_rec_bin_tail"] = (long * k**3, 2)
-        clauses["suffix_rec_bin_trans"] = (long * k**3, 2)
-        clauses["suffix_rec_ternary"] = (long * k**3, 3)
-        clauses["suffix_rec_choice"] = (long * k * k, k + 1)
-        clauses["suffix_rec_bin_out"] = (long * k**3, 2)
-
+    # pm and sm are the hybrid with every word cut at its end or at its start.
     if kind == ModelKind.PREFIX:
-        accept_reject_bounds(pos, neg)
-        prefix_bounds(prefixes(set(sample.words())))
-        return SizeEstimate(variables, clauses)
-
-    if kind == ModelKind.SUFFIX:
-        accept_reject_bounds(pos, neg)
-        suffix_bounds(suffixes(set(sample.words())))
-        return SizeEstimate(variables, clauses)
-
-    if kind == ModelKind.HYBRID:
-        if cuts is None:
-            raise ValueError("the hybrid estimate requires a split assignment")
-        prefix_parts, suffix_parts = split_sets(sample, cuts)
-        pure_prefix_pos = sum(1 for w in sample.positives if w and cuts[w] == len(w))
-        pure_prefix_neg = sum(1 for w in sample.negatives if w and cuts[w] == len(w))
-        pure_suffix_pos = sum(1 for w in sample.positives if w and cuts[w] == 0)
-        pure_suffix_neg = sum(1 for w in sample.negatives if w and cuts[w] == 0)
-        linked_pos = sum(1 for w in sample.positives if w and 0 < cuts[w] < len(w))
-        linked_neg = sum(1 for w in sample.negatives if w and 0 < cuts[w] < len(w))
-        accept_reject_bounds(pure_prefix_pos + pure_suffix_pos, pure_prefix_neg + pure_suffix_neg)
-        prefix_bounds(prefixes(prefix_parts))
-        suffix_bounds(suffixes(suffix_parts))
-        variables["link_aux"] = linked_pos * k * k
-        clauses["link_bin"] = (3 * k * k * linked_pos, 2)
-        clauses["link_choice"] = (linked_pos, k * k)
-        clauses["link_reject_ternary"] = (k * k * linked_neg, 3)
-        return SizeEstimate(variables, clauses)
-
-    raise ValueError(f"unknown model kind {kind!r}")
+        cuts = all_prefix_cuts(sample)
+    elif kind == ModelKind.SUFFIX:
+        cuts = all_suffix_cuts(sample)
+    elif kind != ModelKind.HYBRID:
+        raise ValueError(f"unknown model kind {kind!r}")
+    elif cuts is None:
+        raise ValueError("the hybrid estimate requires a split assignment")
+    prefix_parts, suffix_parts = split_sets(sample, cuts)
+    # a word cut inside is linked; every other non-empty word gets a verdict
+    linked_pos = linked_neg = 0
+    for word, cut in cuts.items():
+        if 0 < cut < len(word):
+            linked_pos += word in sample.positives
+            linked_neg += word in sample.negatives
+    accepted = len(sample.positives) - (() in sample.positives) - linked_pos
+    rejected = len(sample.negatives) - (() in sample.negatives) - linked_neg
+    long_prefixes = _long_closure_count(prefixes(prefix_parts))
+    long_suffixes = _long_closure_count(suffixes(suffix_parts))
+    variables.update(
+        accept_aux=accepted * k,
+        prefix_path=long_prefixes * k,
+        prefix_rec_aux=long_prefixes * k * k,
+        suffix_path=long_suffixes * k * k,
+        suffix_rec_aux=long_suffixes * k**3,
+        link_aux=linked_pos * k * k,
+    )
+    clauses.update(
+        accept_bin=(2 * k * accepted, 2),
+        accept_choice=(accepted, k),
+        reject_bin=(k * rejected, 2),
+        prefix_rec_bin_prev=(long_prefixes * k * k, 2),
+        prefix_rec_bin_trans=(long_prefixes * k * k, 2),
+        prefix_rec_ternary=(long_prefixes * k * k, 3),
+        prefix_rec_choice=(long_prefixes * k, k + 1),
+        prefix_rec_bin_out=(long_prefixes * k * k, 2),
+        suffix_rec_bin_tail=(long_suffixes * k**3, 2),
+        suffix_rec_bin_trans=(long_suffixes * k**3, 2),
+        suffix_rec_ternary=(long_suffixes * k**3, 3),
+        suffix_rec_choice=(long_suffixes * k * k, k + 1),
+        suffix_rec_bin_out=(long_suffixes * k**3, 2),
+        link_bin=(3 * k * k * linked_pos, 2),
+        link_choice=(linked_pos, k * k),
+        link_reject_ternary=(k * k * linked_neg, 3),
+    )
+    return SizeEstimate(
+        {family: bound for family, bound in variables.items() if bound},
+        {family: bound for family, bound in clauses.items() if bound[0]},
+    )

@@ -108,11 +108,10 @@ def suffixes(words: Iterable[Word]) -> set[Word]:
 
 def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
     """Check that cuts cover exactly the non-empty sample words, in range."""
-    expected = set(sample.sorted_nonempty_words())
-    given = set(cuts)
-    if given != expected:
-        missing = expected - given
-        extra = given - expected
+    expected = {w for w in sample.words() if w}
+    if cuts.keys() != expected:
+        missing = expected - cuts.keys()
+        extra = cuts.keys() - expected
         parts = []
         if missing:
             parts.append(f"{len(missing)} word(s) missing a cut")
@@ -120,7 +119,7 @@ def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
             parts.append(f"{len(extra)} cut(s) for words not in the sample")
         raise SampleError("invalid split assignment: " + ", ".join(parts))
     for word, cut in cuts.items():
-        if not isinstance(cut, int) or not 0 <= cut <= len(word):
+        if type(cut) is not int or not 0 <= cut <= len(word):  # a bool is an int subclass
             raise SampleError(f"cut {cut!r} is not an integer in 0..{len(word)}")
 
 

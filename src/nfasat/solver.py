@@ -71,7 +71,7 @@ def _render_command(template: str, cnf_path: str, timeout_seconds: float) -> lis
     return rendered
 
 
-def _parse_solver_output(text: str, decision_pattern: str) -> tuple[str, list[int], int | None]:
+def _parse_solver_output(text: str) -> tuple[str, list[int], int | None]:
     status = None
     literals: list[int] = []
     for line in text.splitlines():
@@ -85,11 +85,14 @@ def _parse_solver_output(text: str, decision_pattern: str) -> tuple[str, list[in
                 status = UNKNOWN
         elif line.startswith("v "):
             for tok in line[2:].split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise SolverError(f"bad literal {tok!r} on a solver 'v' line") from None
                 if lit != 0:
                     literals.append(lit)
     decisions = None
-    match = re.search(decision_pattern, text, re.IGNORECASE)
+    match = re.search(DECISION_PATTERN, text, re.IGNORECASE)
     if match:
         decisions = int(match.group(1))
     if status is None:
@@ -125,7 +128,7 @@ def solve_dimacs_file(
         raise SolverError(f"failed to run solver {argv!r}: {exc}") from exc
     elapsed = time.perf_counter() - start
     output = proc.stdout + "\n" + proc.stderr
-    status, literals, decisions = _parse_solver_output(output, DECISION_PATTERN)
+    status, literals, decisions = _parse_solver_output(output)
     assignment = None
     if status == SAT:
         assignment = {abs(lit): lit > 0 for lit in literals}

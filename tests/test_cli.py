@@ -92,23 +92,17 @@ class TestGenerateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_direct_model_budget_error(self, tmp_path):
+    @pytest.mark.parametrize("model", ["dm", "pm", "sm", "hm"])
+    def test_model_budget_error(self, tmp_path, model):
         path = tmp_path / "long.txt"
         path.write_text("n=1\n" + "a" * 30 + "+\n")
+        out = tmp_path / "x.cnf"
         with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "generate",
-                    str(path),
-                    "--model",
-                    "dm",
-                    "--k",
-                    "5",
-                    "--out",
-                    str(tmp_path / "x.cnf"),
-                ]
-            )
-        assert "too large" in str(err.value)
+            main(["generate", str(path), "--model", model, "--k", "5",
+                  "--budget-literals", "1000", "--out", str(out)])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: instance too large") and "\n" not in message
+        assert not out.exists()
 
     def test_trace_export(self, tmp_path, sample_file):
         trace = tmp_path / "trace.csv"
@@ -212,6 +206,15 @@ class TestInferCommand:
         assert code == 0
         payload = json.loads((tmp_path / "out.json").read_text())
         assert payload["k"] == 2
+
+    def test_malformed_solver_output_is_one_line_error(self, tmp_path, sample_file):
+        script = tmp_path / "badsolver.py"
+        script.write_text("print('s SATISFIABLE')\nprint('v 1 x 0')\n")
+        with pytest.raises(SystemExit) as err:
+            main(["infer", str(sample_file), "--model", "pm", "--k", "2",
+                  "--solver", f"{sys.executable} {script} {{cnf}}"])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: bad literal 'x'") and "\n" not in message
 
     def test_report_total_is_sum(self):
         sample = Sample.build(2, [AB], [B])
@@ -370,8 +373,9 @@ class TestResolveCuts:
             ('{"ab": 1, ', "cuts file {path} is not valid JSON"),
             ('["ab"]', "cuts file {path} must hold a JSON object, not list"),
             ('{"ab": "1", "a": 0, "b": 0, "bb": 1}', "cut '1' is not an integer in 0..2"),
+            ('{"ab": true, "a": 0, "b": 0, "bb": 1}', "cut True is not an integer in 0..2"),
         ],
-        ids=["malformed-json", "not-an-object", "string-cut"],
+        ids=["malformed-json", "not-an-object", "string-cut", "bool-cut"],
     )
     def test_bad_cuts_file_is_one_line_error(self, tmp_path, sample_file, text, expected):
         cuts = tmp_path / "cuts.json"

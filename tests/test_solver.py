@@ -106,26 +106,28 @@ class TestExternal:
 class TestOutputParsing:
     def test_parse_sat_with_model(self):
         status, lits, decisions = _parse_solver_output(
-            "c comment\ns SATISFIABLE\nv 1 -2 0\nc decisions 17\n", r"decisions\s*(\d+)"
+            "c comment\ns SATISFIABLE\nv 1 -2 0\nc decisions 17\n"
         )
         assert status == "SAT"
         assert lits == [1, -2]
         assert decisions == 17
 
     def test_parse_unsat(self):
-        status, lits, decisions = _parse_solver_output(
-            "s UNSATISFIABLE\n", r"decisions\s*(\d+)"
-        )
+        status, lits, decisions = _parse_solver_output("s UNSATISFIABLE\n")
         assert status == "UNSAT" and lits == [] and decisions is None
 
     def test_parse_glucose_style_stats(self):
         text = "c decisions             : 3735 (0.00 % random)\ns UNSATISFIABLE\n"
-        _, _, decisions = _parse_solver_output(text, r"decisions\s*[:=]?\s*(\d+)")
+        _, _, decisions = _parse_solver_output(text)
         assert decisions == 3735
 
     def test_missing_status_raises(self):
         with pytest.raises(SolverError):
-            _parse_solver_output("v 1 0\n", r"decisions\s*(\d+)")
+            _parse_solver_output("v 1 0\n")
+
+    def test_non_integer_literal_raises(self):
+        with pytest.raises(SolverError, match="bad literal 'x'"):
+            _parse_solver_output("s SATISFIABLE\nv 1 x 0\n")
 
 
 class TestDecode:
