@@ -24,6 +24,14 @@ local learnt-clause minimization, VSIDS-style activity and phase saving.  The
 solver is deterministic: no restarts and no randomness, so identical inputs
 always take the identical search path, which keeps run reports reproducible.
 
+Stop rule.  ``solve(decided_by=m)`` returns SAT at the first decision point
+(propagation at fixpoint, no conflict) where variables 1..m are all
+assigned, and reads every still unassigned variable as false.  That is
+sound only for a formula in which any such fixpoint extends to a model and
+the caller reads no variable above m; the encoders' instances are built
+that way (``CnfInstance.decision_block``).  The default m = 0 searches until
+every variable is assigned and returns a full model.
+
 Built for the instances this package generates; for heavy lifting point the
 solver bridge at an external solver instead.
 """
@@ -388,11 +396,16 @@ class CdclSolver:
                 return var
         return 0
 
-    def solve(self, deadline: float | None = None) -> tuple[str, list[bool] | None, int]:
+    def solve(
+        self, deadline: float | None = None, decided_by: int = 0
+    ) -> tuple[str, list[bool] | None, int]:
         """Returns (status, model, decisions); model is indexed by variable.
 
         model[0] is unused padding so model[v] is the value of variable v.
+        decided_by: the stop rule's m (module docstring); 0 for a full search.
         """
+        if not 0 <= decided_by <= self.var_count:
+            raise ValueError(f"decided_by {decided_by} is outside 0..{self.var_count}")
         if self.unsat_at_load:
             return UNSAT, None, self.decisions
         if deadline is not None and time.perf_counter() >= deadline:
@@ -409,7 +422,8 @@ class CdclSolver:
                 self._record(learnt)
                 self.var_inc /= _ACTIVITY_DECAY
             else:
-                var = self._pick_variable()
+                decided = decided_by and 0 not in self.val[1 : decided_by + 1]
+                var = 0 if decided else self._pick_variable()
                 if var == 0:
                     model = [value == 1 for value in self.val[: self.var_count + 1]]
                     return SAT, model, self.decisions

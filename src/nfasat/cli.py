@@ -33,6 +33,8 @@ from .sample import (
 from .solver import (
     DEFAULT_TIMEOUT_SECONDS,
     SAT,
+    UNKNOWN,
+    UNSAT,
     SolverError,
     decode_nfa,
     solve_dimacs_file,
@@ -81,6 +83,8 @@ class RunReport:
     t_m_seconds: float | None = None
     status: str | None = None
     decisions: int | None = None
+    conflicts: int | None = None  # None on the external-solver route
+    propagations: int | None = None
     t_s_seconds: float | None = None
     fitness: int | None = None
     runs_completed: int = 1
@@ -240,6 +244,8 @@ def infer(
         outcome = solve_in_process(instance, timeout_seconds)
     report.status = outcome.status
     report.decisions = outcome.decisions
+    report.conflicts = outcome.conflicts
+    report.propagations = outcome.propagations
     report.t_s_seconds = outcome.solve_seconds
     nfa = None
     if outcome.status == SAT:
@@ -532,7 +538,7 @@ def _run(argv: list[str] | None = None) -> int:
         "--k-max",
         type=int,
         default=None,
-        help="try k, k+1, ... up to this bound and keep the first satisfiable size",
+        help="try k, k+1, ... up to this bound and stop at the first size that is not UNSAT",
     )
     p_infer.add_argument("--cuts", default="prefix")
     p_infer.add_argument("--nfa-out", default=None)
@@ -560,6 +566,9 @@ def _run(argv: list[str] | None = None) -> int:
     p_rand.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    timeout = getattr(args, "timeout", 0.0)
+    if not timeout >= 0:  # also catches nan
+        raise ConfigError(f"--timeout must be a number of seconds >= 0, got {timeout}")
     ils_params, ga_params = load_optimizer_config(getattr(args, "config", None))
 
     if args.command == "generate":
@@ -598,7 +607,7 @@ def _run(argv: list[str] | None = None) -> int:
             t_s_seconds=outcome.solve_seconds,
         )
         print(json.dumps(report.to_dict(), indent=2))
-        return 0 if outcome.status != "UNKNOWN" else 1
+        return 0 if outcome.status != UNKNOWN else 1
 
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
@@ -621,7 +630,7 @@ def _run(argv: list[str] | None = None) -> int:
                 ils_params=ils_params,
                 ga_params=ga_params,
             )
-            if report.status == "SAT":
+            if report.status != UNSAT:  # a later SAT after an UNKNOWN would not be minimal
                 break
         print(json.dumps(report.to_dict(), indent=2))
         if nfa is not None:
@@ -632,7 +641,7 @@ def _run(argv: list[str] | None = None) -> int:
                 print(payload, end="")
             if args.dot_out:
                 Path(args.dot_out).write_text(nfa_to_dot(nfa))
-        return 0
+        return 0 if report.status != UNKNOWN else 1
 
     if args.command == "bench":
         if args.runs < 1:

@@ -5,6 +5,12 @@ also carry a semantic name (a tagged tuple), so models can be decoded back
 into automaton components.  Every other variable, reach variables included,
 is allocated as an anonymous contiguous range known only by its stats
 family; the encoders keep those indices in their own tables.
+
+An encoder allocates the finals and transitions first, as variables
+1..m, and records m as the instance's decision block: once those variables
+are set, unit propagation decides the rest (see ``encoders``).  A later
+clause batch that names a variable above m clears the block to 0, so only
+instances whose every clause the encoder vouches for keep it.
 """
 
 from __future__ import annotations
@@ -41,14 +47,17 @@ class CnfInstance:
     """A clause store with a variable registry and a (family, arity) clause tally.
 
     Only final and transition variables are named; every other variable is
-    an anonymous index range.  Single writer while under construction; treat
-    as immutable afterwards.
+    an anonymous index range.  decision_block is m when setting variables
+    1..m decides the instance by unit propagation, else 0 (the module
+    docstring says who sets it).  Single writer while under construction;
+    treat as immutable afterwards.
     """
 
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
         self.trivially_unsat = False
+        self.decision_block = 0
         self.var_family_counts: Counter[str] = Counter()
         self._tally: Counter[tuple[str, int]] = Counter()
         self._index: dict[VarName, int] = {}
@@ -86,7 +95,8 @@ class CnfInstance:
 
         Literal 0, a variable beyond var_count, or one variable twice in a
         clause raises CnfError and stores nothing.  An empty clause flags the
-        instance trivially UNSAT.
+        instance trivially UNSAT; a variable above the decision block clears
+        the block.
         """
         lits = list(chain.from_iterable(clauses))
         if lits:
@@ -98,6 +108,8 @@ class CnfInstance:
             if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != len(lits):
                 clause = next(c for c in clauses if len(set(map(abs, c))) < len(c))
                 raise CnfError(f"clause {clause} names a variable twice")
+            if top > self.decision_block:
+                self.decision_block = 0
         if not all(clauses):
             self.trivially_unsat = True
         self.clauses += clauses

@@ -4,7 +4,8 @@ Prints SAT-competition style output ("s ..." verdict, "v ..." model lines,
 "c decisions N", "c conflicts N", "c propagations N") so the external-solver
 bridge can drive it like any other solver.  Exit codes follow convention:
 10 satisfiable, 20 unsatisfiable, 0 otherwise; an unreadable or malformed
-input file prints one "nfasat-solve: error: ..." line and exits 1.
+input file or a timeout that is negative or not a number prints one
+"nfasat-solve: error: ..." line and exits 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.timeout is not None and not args.timeout >= 0:  # also catches nan
+        message = f"--timeout must be a number of seconds >= 0, got {args.timeout}"
+        print(f"nfasat-solve: error: {message}", file=sys.stderr)
+        return 1
     try:
         var_count, clauses = parse_dimacs(Path(args.cnf).read_text())
     except (CnfError, OSError) as err:

@@ -46,13 +46,43 @@ none, and any NFA consistent with the sample extends to a model by setting
 each reach and auxiliary variable to its true value.  Instance sizes stay
 polynomial in the closure sizes for all but the direct encoding.
 
-Only the final and transition variables are named in the instance.  The
-encoders index them through the tables ``_base_instance`` returns, and keep
-the reach variables of each closure word in a dict keyed by the word.
+Only the final and transition variables are named in the instance.  They
+are variables 1..m, m = k + n*k^2, allocated first; every encoder records m
+as the instance's ``decision_block``.  The encoders index them through the
+tables ``_base_instance`` returns, and keep the reach variables of each
+closure word in a dict keyed by the word.
+
+Why m decides the instance.  Take a point where unit propagation is at a
+fixpoint without conflict and every final and transition variable is set;
+read the automaton off them.  Then:
+
+* a positive-use reach variable that is not false has a real run.  A
+  one-letter word's variable is a transition, so it is true and the run is
+  that transition.  A longer word's choice clause [-y, aux...] would make y
+  false if every aux were false, so some aux x is not false; its [-x, lit]
+  binaries would make x false if a conjunct were false, so every conjunct
+  is not false: the transition is true and, by induction on the length,
+  the shorter reach variable has a real run that the transition extends;
+* a negative-use reach variable that has a real run is true.  The run
+  splits into a shorter real run (whose variable is negative-use too, as
+  marks pass down the chain, so true by induction, or a true transition)
+  and a true transition; the term's reverse clause, [y, -lits...] or
+  [x, -lits...] with [y, -x], then forces y true.
+
+So every accepted word has an accepting run: its asserted OR (the accept
+clause, a hybrid positive link, a direct positive word) keeps some aux not
+false, whose binaries keep every conjunct not false: real runs into a final
+state.  Every rejected word has none: a run to a final state would make its
+reject or link-reject clause (over true reach variables and a true final),
+or its direct blocking clause, all false, which is a conflict.  The empty
+word's units name only finals.  The automaton is therefore consistent with
+the sample, and by completeness the instance is satisfiable; the solver can
+stop there (``cdcl``'s stop rule).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product, repeat
@@ -67,9 +97,7 @@ from .sample import (
     Word,
     all_prefix_cuts,
     all_suffix_cuts,
-    prefixes,
-    split_sets,
-    suffixes,
+    validate_cuts,
     word_key,
 )
 
@@ -196,6 +224,19 @@ def _marks(sample: Sample) -> list[tuple[Word, int]]:
     return [(w, _POSITIVE) for w in sample.positives] + [(w, _NEGATIVE) for w in sample.negatives]
 
 
+def _part_uses(sample: Sample, cuts: SplitAssignment) -> tuple[dict[Word, int], dict[Word, int]]:
+    """Polarity bits of the prefix closure of the words' heads and the suffix
+    closure of their tails, after checking the cuts."""
+    validate_cuts(sample, cuts)
+    marked = [(word, bits) for word, bits in _marks(sample) if word]
+    heads = [(w[: cuts[w]], bits) for w, bits in marked]
+    tails = [(w[cuts[w] :], bits) for w, bits in marked]
+    return (
+        _closure_uses(heads, lambda word: word[:-1]),
+        _closure_uses(tails, lambda word: word[1:]),
+    )
+
+
 def _closure_uses(
     marked: Iterable[tuple[Word, int]], parent: Callable[[Word], Word]
 ) -> dict[Word, int]:
@@ -214,15 +255,14 @@ def _closure_uses(
 
 
 def _emit_prefix_chain(
-    inst: CnfInstance, marked: Iterable[tuple[Word, int]], trans: list[Table], k: int
+    inst: CnfInstance, uses: dict[Word, int], trans: list[Table], k: int
 ) -> dict[Word, list[int]]:
-    """Define reach-from-start variables for every prefix of the marked words.
+    """Define reach-from-start variables for every word of a prefix closure.
 
-    Returns per prefix the variables "a run for it reaches state i from
-    state 1", at index i - 1.
+    uses: the closure with its polarity bits.  Returns per prefix the
+    variables "a run for it reaches state i from state 1", at index i - 1.
     """
     states = range(k)
-    uses = _closure_uses(marked, lambda word: word[:-1])
     reach: dict[Word, list[int]] = {}
     for word in sorted(uses, key=word_key):
         if len(word) == 1:
@@ -253,19 +293,19 @@ def _suffix_all_start_words(suffix_set: Iterable[Word], linked: set[Word]) -> se
 
 def _emit_suffix_chain(
     inst: CnfInstance,
-    marked: Iterable[tuple[Word, int]],
+    uses: dict[Word, int],
     linked: set[Word],
     trans: list[Table],
     k: int,
 ) -> dict[Word, Table]:
-    """Define segment-run variables for every suffix of the marked words.
+    """Define segment-run variables for every word of a suffix closure.
 
-    linked: the suffix parts that follow a non-empty prefix part.  Returns
-    per suffix the variables "a run for it leads from state i to state j",
-    at [i - 1][j - 1]; a suffix pruned to start state 1 has that row only.
+    uses: the closure with its polarity bits.  linked: the suffix parts that
+    follow a non-empty prefix part.  Returns per suffix the variables "a run
+    for it leads from state i to state j", at [i - 1][j - 1]; a suffix
+    pruned to start state 1 has that row only.
     """
     states = range(k)
-    uses = _closure_uses(marked, lambda word: word[1:])
     all_start_words = _suffix_all_start_words(uses, linked)
     reach: dict[Word, Table] = {}
     for word in sorted(uses, key=word_key):
@@ -322,7 +362,13 @@ def encode_direct(
             paths = product(states, repeat=len(word))
             blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
             inst.add_clauses(blocked, repeat("direct_reject"))
+    inst.decision_block = _block_size(sample, k)
     return inst
+
+
+def _block_size(sample: Sample, k: int) -> int:
+    """m: the k finals and n*k^2 transitions, which ``_base_instance`` allocates first."""
+    return k + sample.alphabet_size * k * k
 
 
 def _path_conjuncts(
@@ -359,16 +405,13 @@ def encode_hybrid(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     """Split-word encoding: prefix machinery feeds suffix machinery per word."""
-    _check_budget(
-        estimate_size(ModelKind.HYBRID, sample, k, cuts).total_literals(), literal_budget
-    )
+    prefix_uses, suffix_uses = _part_uses(sample, cuts)
+    estimate = _hybrid_estimate(sample, k, cuts, prefix_uses, suffix_uses)
+    _check_budget(estimate.total_literals(), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
-    marked = [(word, bits) for word, bits in _marks(sample) if word]
-    heads = [(w[: cuts[w]], bits) for w, bits in marked]
-    tails = [(w[cuts[w] :], bits) for w, bits in marked]
     linked = {w[cut:] for w, cut in cuts.items() if 0 < cut < len(w)}
-    prefix_reach = _emit_prefix_chain(inst, heads, trans, k)
-    suffix_rows = _emit_suffix_chain(inst, tails, linked, trans, k)
+    prefix_reach = _emit_prefix_chain(inst, prefix_uses, trans, k)
+    suffix_rows = _emit_suffix_chain(inst, suffix_uses, linked, trans, k)
 
     states = range(k)
 
@@ -397,6 +440,7 @@ def encode_hybrid(
     for word in sample.sorted_negatives():
         if word:
             emit_word(word, positive=False)
+    inst.decision_block = _block_size(sample, k)
     return inst
 
 
@@ -471,35 +515,25 @@ class SizeEstimate:
         return sum(count * arity for count, arity in self.clause_bounds.values())
 
 
-def _long_closure_count(closure: set[Word]) -> int:
-    return sum(1 for w in closure if len(w) >= 2)
-
-
 def estimate_size(
     kind: ModelKind,
     sample: Sample,
     k: int,
     cuts: SplitAssignment | None = None,
 ) -> SizeEstimate:
-    n = sample.alphabet_size
-    lam = int(() in sample.positives) + int(() in sample.negatives)
-
-    variables = {"final": k, "transition": n * k * k}
-    clauses: dict[str, tuple[int, int]] = {}
-    if lam:
-        clauses["empty_word_unit"] = (lam, 1)
-
     if kind == ModelKind.DIRECT:
         pos, neg = len(sample.positives), len(sample.negatives)
         wplus = max((len(w) for w in sample.positives), default=0)
         wminus = max((len(w) for w in sample.negatives), default=0)
         paths_plus = k**wplus
-        variables["direct_path_aux"] = pos * paths_plus
-        clauses["direct_bin"] = (pos * (wplus + 1) * paths_plus, 2)
-        clauses["direct_choice"] = (pos, paths_plus)
-        clauses["direct_reject"] = (neg * k**wminus, wminus + 1)
-        return SizeEstimate(variables, clauses)
-
+        estimate = _base_estimate(sample, k)
+        estimate.variable_bounds["direct_path_aux"] = pos * paths_plus
+        estimate.clause_bounds.update(
+            direct_bin=(pos * (wplus + 1) * paths_plus, 2),
+            direct_choice=(pos, paths_plus),
+            direct_reject=(neg * k**wminus, wminus + 1),
+        )
+        return estimate
     # pm and sm are the hybrid with every word cut at its end or at its start.
     if kind == ModelKind.PREFIX:
         cuts = all_prefix_cuts(sample)
@@ -509,7 +543,29 @@ def estimate_size(
         raise ValueError(f"unknown model kind {kind!r}")
     elif cuts is None:
         raise ValueError("the hybrid estimate requires a split assignment")
-    prefix_parts, suffix_parts = split_sets(sample, cuts)
+    return _hybrid_estimate(sample, k, cuts, *_part_uses(sample, cuts))
+
+
+def _base_estimate(sample: Sample, k: int) -> SizeEstimate:
+    """Finals, transitions and the empty-word units."""
+    lam = int(() in sample.positives) + int(() in sample.negatives)
+    clauses = {"empty_word_unit": (lam, 1)} if lam else {}
+    return SizeEstimate({"final": k, "transition": sample.alphabet_size * k * k}, clauses)
+
+
+def _hybrid_estimate(
+    sample: Sample,
+    k: int,
+    cuts: SplitAssignment,
+    prefix_uses: dict[Word, int],
+    suffix_uses: dict[Word, int],
+) -> SizeEstimate:
+    """Bounds for validated cuts, each chain definition by its polarity class.
+
+    A positive-use definition has aux variables, binaries and choice clauses,
+    a negative-use one only reverse clauses, a shared one all of these plus
+    output binaries (module docstring).  One-letter words are transitions.
+    """
     # a word cut inside is linked; every other non-empty word gets a verdict
     linked_pos = linked_neg = 0
     for word, cut in cuts.items():
@@ -518,35 +574,39 @@ def estimate_size(
             linked_neg += word in sample.negatives
     accepted = len(sample.positives) - (() in sample.positives) - linked_pos
     rejected = len(sample.negatives) - (() in sample.negatives) - linked_neg
-    long_prefixes = _long_closure_count(prefixes(prefix_parts))
-    long_suffixes = _long_closure_count(suffixes(suffix_parts))
-    variables.update(
+    pre = Counter(bits for word, bits in prefix_uses.items() if len(word) >= 2)
+    suf = Counter(bits for word, bits in suffix_uses.items() if len(word) >= 2)
+    # definitions with aux variables (forward) and with reverse clauses
+    pre_fwd, pre_rev = pre[_POSITIVE] + pre[_BOTH], pre[_NEGATIVE] + pre[_BOTH]
+    suf_fwd, suf_rev = suf[_POSITIVE] + suf[_BOTH], suf[_NEGATIVE] + suf[_BOTH]
+    estimate = _base_estimate(sample, k)
+    estimate.variable_bounds.update(
         accept_aux=accepted * k,
-        prefix_path=long_prefixes * k,
-        prefix_rec_aux=long_prefixes * k * k,
-        suffix_path=long_suffixes * k * k,
-        suffix_rec_aux=long_suffixes * k**3,
+        prefix_path=pre.total() * k,
+        prefix_rec_aux=pre_fwd * k * k,
+        suffix_path=suf.total() * k * k,
+        suffix_rec_aux=suf_fwd * k**3,
         link_aux=linked_pos * k * k,
     )
-    clauses.update(
+    estimate.clause_bounds.update(
         accept_bin=(2 * k * accepted, 2),
         accept_choice=(accepted, k),
         reject_bin=(k * rejected, 2),
-        prefix_rec_bin_prev=(long_prefixes * k * k, 2),
-        prefix_rec_bin_trans=(long_prefixes * k * k, 2),
-        prefix_rec_ternary=(long_prefixes * k * k, 3),
-        prefix_rec_choice=(long_prefixes * k, k + 1),
-        prefix_rec_bin_out=(long_prefixes * k * k, 2),
-        suffix_rec_bin_tail=(long_suffixes * k**3, 2),
-        suffix_rec_bin_trans=(long_suffixes * k**3, 2),
-        suffix_rec_ternary=(long_suffixes * k**3, 3),
-        suffix_rec_choice=(long_suffixes * k * k, k + 1),
-        suffix_rec_bin_out=(long_suffixes * k**3, 2),
+        prefix_rec_bin_prev=(pre_fwd * k * k, 2),
+        prefix_rec_bin_trans=(pre_fwd * k * k, 2),
+        prefix_rec_ternary=(pre_rev * k * k, 3),
+        prefix_rec_choice=(pre_fwd * k, k + 1),
+        prefix_rec_bin_out=(pre[_BOTH] * k * k, 2),
+        suffix_rec_bin_tail=(suf_fwd * k**3, 2),
+        suffix_rec_bin_trans=(suf_fwd * k**3, 2),
+        suffix_rec_ternary=(suf_rev * k**3, 3),
+        suffix_rec_choice=(suf_fwd * k * k, k + 1),
+        suffix_rec_bin_out=(suf[_BOTH] * k**3, 2),
         link_bin=(3 * k * k * linked_pos, 2),
         link_choice=(linked_pos, k * k),
         link_reject_ternary=(k * k * linked_neg, 3),
     )
     return SizeEstimate(
-        {family: bound for family, bound in variables.items() if bound},
-        {family: bound for family, bound in clauses.items() if bound[0]},
+        {family: bound for family, bound in estimate.variable_bounds.items() if bound},
+        {family: bound for family, bound in estimate.clause_bounds.items() if bound[0]},
     )

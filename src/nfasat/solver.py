@@ -37,10 +37,14 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveOutcome:
+    """A solver's verdict; conflicts and propagations are None on the external route."""
+
     status: str
     assignment: dict[int, bool] | None
     decisions: int | None
     solve_seconds: float
+    conflicts: int | None = None
+    propagations: int | None = None
 
 
 def default_solver_command() -> str:
@@ -159,17 +163,26 @@ def solve_external(
 def solve_in_process(
     instance: CnfInstance, timeout_seconds: float | None = None
 ) -> SolveOutcome:
-    """Solve with the bundled CDCL core without leaving the process."""
+    """Solve with the bundled CDCL core without leaving the process.
+
+    The search stops once the instance's decision block (its finals and
+    transitions) is set and propagation is at a conflict-free fixpoint.  So
+    a SAT assignment is exact only on finals and transitions, which are all
+    that ``decode_nfa`` reads; it still covers every variable, with the
+    unassigned ones read as false, as ``solve_external`` does.
+    """
     start = time.perf_counter()
     deadline = start + max(timeout_seconds, 0.0) if timeout_seconds is not None else None
     solver = cdcl.CdclSolver(instance.var_count, instance.clauses)
-    status, model, decisions = solver.solve(deadline=deadline)
+    status, model, decisions = solver.solve(deadline, instance.decision_block)
     elapsed = time.perf_counter() - start
     assignment = None
     if status == SAT:
         assert model is not None
         assignment = {v: model[v] for v in range(1, instance.var_count + 1)}
-    return SolveOutcome(status, assignment, decisions, elapsed)
+    return SolveOutcome(
+        status, assignment, decisions, elapsed, solver.conflicts, solver.propagations
+    )
 
 
 def decode_nfa(assignment: dict[int, bool], registry: CnfInstance, k: int, n: int) -> Nfa:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfasat.cdcl import SAT, UNKNOWN, UNSAT, CdclSolver
@@ -164,3 +165,24 @@ def test_pigeonhole_4_into_3_unsat_through_learnt_units_and_binaries():
     assert sum(map(len, solver.bins)) > 2 * binaries
     assert not solver.trail_lim and solver.trail
     assert solver.conflicts > 0 and solver.propagations > 0
+
+
+def test_decided_by_stops_once_the_block_is_set():
+    # x1 is forced; x2 and x3 are free, so a full search decides both
+    clauses = [(1,), (2, 3), (-2, -3)]
+    full = CdclSolver(3, clauses)
+    assert full.solve()[0] == SAT and full.decisions == 1
+    early = CdclSolver(3, clauses)
+    status, model, decisions = early.solve(decided_by=1)
+    assert (status, decisions) == (SAT, 0)
+    assert model == [False, True, False, False]  # unassigned reads as false
+
+
+def test_decided_by_still_finds_conflicts_below_the_block():
+    status, _, _ = CdclSolver(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)]).solve(decided_by=1)
+    assert status == UNSAT
+
+
+def test_decided_by_out_of_range_raises():
+    with pytest.raises(ValueError):
+        CdclSolver(2, []).solve(decided_by=3)

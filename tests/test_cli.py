@@ -18,6 +18,7 @@ from nfasat.cli import (
     run_bench,
 )
 from nfasat.cnf import dimacs_text
+from nfasat.dimacs_solver import main as dimacs_solver_main
 from nfasat.encoders import ModelKind
 from nfasat.nfa import verify
 from nfasat.sample import Sample, format_sample, parse_sample
@@ -272,6 +273,38 @@ class TestInferCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "SAT"
         assert report["k"] == 2
+
+    def test_k_sweep_stops_at_first_size_that_is_not_unsat(self, tmp_path, sample_file, capsys):
+        code = main(["infer", str(sample_file), "--model", "pm", "--k", "1", "--k-max", "3",
+                     "--timeout", "0", "--nfa-out", str(tmp_path / "n.json")])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert (report["k"], report["status"]) == (1, "UNKNOWN")
+        assert not (tmp_path / "n.json").exists()
+
+    def test_report_shows_solver_counters(self, tmp_path, sample_file, capsys):
+        assert main(["infer", str(sample_file), "--model", "pm", "--k", "2",
+                     "--nfa-out", str(tmp_path / "n.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["conflicts"] >= 0 and report["propagations"] > 0
+
+
+@pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
+@pytest.mark.parametrize("command", ["infer", "solve", "nfasat-solve"])
+def test_bad_timeout_is_one_line_error(tmp_path, sample_file, capsys, command, timeout):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    expected = f"error: --timeout must be a number of seconds >= 0, got {float(timeout)}"
+    if command == "nfasat-solve":
+        assert dimacs_solver_main([str(cnf), "--timeout", timeout]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"nfasat-solve: {expected}\n")
+        return
+    target = str(sample_file) if command == "infer" else str(cnf)
+    extra = ["--model", "pm", "--k", "1"] if command == "infer" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, target, *extra, "--timeout", timeout])
+    assert str(err.value) == f"nfasat: {expected}"
 
 
 class TestResolveCuts:
@@ -702,6 +735,12 @@ class TestDimacsSolverCli:
                 counters[parts[1]] = int(parts[2])
         assert set(counters) == {"decisions", "conflicts", "propagations"}
         assert counters["propagations"] >= 3
+
+    def test_zero_timeout_is_unknown(self, tmp_path, capsys):
+        cnf = tmp_path / "one.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n")
+        assert dimacs_solver_main([str(cnf), "--timeout", "0"]) == 0
+        assert "s UNKNOWN" in capsys.readouterr().out
 
     def test_subprocess_malformed_input_one_line_error(self, tmp_path):
         cnf = tmp_path / "bad.cnf"

@@ -157,3 +157,13 @@ def test_auxiliary_ranges_are_anonymous_and_named_by_family():
     assert inst.lookup(final_var(1)) == 1
     with pytest.raises(CnfError):
         inst.lookup(trans_var(0, 1, 1))
+
+
+def test_decision_block_survives_clauses_inside_it_and_clears_beyond():
+    inst = _two_vars()
+    aux = inst.fresh_aux("accept_aux", 1)
+    inst.decision_block = 2
+    inst.add_clause([1, -2])  # a planted unit or any clause over the block keeps it
+    assert inst.decision_block == 2
+    inst.add_clause([aux, 1])
+    assert inst.decision_block == 0

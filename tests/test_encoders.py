@@ -361,6 +361,25 @@ class TestSizeEstimates:
                     assert max(hist) <= bound_arity, (kind, family)
 
 
+@pytest.mark.parametrize("args, k", [((2, 150, 16, 0.5, 3), 5), ((3, 60, 10, 0.5, 7), 4)])
+@pytest.mark.parametrize("kind", [ModelKind.PREFIX, ModelKind.SUFFIX])
+def test_literal_estimate_within_a_fifth_of_the_instance(args, k, kind):
+    """Polarity-aware bounds keep the literal budget check close to the real size."""
+    sample = random_sample(*args)
+    literals = encode(kind, sample, k).literal_count()
+    assert literals <= estimate_size(kind, sample, k).total_literals() <= 1.2 * literals
+
+
+def test_every_encoder_records_the_finals_and_transitions_as_decision_block():
+    sample = Sample.build(2, [AB, A], [B])
+    cuts = {AB: 1, A: 0, B: 1}
+    for kind in ModelKind:
+        inst = encode(kind, sample, 3, cuts if kind == ModelKind.HYBRID else None)
+        assert inst.decision_block == 3 + 2 * 3 * 3, kind
+        assert [inst.lookup(final_var(i)) for i in (1, 2, 3)] == [1, 2, 3]
+        assert inst.lookup(trans_var(1, 3, 3)) == inst.decision_block
+
+
 class TestCrossModel:
     def test_equisatisfiable_and_sound_on_random_corpus(self):
         rng = random.Random(123)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nfasat.cdcl import CdclSolver
 from nfasat.cnf import CnfInstance, dimacs_text, final_var, trans_var
-from nfasat.encoders import encode_prefix
+from nfasat.encoders import ModelKind, encode, encode_prefix
 from nfasat.nfa import verify
 from nfasat.sample import Sample
 from nfasat.solver import (
@@ -14,6 +16,8 @@ from nfasat.solver import (
     solve_in_process,
     _parse_solver_output,
 )
+
+from oracle import oracle_exists
 
 
 def unit_instance(*units: int) -> CnfInstance:
@@ -38,6 +42,13 @@ class TestInProcess:
     def test_timeout_zero_unknown(self):
         out = solve_in_process(unit_instance(1), timeout_seconds=0)
         assert out.status == "UNKNOWN"
+
+    def test_counters_reported_in_process_only(self):
+        inst = encode_prefix(Sample.build(2, [(0, 1)], [(1,)]), 2)
+        out = solve_in_process(inst)
+        assert out.conflicts is not None and out.propagations > 0
+        external = solve_external(inst, timeout_seconds=60)
+        assert (external.conflicts, external.propagations) == (None, None)
 
     def test_assignment_covers_all_variables(self):
         inst = CnfInstance()
@@ -159,3 +170,36 @@ class TestDecode:
             if out.status == "SAT":
                 nfa = decode_nfa(out.assignment, inst, 3, 2)
                 assert verify(nfa, sample).ok
+
+
+# (n, k) pairs inside the oracle's vectorized range, n * k^2 <= 20.
+_ORACLE_SIZES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3) if n * k * k <= 20]
+
+
+@st.composite
+def _sized_samples(draw):
+    n, k = draw(st.sampled_from(_ORACLE_SIZES))
+    word = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    words = draw(st.lists(word, min_size=1, max_size=7, unique=True))
+    split = draw(st.integers(0, len(words)))
+    sample = Sample.build(n, words[:split], words[split:])
+    cuts = {w: draw(st.integers(0, len(w))) for w in sample.sorted_nonempty_words()}
+    return sample, k, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sized_samples())
+def test_early_stop_matches_full_search_and_oracle(case):
+    """Stopping once the finals and transitions are set keeps every verdict,
+    and every early SAT decodes to an NFA that verifies."""
+    sample, k, cuts = case
+    n = sample.alphabet_size
+    truth = "SAT" if oracle_exists(sample, k)[0] else "UNSAT"
+    for kind in ModelKind:
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        assert inst.decision_block == k + n * k * k
+        full_status, _, _ = CdclSolver(inst.var_count, inst.clauses).solve(decided_by=0)
+        early = solve_in_process(inst)
+        assert early.status == full_status == truth, kind
+        if early.status == "SAT":
+            assert verify(decode_nfa(early.assignment, inst, k, n), sample).ok, kind
