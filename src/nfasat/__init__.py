@@ -33,7 +33,6 @@ from .sample import (
 from .solver import (
     SolveOutcome,
     decode_nfa,
-    default_solver_command,
     solve_external,
     solve_in_process,
 )

@@ -35,6 +35,7 @@ from .solver import (
     SAT,
     UNKNOWN,
     UNSAT,
+    SolveOutcome,
     SolverError,
     decode_nfa,
     solve_dimacs_file,
@@ -83,7 +84,7 @@ class RunReport:
     t_m_seconds: float | None = None
     status: str | None = None
     decisions: int | None = None
-    conflicts: int | None = None  # None on the external-solver route
+    conflicts: int | None = None  # None when a solver process does not print it
     propagations: int | None = None
     t_s_seconds: float | None = None
     fitness: int | None = None
@@ -94,6 +95,14 @@ class RunReport:
         if self.t_m_seconds is None and self.t_s_seconds is None:
             return None
         return (self.t_m_seconds or 0.0) + (self.t_s_seconds or 0.0)
+
+    def record(self, outcome: SolveOutcome) -> None:
+        """Take the verdict, search counters and solve time of a solve."""
+        self.status = outcome.status
+        self.decisions = outcome.decisions
+        self.conflicts = outcome.conflicts
+        self.propagations = outcome.propagations
+        self.t_s_seconds = outcome.solve_seconds
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -242,11 +251,7 @@ def infer(
         outcome = solve_external(instance, solver_cmd, timeout_seconds)
     else:
         outcome = solve_in_process(instance, timeout_seconds)
-    report.status = outcome.status
-    report.decisions = outcome.decisions
-    report.conflicts = outcome.conflicts
-    report.propagations = outcome.propagations
-    report.t_s_seconds = outcome.solve_seconds
+    report.record(outcome)
     nfa = None
     if outcome.status == SAT:
         assert outcome.assignment is not None
@@ -482,17 +487,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("plain", "abbadingo"), default="plain")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-literals", type=int, default=DEFAULT_LITERAL_BUDGET)
+    p.add_argument("--config", help="JSON file overriding ILS/GA optimizer parameters")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_SECONDS)
     p.add_argument(
         "--solver",
         default=None,
         help="external solver command template with {cnf} and {timeout} placeholders; "
         "omit to solve with the bundled solver in-process",
-    )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="JSON file overriding ILS/GA optimizer parameters",
     )
 
 
@@ -527,8 +531,7 @@ def _run(argv: list[str] | None = None) -> int:
 
     p_solve = sub.add_parser("solve", help="run a SAT solver on a DIMACS file")
     p_solve.add_argument("cnf")
-    p_solve.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_SECONDS)
-    p_solve.add_argument("--solver", default=None)
+    _add_solver_flags(p_solve)
 
     p_infer = sub.add_parser("infer", help="generate, solve, decode, and verify")
     p_infer.add_argument("sample")
@@ -544,6 +547,7 @@ def _run(argv: list[str] | None = None) -> int:
     p_infer.add_argument("--nfa-out", default=None)
     p_infer.add_argument("--dot-out", default=None)
     _add_common_flags(p_infer)
+    _add_solver_flags(p_infer)
 
     p_bench = sub.add_parser("bench", help="compare models over a sample directory")
     p_bench.add_argument("sample_dir")
@@ -556,6 +560,7 @@ def _run(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--glob", default="*.txt")
     p_bench.add_argument("--out-csv", required=True)
     _add_common_flags(p_bench)
+    _add_solver_flags(p_bench)
 
     p_rand = sub.add_parser("random-sample", help="emit a reproducible random sample")
     p_rand.add_argument("--n", type=int, required=True)
@@ -598,14 +603,8 @@ def _run(argv: list[str] | None = None) -> int:
 
     if args.command == "solve":
         outcome = solve_dimacs_file(args.cnf, args.solver, args.timeout)
-        report = RunReport(
-            instance=Path(args.cnf).stem,
-            model="-",
-            k=0,
-            status=outcome.status,
-            decisions=outcome.decisions,
-            t_s_seconds=outcome.solve_seconds,
-        )
+        report = RunReport(instance=Path(args.cnf).stem, model="-", k=0)
+        report.record(outcome)
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if outcome.status != UNKNOWN else 1
 

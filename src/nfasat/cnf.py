@@ -56,7 +56,6 @@ class CnfInstance:
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
-        self.trivially_unsat = False
         self.decision_block = 0
         self.var_family_counts: Counter[str] = Counter()
         self._tally: Counter[tuple[str, int]] = Counter()
@@ -94,9 +93,8 @@ class CnfInstance:
         """Store clauses, the i-th under the i-th family, after checking the batch.
 
         Literal 0, a variable beyond var_count, or one variable twice in a
-        clause raises CnfError and stores nothing.  An empty clause flags the
-        instance trivially UNSAT; a variable above the decision block clears
-        the block.
+        clause raises CnfError and stores nothing.  A variable above the
+        decision block clears the block.
         """
         lits = list(chain.from_iterable(clauses))
         if lits:
@@ -110,8 +108,6 @@ class CnfInstance:
                 raise CnfError(f"clause {clause} names a variable twice")
             if top > self.decision_block:
                 self.decision_block = 0
-        if not all(clauses):
-            self.trivially_unsat = True
         self.clauses += clauses
         self._tally.update(zip(families, map(len, clauses)))
 

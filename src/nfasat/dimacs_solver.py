@@ -1,10 +1,10 @@
-"""Command-line DIMACS CNF solver built on the bundled CDCL core.
+"""Command-line DIMACS CNF solver: prints what ``solve_dimacs_file`` finds.
 
 Prints SAT-competition style output ("s ..." verdict, "v ..." model lines,
 "c decisions N", "c conflicts N", "c propagations N") so the external-solver
 bridge can drive it like any other solver.  Exit codes follow convention:
-10 satisfiable, 20 unsatisfiable, 0 otherwise; an unreadable or malformed
-input file or a timeout that is negative or not a number prints one
+10 satisfiable, 20 unsatisfiable, 0 otherwise; an unreadable, non-UTF-8 or
+malformed input file or a timeout that is negative or not a number prints one
 "nfasat-solve: error: ..." line and exits 1.
 """
 
@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from pathlib import Path
 
-from .cdcl import SAT, UNSAT, CdclSolver
-from .cnf import CnfError, parse_dimacs
+from .cnf import CnfError
+from .solver import SAT, UNSAT, solve_dimacs_file
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,24 +30,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"nfasat-solve: error: {message}", file=sys.stderr)
         return 1
     try:
-        var_count, clauses = parse_dimacs(Path(args.cnf).read_text())
+        outcome = solve_dimacs_file(args.cnf, None, args.timeout)
     except (CnfError, OSError) as err:
         print(f"nfasat-solve: error: {err}", file=sys.stderr)
         return 1
-    deadline = None
-    if args.timeout is not None:
-        deadline = time.perf_counter() + max(args.timeout, 0.0)
-    solver = CdclSolver(var_count, clauses)
-    status, model, decisions = solver.solve(deadline=deadline)
 
     print("c nfasat bundled CDCL solver")
-    print(f"c decisions {decisions}")
-    print(f"c conflicts {solver.conflicts}")
-    print(f"c propagations {solver.propagations}")
-    if status == SAT:
+    print(f"c decisions {outcome.decisions}")
+    print(f"c conflicts {outcome.conflicts}")
+    print(f"c propagations {outcome.propagations}")
+    if outcome.status == SAT:
         print("s SATISFIABLE")
-        assert model is not None
-        lits = [v if model[v] else -v for v in range(1, var_count + 1)]
+        assert outcome.assignment is not None
+        lits = [v if value else -v for v, value in outcome.assignment.items()]
         for start in range(0, len(lits), 32):
             chunk = lits[start : start + 32]
             tail = " 0" if start + 32 >= len(lits) else ""
@@ -57,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         if not lits:
             print("v 0")
         return 10
-    if status == UNSAT:
+    if outcome.status == UNSAT:
         print("s UNSATISFIABLE")
         return 20
     print("s UNKNOWN")

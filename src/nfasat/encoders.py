@@ -284,11 +284,8 @@ def _suffix_all_start_words(suffix_set: Iterable[Word], linked: set[Word]) -> se
     a non-empty prefix part, can begin anywhere; everything else only ever
     runs from the initial state and is pruned to start state 1.
     """
-    needs_all = set(linked)
-    for word in suffix_set:
-        for i in range(1, len(word)):
-            needs_all.add(word[i:])
-    return needs_all.intersection(suffix_set)
+    # the closure is suffix-closed, so each w[1:] covers every deeper tail
+    return linked | {w[1:] for w in suffix_set if len(w) > 1}
 
 
 def _emit_suffix_chain(

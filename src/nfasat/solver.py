@@ -1,10 +1,9 @@
 """Bridge CNF instances to SAT solvers and decode models into NFAs.
 
-The default route shells out to a DIMACS-consuming solver process and parses
-competition-format output; the bundled CDCL solver doubles as that process
-when no real solver is installed.  An in-process route runs the same CDCL
-core without the subprocess round trip, which matters when solving many
-thousands of small instances.
+The bundled CDCL solver always runs in-process, on an encoded instance
+(``solve_in_process``) or on a DIMACS file (``solve_dimacs_file`` without a
+command).  A solver process starts only for a command template the caller
+names; its competition-format output is parsed, search counters included.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import os
 import re
 import shlex
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import cdcl
-from .cnf import CnfInstance, final_var, trans_var, write_dimacs
+from .cnf import CnfError, CnfInstance, final_var, trans_var, parse_dimacs, write_dimacs
 from .nfa import Nfa
 
 SAT = cdcl.SAT
@@ -28,7 +26,9 @@ UNSAT = cdcl.UNSAT
 UNKNOWN = cdcl.UNKNOWN
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
-DECISION_PATTERN = r"decisions\s*[:=]?\s*(\d+)"
+COUNTERS = ("decisions", "conflicts", "propagations")
+# "c decisions 17" as nfasat-solve prints it, "decisions : 17" as MiniSat does
+COUNTER_PATTERN = re.compile(r"(decisions|conflicts|propagations)\s*[:=]?\s*(\d+)", re.IGNORECASE)
 
 
 class SolverError(RuntimeError):
@@ -37,7 +37,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveOutcome:
-    """A solver's verdict; conflicts and propagations are None on the external route."""
+    """A solver's verdict; a counter is None when a solver process does not print it."""
 
     status: str
     assignment: dict[int, bool] | None
@@ -45,11 +45,6 @@ class SolveOutcome:
     solve_seconds: float
     conflicts: int | None = None
     propagations: int | None = None
-
-
-def default_solver_command() -> str:
-    """Command template for the bundled solver process."""
-    return f"{shlex.quote(sys.executable)} -m nfasat.dimacs_solver {{cnf}} --timeout {{timeout}}"
 
 
 def _child_env() -> dict[str, str]:
@@ -75,7 +70,7 @@ def _render_command(template: str, cnf_path: str, timeout_seconds: float) -> lis
     return rendered
 
 
-def _parse_solver_output(text: str) -> tuple[str, list[int], int | None]:
+def _parse_solver_output(text: str) -> tuple[str, list[int], dict[str, int | None]]:
     status = None
     literals: list[int] = []
     for line in text.splitlines():
@@ -95,10 +90,11 @@ def _parse_solver_output(text: str) -> tuple[str, list[int], int | None]:
                     raise SolverError(f"bad literal {tok!r} on a solver 'v' line") from None
                 if lit != 0:
                     literals.append(lit)
-    decisions = None
-    match = re.search(DECISION_PATTERN, text, re.IGNORECASE)
-    if match:
-        decisions = int(match.group(1))
+    counters: dict[str, int | None] = dict.fromkeys(COUNTERS)
+    for match in COUNTER_PATTERN.finditer(text):
+        name = match.group(1).lower()
+        if counters[name] is None:
+            counters[name] = int(match.group(2))
     if status is None:
         last = next((line.strip() for line in reversed(text.splitlines()) if line.strip()), "")
         raise SolverError(
@@ -106,25 +102,49 @@ def _parse_solver_output(text: str) -> tuple[str, list[int], int | None]:
         )
     if status == SAT and not literals:
         raise SolverError("solver reported SATISFIABLE without any 'v' model lines")
-    return status, literals, decisions
+    return status, literals, counters
+
+
+def _solve_clauses(
+    var_count: int, clauses: list, timeout_seconds: float | None, decided_by: int = 0
+) -> SolveOutcome:
+    """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
+
+    decided_by is the solver's stop rule (0 searches until every variable
+    is set).  Raises ValueError for a timeout that is negative or nan.
+    """
+    if timeout_seconds is not None and not timeout_seconds >= 0:  # also catches nan
+        raise ValueError(f"timeout must be a number of seconds >= 0, got {timeout_seconds}")
+    start = time.perf_counter()
+    deadline = start + timeout_seconds if timeout_seconds is not None else None
+    solver = cdcl.CdclSolver(var_count, clauses)
+    status, model, decisions = solver.solve(deadline, decided_by)
+    elapsed = time.perf_counter() - start
+    assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
+    return SolveOutcome(status, assignment, decisions, elapsed, solver.conflicts, solver.propagations)
 
 
 def solve_dimacs_file(
     cnf_path: str | Path,
     solver_cmd: str | None = None,
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
+    timeout_seconds: float | None = DEFAULT_TIMEOUT_SECONDS,
 ) -> SolveOutcome:
-    """Run a solver process on a DIMACS file and parse its output."""
-    template = solver_cmd or default_solver_command()
-    argv = _render_command(template, str(cnf_path), timeout_seconds)
+    """Solve a DIMACS file: in-process by default, or by running solver_cmd.
+
+    In-process, a None timeout means no limit, and an unreadable or
+    malformed file raises OSError or CnfError.
+    """
+    if solver_cmd is None:
+        try:
+            text = Path(cnf_path).read_text()
+        except UnicodeDecodeError as err:
+            raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
+        return _solve_clauses(*parse_dimacs(text), timeout_seconds)
+    argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            argv,
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=timeout_seconds if timeout_seconds is not None else None,
+            argv, capture_output=True, text=True, env=_child_env(), timeout=timeout_seconds
         )
     except subprocess.TimeoutExpired:
         return SolveOutcome(UNKNOWN, None, None, time.perf_counter() - start)
@@ -132,19 +152,19 @@ def solve_dimacs_file(
         raise SolverError(f"failed to run solver {argv!r}: {exc}") from exc
     elapsed = time.perf_counter() - start
     output = proc.stdout + "\n" + proc.stderr
-    status, literals, decisions = _parse_solver_output(output)
+    status, literals, counters = _parse_solver_output(output)
     assignment = None
     if status == SAT:
         assignment = {abs(lit): lit > 0 for lit in literals}
-    return SolveOutcome(status, assignment, decisions, elapsed)
+    return SolveOutcome(status, assignment, solve_seconds=elapsed, **counters)
 
 
 def solve_external(
     instance: CnfInstance,
-    solver_cmd: str | None = None,
+    solver_cmd: str,
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
 ) -> SolveOutcome:
-    """Write the instance to DIMACS, run a solver process, parse the result.
+    """Write the instance to DIMACS, run the solver_cmd process, parse the result.
 
     Variables the solver leaves unmentioned default to false, so the returned
     assignment always covers every registered variable.
@@ -169,19 +189,11 @@ def solve_in_process(
     transitions) is set and propagation is at a conflict-free fixpoint.  So
     a SAT assignment is exact only on finals and transitions, which are all
     that ``decode_nfa`` reads; it still covers every variable, with the
-    unassigned ones read as false, as ``solve_external`` does.
+    unassigned ones read as false, as ``solve_external`` does.  A negative
+    or nan timeout raises ValueError.
     """
-    start = time.perf_counter()
-    deadline = start + max(timeout_seconds, 0.0) if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver(instance.var_count, instance.clauses)
-    status, model, decisions = solver.solve(deadline, instance.decision_block)
-    elapsed = time.perf_counter() - start
-    assignment = None
-    if status == SAT:
-        assert model is not None
-        assignment = {v: model[v] for v in range(1, instance.var_count + 1)}
-    return SolveOutcome(
-        status, assignment, decisions, elapsed, solver.conflicts, solver.propagations
+    return _solve_clauses(
+        instance.var_count, instance.clauses, timeout_seconds, instance.decision_block
     )
 
 

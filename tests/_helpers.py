@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import shlex
+import sys
 
 from nfasat.cnf import CnfInstance
 from nfasat.sample import Sample, word_key
+
+# the bundled solver run as a process, as a user's --solver template names it
+BUNDLED_SOLVER = f"{shlex.quote(sys.executable)} -m nfasat.dimacs_solver {{cnf}} --timeout {{timeout}}"
 
 
 def brute_force_sat(var_count: int, clauses: list[tuple[int, ...]]) -> bool:

@@ -44,6 +44,7 @@ from nfasat.splitopt import (
     word_weights,
 )
 
+from _helpers import BUNDLED_SOLVER
 from oracle import oracle_exists
 
 MAX_SWEEP_SECONDS = 900.0  # hard budget for the oracle sweep
@@ -121,7 +122,7 @@ def sweep() -> SweepOutcome:
                 external_probe.append((sample, k, truth))
             outcome.cases += 1
     for sample, k, truth in external_probe:
-        result = solve_external(encode_prefix(sample, k), timeout_seconds=60)
+        result = solve_external(encode_prefix(sample, k), BUNDLED_SOLVER, timeout_seconds=60)
         outcome.external_checked += 1
         if (result.status == "SAT") != truth:
             outcome.external_mismatches += 1

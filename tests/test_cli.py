@@ -136,6 +136,14 @@ class TestGenerateCommand:
             main(argv + ["--out", str(tmp_path / "x.cnf")])
         assert str(err.value) == "nfasat: error: sample has no non-empty words to split"
 
+    @pytest.mark.parametrize("flag", [["--solver", "x"], ["--timeout", "5"]])
+    def test_solver_flags_are_not_accepted(self, tmp_path, sample_file, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(sample_file), "--model", "pm", "--k", "1",
+                  "--out", str(tmp_path / "x.cnf"), *flag])
+        assert err.value.code == 2  # argparse's usage error
+        assert not (tmp_path / "x.cnf").exists()
+
 
 class TestSolveCommand:
     def test_unit_sat(self, tmp_path, capsys):
@@ -144,6 +152,32 @@ class TestSolveCommand:
         assert main(["solve", str(cnf)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "SAT"
+
+    def test_report_carries_search_counters(self, tmp_path, capsys):
+        cnf = tmp_path / "pairs.cnf"
+        cnf.write_text("p cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 3 0\n")
+        assert main(["solve", str(cnf)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "SAT"
+        assert report["conflicts"] >= 1 and report["propagations"] >= 3
+
+    def test_bundled_solver_starts_no_process(self, tmp_path, capsys, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a solver process was started")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        cnf = tmp_path / "two.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        assert main(["solve", str(cnf)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "UNSAT"
+
+    def test_not_utf8_is_one_line_error(self, tmp_path):
+        cnf = tmp_path / "utf16.cnf"
+        cnf.write_bytes(b"\xff\xfep\x00 \x00c\x00n\x00f\x00")
+        with pytest.raises(SystemExit) as err:
+            main(["solve", str(cnf)])
+        message = str(err.value)
+        assert message.startswith(f"nfasat: error: {cnf} is not UTF-8 text") and "\n" not in message
 
     def test_contradiction_unsat(self, tmp_path, capsys):
         cnf = tmp_path / "two.cnf"
@@ -741,6 +775,15 @@ class TestDimacsSolverCli:
         cnf.write_text("p cnf 1 1\n1 0\n")
         assert dimacs_solver_main([str(cnf), "--timeout", "0"]) == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    def test_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        cnf = tmp_path / "utf16.cnf"
+        cnf.write_bytes(b"\xff\xfep\x00 \x00c\x00n\x00f\x00")
+        assert dimacs_solver_main([str(cnf)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nfasat-solve: error: {cnf} is not UTF-8 text")
+        assert captured.err.count("\n") == 1
 
     def test_subprocess_malformed_input_one_line_error(self, tmp_path):
         cnf = tmp_path / "bad.cnf"

@@ -9,6 +9,7 @@ from nfasat.cnf import (
     parse_dimacs,
     trans_var,
 )
+from nfasat.solver import solve_in_process
 
 
 def test_fresh_var_dense_numbering():
@@ -36,7 +37,7 @@ def test_tautology_dropped():
 def test_empty_clause_marks_unsat():
     inst = CnfInstance()
     inst.add_clause([])
-    assert inst.trivially_unsat
+    assert solve_in_process(inst).status == "UNSAT"
     assert inst.clauses == [()]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,12 +12,12 @@ from nfasat.sample import Sample
 from nfasat.solver import (
     SolverError,
     decode_nfa,
-    default_solver_command,
     solve_external,
     solve_in_process,
     _parse_solver_output,
 )
 
+from _helpers import BUNDLED_SOLVER
 from oracle import oracle_exists
 
 
@@ -43,12 +44,10 @@ class TestInProcess:
         out = solve_in_process(unit_instance(1), timeout_seconds=0)
         assert out.status == "UNKNOWN"
 
-    def test_counters_reported_in_process_only(self):
-        inst = encode_prefix(Sample.build(2, [(0, 1)], [(1,)]), 2)
-        out = solve_in_process(inst)
-        assert out.conflicts is not None and out.propagations > 0
-        external = solve_external(inst, timeout_seconds=60)
-        assert (external.conflicts, external.propagations) == (None, None)
+    @pytest.mark.parametrize("timeout", [math.nan, -1])
+    def test_bad_timeout_raises(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a number of seconds >= 0"):
+            solve_in_process(unit_instance(1), timeout)
 
     def test_assignment_covers_all_variables(self):
         inst = CnfInstance()
@@ -61,25 +60,35 @@ class TestInProcess:
 
 class TestExternal:
     def test_bundled_solver_round_trip_sat(self):
-        out = solve_external(unit_instance(1), timeout_seconds=60)
+        out = solve_external(unit_instance(1), BUNDLED_SOLVER, timeout_seconds=60)
         assert out.status == "SAT"
         assert out.assignment == {1: True}
         assert out.decisions is not None
 
     def test_default_command_without_pythonpath(self, monkeypatch, tmp_path):
-        # nfasat is importable here only through sys.path, as from a checkout
+        # nfasat is importable here only through sys.path, as from a checkout;
+        # the solver process still imports it, through the PYTHONPATH it is given
         monkeypatch.delenv("PYTHONPATH", raising=False)
         monkeypatch.chdir(tmp_path)
-        out = solve_external(unit_instance(1), timeout_seconds=60)
+        out = solve_external(unit_instance(1), BUNDLED_SOLVER, timeout_seconds=60)
         assert out.status == "SAT"
         assert out.assignment == {1: True}
 
+    def test_counters_match_a_full_search(self):
+        inst = encode_prefix(Sample.build(2, [(0, 1), (1, 1)], [(1,), (0,)]), 2)
+        solver = CdclSolver(inst.var_count, inst.clauses)
+        _, _, decisions = solver.solve()
+        external = solve_external(inst, BUNDLED_SOLVER, timeout_seconds=60)
+        counters = (external.decisions, external.conflicts, external.propagations)
+        assert counters == (decisions, solver.conflicts, solver.propagations)
+        assert solver.propagations > 0
+
     def test_bundled_solver_unsat(self):
-        out = solve_external(unit_instance(1, -1), timeout_seconds=60)
+        out = solve_external(unit_instance(1, -1), BUNDLED_SOLVER, timeout_seconds=60)
         assert out.status == "UNSAT"
 
     def test_timeout_zero_unknown(self):
-        out = solve_external(unit_instance(1), timeout_seconds=0)
+        out = solve_external(unit_instance(1), BUNDLED_SOLVER, timeout_seconds=0)
         assert out.status == "UNKNOWN"
 
     def test_crash_raises(self):
@@ -90,13 +99,11 @@ class TestExternal:
         with pytest.raises(SolverError):
             solve_external(unit_instance(1), solver_cmd="echo hello")
 
-    def test_default_command_mentions_placeholder(self):
-        assert "{cnf}" in default_solver_command()
-
     def test_agrees_with_in_process_on_encodings(self):
         sample = Sample.build(2, [(0, 1), (0,)], [(1,), (1, 1)])
         inst = encode_prefix(sample, 2)
-        assert solve_external(inst, timeout_seconds=60).status == solve_in_process(inst).status
+        external = solve_external(inst, BUNDLED_SOLVER, timeout_seconds=60)
+        assert external.status == solve_in_process(inst).status
 
     def test_verdict_stable_under_clause_shuffle(self):
         sample = Sample.build(2, [(0, 1)], [(1, 0)])
@@ -116,21 +123,28 @@ class TestExternal:
 
 class TestOutputParsing:
     def test_parse_sat_with_model(self):
-        status, lits, decisions = _parse_solver_output(
-            "c comment\ns SATISFIABLE\nv 1 -2 0\nc decisions 17\n"
+        status, lits, counters = _parse_solver_output(
+            "c comment\ns SATISFIABLE\nv 1 -2 0\nc decisions 17\nc Conflicts 4\n"
         )
         assert status == "SAT"
         assert lits == [1, -2]
-        assert decisions == 17
+        assert counters == {"decisions": 17, "conflicts": 4, "propagations": None}
 
     def test_parse_unsat(self):
-        status, lits, decisions = _parse_solver_output("s UNSATISFIABLE\n")
-        assert status == "UNSAT" and lits == [] and decisions is None
+        status, lits, counters = _parse_solver_output("s UNSATISFIABLE\n")
+        assert status == "UNSAT" and lits == []
+        assert counters == {"decisions": None, "conflicts": None, "propagations": None}
 
     def test_parse_glucose_style_stats(self):
-        text = "c decisions             : 3735 (0.00 % random)\ns UNSATISFIABLE\n"
-        _, _, decisions = _parse_solver_output(text)
-        assert decisions == 3735
+        text = (
+            "c conflicts             : 1204           (2410 /sec)\n"
+            "c decisions             : 3735           (0.00 % random) (7480 /sec)\n"
+            "c propagations          : 68021          (136216 /sec)\n"
+            "c conflict literals     : 9330           (21.28 % deleted)\n"
+            "s UNSATISFIABLE\n"
+        )
+        _, _, counters = _parse_solver_output(text)
+        assert counters == {"decisions": 3735, "conflicts": 1204, "propagations": 68021}
 
     def test_missing_status_raises(self):
         with pytest.raises(SolverError):
