@@ -18,6 +18,8 @@ lists:
   in-heap flag, which picks the unassigned variable of highest activity,
   lowest index on ties.  Assignments are undone by truncating the trail at a
   decision boundary kept in ``trail_lim``.
+- Loading pauses the cyclic garbage collector, as every object it makes
+  stays alive, and then restores the caller's collector state.
 
 Search is first-UIP clause learning with non-chronological backjumping,
 local learnt-clause minimization, VSIDS-style activity and phase saving.  The
@@ -38,6 +40,7 @@ solver bridge at an external solver instead.
 
 from __future__ import annotations
 
+import gc
 import time
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
@@ -54,11 +57,8 @@ _DEADLINE_CHECK_PERIOD = 256
 
 def _extend(table: list, lit: int, items: tuple) -> None:
     """Append items to table[lit], creating the list on first use."""
-    entries = table[lit]
-    if entries:
-        entries += items
-    else:
-        table[lit] = list(items)
+    entries = table[lit] = table[lit] or []
+    entries += items
 
 
 class CdclSolver:
@@ -85,7 +85,13 @@ class CdclSolver:
         self.propagations = 0
         self.var_inc = 1.0
         self.unsat_at_load = False
-        self._load(clauses)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._load(clauses)
+        finally:
+            if collecting:
+                gc.enable()
 
     # -- loading -----------------------------------------------------------
 
@@ -109,19 +115,18 @@ class CdclSolver:
             if size == 2:
                 a, b = raw
                 if a != b and a != -b:
-                    implied = bins[a]
-                    if implied:
-                        implied.append(b)
-                    else:
-                        bins[a] = [b]
-                    implied = bins[b]
-                    if implied:
-                        implied.append(a)
-                    else:
-                        bins[b] = [a]
+                    implied = bins[a] = bins[a] or []
+                    implied.append(b)
+                    implied = bins[b] = bins[b] or []
+                    implied.append(a)
                     continue
             elif size > 2 and len(set(map(abs, raw))) == size:
-                self._attach(list(raw))
+                lits = list(raw)
+                a, b = lits[0], lits[1]
+                watching = watches[a] = watches[a] or []
+                watching += (lits, b)
+                watching = watches[b] = watches[b] or []
+                watching += (lits, a)
                 continue
             self._add_unusual(raw)
 

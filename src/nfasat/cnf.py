@@ -93,17 +93,17 @@ class CnfInstance:
         """Store clauses, the i-th under the i-th family, after checking the batch.
 
         Literal 0, a variable beyond var_count, or one variable twice in a
-        clause raises CnfError and stores nothing.  A variable above the
-        decision block clears the block.
+        clause raises CnfError and stores nothing; the checks make no flat
+        copy of the batch.  A variable above the decision block clears it.
         """
-        lits = list(chain.from_iterable(clauses))
-        if lits:
-            top = max(max(lits), -min(lits))
+        literal_count = sum(map(len, clauses))
+        if literal_count:
+            top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
             if top > self.var_count:
                 raise CnfError(f"a literal references unregistered variable {top}")
-            if 0 in lits:
+            if not all(map(all, clauses)):
                 raise CnfError("literal 0 is not allowed")
-            if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != len(lits):
+            if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != literal_count:
                 clause = next(c for c in clauses if len(set(map(abs, c))) < len(c))
                 raise CnfError(f"clause {clause} names a variable twice")
             if top > self.decision_block:

@@ -39,12 +39,13 @@ part and suffix part both take the word's mark.  Per definition:
 * both: per term one [-x, lit] per conjunct and [x, -lits...]; then the
   choice clauses; then [y, -x] per term.
 
-Each definition is one checked batch.  Sound and complete: only final and
-transition variables are decoded, the surviving clauses still force every
-accepted word to have an accepting run and every rejected word to have
-none, and any NFA consistent with the sample extends to a model by setting
-each reach and auxiliary variable to its true value.  Instance sizes stay
-polynomial in the closure sizes for all but the direct encoding.
+Each chain, and each pass of verdicts and links, is one checked batch.
+Sound and complete: only final and transition variables are decoded, the
+surviving clauses still force every accepted word to have an accepting run
+and every rejected word to have none, and any NFA consistent with the
+sample extends to a model by setting each reach and auxiliary variable to
+its true value.  Instance sizes stay polynomial in the closure sizes for
+all but the direct encoding.
 
 Only the final and transition variables are named in the instance.  They
 are variables 1..m, m = k + n*k^2, allocated first; every encoder records m
@@ -85,7 +86,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
@@ -133,6 +134,19 @@ class BudgetExceededError(RuntimeError):
 Table = list[list[int]]  # [start state - 1][end state - 1]
 
 
+class _Batch:
+    """Allocates through inst but keeps the clauses, for the caller's one checked store."""
+
+    def __init__(self, inst: CnfInstance) -> None:
+        self.fresh_aux = inst.fresh_aux
+        self.clauses: list[tuple[int, ...]] = []
+        self.families: list[str] = []
+
+    def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
+        self.clauses += clauses
+        self.families += islice(families, len(clauses))
+
+
 def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list[Table]]:
     """Finals, transitions, and the empty-word unit clauses.
 
@@ -168,7 +182,7 @@ _ACCEPT_FAMILIES = ("accept_aux", ("accept_bin",) * 2, None, "accept_choice", No
 
 
 def _define(
-    inst: CnfInstance,
+    sink: _Batch | CnfInstance,
     outputs: list[int] | None,
     terms: list[tuple[int | None, Sequence[int]]],
     families: tuple[str, tuple[str, ...], str | None, str, str | None],
@@ -176,21 +190,22 @@ def _define(
 ) -> None:
     """Define each output as the OR of its AND terms, in the module docstring's order.
 
-    A term is (output index, conjunct literals), all terms with as many
-    conjuncts.  families: aux variable family, one binary family per
-    conjunct, then the reverse, choice and output families.  uses: the
-    polarity bits of the outputs; an asserted OR (outputs None) is a
-    positive use.  The aux variables are one index range.  A one-letter
-    word's reach variables are transition variables, so a conjunct can
-    repeat; a reverse clause names it once.
+    sink (the encoders' ``_Batch``) takes one ``add_clauses`` call.  A term
+    is (output index, conjunct literals), all terms with as many conjuncts.
+    families: aux variable family, one binary family per conjunct, then the
+    reverse, choice and output families.  uses: the polarity bits of the
+    outputs; an asserted OR (outputs None) is a positive use.  The aux
+    variables are one index range.  A one-letter word's reach variables are
+    transition variables, so a conjunct can repeat; a reverse clause names
+    it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
     if uses == _NEGATIVE:
         clauses = [(outputs[out], *_negated(lits)) for out, lits in terms]
-        inst.add_clauses(clauses, repeat(reverse_family))
+        sink.add_clauses(clauses, repeat(reverse_family))
         return
     both = uses == _BOTH
-    first = inst.fresh_aux(aux_family, len(terms))
+    first = sink.fresh_aux(aux_family, len(terms))
     aux = range(first, first + len(terms))
     clauses: list[tuple[int, ...]] = []
     for x, (_, lits) in zip(aux, terms):
@@ -201,7 +216,7 @@ def _define(
     clause_families *= len(terms)
     if outputs is None:
         clauses.append(tuple(aux))
-        inst.add_clauses(clauses, clause_families + [choice_family])
+        sink.add_clauses(clauses, clause_families + [choice_family])
         return
     choices = [[-y] for y in outputs]
     for x, (out, _) in zip(aux, terms):
@@ -211,11 +226,14 @@ def _define(
     if both:
         clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
         clause_families += [out_family] * len(terms)
-    inst.add_clauses(clauses, clause_families)
+    sink.add_clauses(clauses, clause_families)
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
     """The negated literals of a conjunction, each once; a conjunct can repeat."""
+    if len(lits) == 2:
+        a, b = lits
+        return (-a,) if a == b else (-a, -b)
     return tuple(map(neg, dict.fromkeys(lits)))
 
 
@@ -264,6 +282,7 @@ def _emit_prefix_chain(
     """
     states = range(k)
     reach: dict[Word, list[int]] = {}
+    batch = _Batch(inst)
     for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]][0]
@@ -273,7 +292,8 @@ def _emit_prefix_chain(
         parent = reach[word[:-1]]
         step = trans[word[-1]]
         terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(inst, outputs, terms, _PREFIX_FAMILIES, uses[word])
+        _define(batch, outputs, terms, _PREFIX_FAMILIES, uses[word])
+    inst.add_clauses(batch.clauses, batch.families)
     return reach
 
 
@@ -305,6 +325,7 @@ def _emit_suffix_chain(
     states = range(k)
     all_start_words = _suffix_all_start_words(uses, linked)
     reach: dict[Word, Table] = {}
+    batch = _Batch(inst)
     for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]]
@@ -321,16 +342,9 @@ def _emit_suffix_chain(
             for mid in states
             for j in states
         ]
-        _define(inst, outputs, terms, _SUFFIX_FAMILIES, uses[word])
+        _define(batch, outputs, terms, _SUFFIX_FAMILIES, uses[word])
+    inst.add_clauses(batch.clauses, batch.families)
     return reach
-
-
-def _emit_verdict(inst: CnfInstance, reach: list[int], finals: list[int], positive: bool) -> None:
-    """Accept: some end state is both reached and final.  Reject: none is."""
-    if positive:
-        _define(inst, None, [(None, pair) for pair in zip(reach, finals)], _ACCEPT_FAMILIES)
-    else:
-        inst.add_clauses(list(zip(map(neg, reach), map(neg, finals))), repeat("reject_bin"))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +359,7 @@ def encode_direct(
     _check_budget(_direct_literals(sample, k), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
     states = range(k)
+    batch = _Batch(inst)
     for word in sample.sorted_positives():
         if word:
             terms = [
@@ -353,12 +368,13 @@ def encode_direct(
             ]
             bin_families = ("direct_bin",) * (len(word) + 1)
             families = ("direct_path_aux", bin_families, None, "direct_choice", None)
-            _define(inst, None, terms, families)
+            _define(batch, None, terms, families)
     for word in sample.sorted_negatives():
         if word:
             paths = product(states, repeat=len(word))
             blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
-            inst.add_clauses(blocked, repeat("direct_reject"))
+            batch.add_clauses(blocked, repeat("direct_reject"))
+    inst.add_clauses(batch.clauses, batch.families)
     inst.decision_block = _block_size(sample, k)
     return inst
 
@@ -411,25 +427,26 @@ def encode_hybrid(
     suffix_rows = _emit_suffix_chain(inst, suffix_uses, linked, trans, k)
 
     states = range(k)
+    batch = _Batch(inst)
 
     def emit_word(word: Word, positive: bool) -> None:
         cut = cuts[word]
         head, tail = word[:cut], word[cut:]
         if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
             reach = prefix_reach[word] if head else suffix_rows[word][0]
-            _emit_verdict(inst, reach, finals, positive)
-            return
-        head_vars = prefix_reach[head]
-        tail_rows = suffix_rows[tail]
-        conjuncts = [
-            (head_vars[j], tail_rows[j][end], finals[end])
-            for j in states
-            for end in states
-        ]
-        if positive:
-            _define(inst, None, [(None, lits) for lits in conjuncts], _LINK_FAMILIES)
+            conjuncts = list(zip(reach, finals))
+            accept, reject = _ACCEPT_FAMILIES, "reject_bin"
+        else:  # linked at the cut state
+            head_vars = prefix_reach[head]
+            tail_rows = suffix_rows[tail]
+            conjuncts = [
+                (head_vars[j], tail_rows[j][end], finals[end]) for j in states for end in states
+            ]
+            accept, reject = _LINK_FAMILIES, "link_reject_ternary"
+        if positive:  # some conjunction holds: a run into a final state
+            _define(batch, None, [(None, lits) for lits in conjuncts], accept)
         else:
-            inst.add_clauses(list(map(_negated, conjuncts)), repeat("link_reject_ternary"))
+            batch.add_clauses(list(map(_negated, conjuncts)), repeat(reject))
 
     for word in sample.sorted_positives():
         if word:
@@ -437,6 +454,7 @@ def encode_hybrid(
     for word in sample.sorted_negatives():
         if word:
             emit_word(word, positive=False)
+    inst.add_clauses(batch.clauses, batch.families)
     inst.decision_block = _block_size(sample, k)
     return inst
 

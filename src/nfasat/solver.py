@@ -54,18 +54,17 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def _render_command(template: str, cnf_path: str, timeout_seconds: float) -> list[str]:
+def _render_command(template: str, cnf_path: str, timeout_seconds: float | None) -> list[str]:
+    """argv of a solver template; a None timeout (no limit) cannot fill ``{timeout}``."""
     argv = shlex.split(template)
     rendered = []
-    used_path = False
     for part in argv:
-        if "{cnf}" in part or "{timeout}" in part:
-            part = part.replace("{cnf}", cnf_path).replace(
-                "{timeout}", repr(float(timeout_seconds))
-            )
-            used_path = used_path or cnf_path in part
-        rendered.append(part)
-    if not used_path:
+        if "{timeout}" in part:
+            if timeout_seconds is None:
+                raise ValueError(f"{{timeout}} in {template!r} needs a timeout, got None")
+            part = part.replace("{timeout}", repr(float(timeout_seconds)))
+        rendered.append(part.replace("{cnf}", cnf_path))
+    if not any("{cnf}" in part for part in argv):
         rendered.append(cnf_path)
     return rendered
 
@@ -131,8 +130,9 @@ def solve_dimacs_file(
 ) -> SolveOutcome:
     """Solve a DIMACS file: in-process by default, or by running solver_cmd.
 
-    In-process, a None timeout means no limit, and an unreadable or
-    malformed file raises OSError or CnfError.
+    A None timeout means no limit; a solver_cmd that names ``{timeout}``
+    then raises ValueError.  In-process, an unreadable or malformed file
+    raises OSError or CnfError.
     """
     if solver_cmd is None:
         try:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from nfasat.cdcl import SAT, UNKNOWN, UNSAT, CdclSolver
 from nfasat.cnf import dimacs_text, parse_dimacs
-from nfasat.encoders import encode_prefix
+from nfasat.cli import random_sample
+from nfasat.encoders import ModelKind, encode, encode_prefix
 from nfasat.sample import Sample
 from nfasat.solver import solve_in_process
+from nfasat.splitopt import IlsParams, ils_optimize
 
 from _helpers import brute_force_sat
 
@@ -186,3 +189,49 @@ def test_decided_by_still_finds_conflicts_below_the_block():
 def test_decided_by_out_of_range_raises():
     with pytest.raises(ValueError):
         CdclSolver(2, []).solve(decided_by=3)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(collecting):
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        CdclSolver(3, [(1, 2, 3), (-1, 2), (3,)])
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_failed_load_restores_the_collector():
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(ValueError, match="literal 4 out of range"):
+            CdclSolver(3, [(1, 2, 4)])
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+# (status, decisions, conflicts, propagations) under the stop rule; a load
+# that attached clauses in another order would take another search path.
+PINNED_SEARCHES = {
+    "pm": (UNSAT, 34, 20, 6795),
+    "sm": (UNSAT, 63, 33, 29503),
+    "hm-ils": (UNSAT, 62, 28, 7473),
+}
+
+
+def test_pinned_search_counters():
+    sample = random_sample(3, 60, 10, 0.5, seed=7)
+    cuts = ils_optimize(sample, 3, IlsParams(rng_seed=1)).cuts
+    instances = {
+        "pm": encode(ModelKind.PREFIX, sample, 3),
+        "sm": encode(ModelKind.SUFFIX, sample, 3),
+        "hm-ils": encode(ModelKind.HYBRID, sample, 3, cuts),
+    }
+    for label, inst in instances.items():
+        solver = CdclSolver(inst.var_count, inst.clauses)
+        status, _, decisions = solver.solve(decided_by=inst.decision_block)
+        found = (status, decisions, solver.conflicts, solver.propagations)
+        assert found == PINNED_SEARCHES[label], label

@@ -1,4 +1,4 @@
-"""Per-layer microbenchmark of the bundled CDCL core: load plus solve.
+"""Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load alone.
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
@@ -18,3 +18,13 @@ def test_cdcl_load_and_solve(benchmark):
 
     status = benchmark.pedantic(load_and_solve, rounds=3, iterations=1)
     assert status == UNSAT
+
+
+def test_cdcl_load(benchmark):
+    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+
+    def load():
+        return CdclSolver(instance.var_count, instance.clauses)
+
+    solver = benchmark.pedantic(load, rounds=3, iterations=1)
+    assert solver.decisions == 0 and not solver.unsat_at_load

@@ -1,5 +1,7 @@
 import math
 import random
+import shlex
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from nfasat.sample import Sample
 from nfasat.solver import (
     SolverError,
     decode_nfa,
+    solve_dimacs_file,
     solve_external,
     solve_in_process,
     _parse_solver_output,
@@ -82,6 +85,20 @@ class TestExternal:
         counters = (external.decisions, external.conflicts, external.propagations)
         assert counters == (decisions, solver.conflicts, solver.propagations)
         assert solver.propagations > 0
+
+    def test_cnf_only_template_without_a_timeout_runs_unlimited(self, tmp_path):
+        path = tmp_path / "unit.cnf"
+        path.write_text(dimacs_text(unit_instance(1)))
+        command = f"{shlex.quote(sys.executable)} -m nfasat.dimacs_solver {{cnf}}"
+        out = solve_dimacs_file(path, command, None)
+        assert out.status == "SAT"
+        assert out.assignment == {1: True}
+
+    def test_timeout_template_without_a_timeout_raises(self, tmp_path):
+        path = tmp_path / "unit.cnf"
+        path.write_text(dimacs_text(unit_instance(1)))
+        with pytest.raises(ValueError, match=r"\{timeout\} in .* needs a timeout, got None"):
+            solve_dimacs_file(path, BUNDLED_SOLVER, None)
 
     def test_bundled_solver_unsat(self):
         out = solve_external(unit_instance(1, -1), BUNDLED_SOLVER, timeout_seconds=60)
@@ -188,11 +205,12 @@ class TestDecode:
 
 # (n, k) pairs inside the oracle's vectorized range, n * k^2 <= 20.
 _ORACLE_SIZES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3) if n * k * k <= 20]
+_WIDE_SIZES = [(n, k) for n in (3, 4, 5) for k in (1, 2, 3) if n * k * k <= 20]
 
 
 @st.composite
-def _sized_samples(draw):
-    n, k = draw(st.sampled_from(_ORACLE_SIZES))
+def _sized_samples(draw, sizes=_ORACLE_SIZES):
+    n, k = draw(st.sampled_from(sizes))
     word = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
     words = draw(st.lists(word, min_size=1, max_size=7, unique=True))
     split = draw(st.integers(0, len(words)))
@@ -217,3 +235,18 @@ def test_early_stop_matches_full_search_and_oracle(case):
         assert early.status == full_status == truth, kind
         if early.status == "SAT":
             assert verify(decode_nfa(early.assignment, inst, k, n), sample).ok, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sized_samples(_WIDE_SIZES))
+def test_wide_alphabet_verdicts_match_oracle(case):
+    """pm, sm and hm at drawn cuts agree with the oracle over 3 to 5 symbols."""
+    sample, k, cuts = case
+    truth = "SAT" if oracle_exists(sample, k)[0] else "UNSAT"
+    for kind in (ModelKind.PREFIX, ModelKind.SUFFIX, ModelKind.HYBRID):
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        out = solve_in_process(inst)
+        assert out.status == truth, kind
+        if out.status == "SAT":
+            nfa = decode_nfa(out.assignment, inst, k, sample.alphabet_size)
+            assert verify(nfa, sample).ok, kind
