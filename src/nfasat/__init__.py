@@ -18,7 +18,7 @@ from .encoders import (
     encode_suffix,
     estimate_size,
 )
-from .nfa import Nfa, accepts, nfa_from_json, nfa_to_dot, nfa_to_json, verify
+from .nfa import Nfa, accepts, nfa_to_dot, nfa_to_json, verify
 from .sample import (
     Sample,
     SampleError,
@@ -26,9 +26,6 @@ from .sample import (
     Word,
     parse_sample,
     format_sample,
-    prefixes,
-    split_sets,
-    suffixes,
 )
 from .solver import (
     SolveOutcome,

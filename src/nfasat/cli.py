@@ -136,6 +136,7 @@ def load_optimizer_config(path: str | None) -> tuple[IlsParams | None, GaParams 
 
     Shape: {"ils": {"max_iter": ..., "max_iter_without_improv": ...},
             "ga": {"population_size": ..., "max_gen": ..., "p_mut": ..., ...}}
+    Neither section takes rng_seed: --seed sets the optimizer seed.
     """
     if path is None:
         return None, None
@@ -148,6 +149,8 @@ def load_optimizer_config(path: str | None) -> tuple[IlsParams | None, GaParams 
         if section in raw:
             try:
                 params = cls(**raw[section])
+                if "rng_seed" in raw[section]:
+                    raise ValueError("rng_seed is not a config key; --seed sets the optimizer seed")
                 params.validate()
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"optimizer config {path}, {section!r}: {err}") from err
@@ -281,7 +284,7 @@ GENERATION_CREDIT_SECONDS = 600.0
 def _bench_model_parts(label: str) -> tuple[ModelKind, str]:
     if label.startswith("hm-"):
         return ModelKind.HYBRID, label[len("hm-") :]
-    return ModelKind.parse(label), "prefix"
+    return ModelKind(label), "prefix"
 
 
 def bench_one(
@@ -578,7 +581,7 @@ def _run(argv: list[str] | None = None) -> int:
 
     if args.command == "generate":
         sample = load_sample(args.sample, args.format)
-        model = ModelKind.parse(args.model)
+        model = ModelKind(args.model)
         instance, report, opt_result = generate_instance(
             sample,
             model,
@@ -610,7 +613,7 @@ def _run(argv: list[str] | None = None) -> int:
 
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
-        model = ModelKind.parse(args.model)
+        model = ModelKind(args.model)
         if args.k_max is not None and args.k_max < args.k:
             raise ConfigError(f"--k-max {args.k_max} is below --k {args.k}")
         k_values = range(args.k, (args.k_max or args.k) + 1)

@@ -1,16 +1,20 @@
 """CNF construction substrate: variables, clause store, DIMACS output.
 
-Solver variables are dense 1-based indices.  Final and transition variables
-also carry a semantic name (a tagged tuple), so models can be decoded back
-into automaton components.  Every other variable, reach variables included,
-is allocated as an anonymous contiguous range known only by its stats
-family; the encoders keep those indices in their own tables.
+Solver variables are dense 1-based indices.  An instance for k states over
+n symbols starts with its fixed layout: final i is variable i, and the
+transition from state i to state j on symbol a is variable
+k + (a*k + i - 1)*k + j, so the finals and transitions are variables 1..m,
+m = k + n*k^2.  Only they are decoded back into automaton components;
+``lookup`` maps their names to the layout.  Every other variable, reach
+variables included, is allocated after them as an anonymous contiguous
+range known only by its stats family; the encoders keep those indices in
+their own tables.
 
-An encoder allocates the finals and transitions first, as variables
-1..m, and records m as the instance's decision block: once those variables
-are set, unit propagation decides the rest (see ``encoders``).  A later
-clause batch that names a variable above m clears the block to 0, so only
-instances whose every clause the encoder vouches for keep it.
+Once the finals and transitions are set, unit propagation decides an
+encoder's instance, so the encoder records m as its decision block (see
+``encoders``).  A later clause batch that names a variable above m clears
+the block to 0, so only instances whose every clause the encoder vouches
+for keep it.
 """
 
 from __future__ import annotations
@@ -19,60 +23,45 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import IO, Iterable
 
-VarName = tuple
 
-# Tag constants for the named variables.
-FINAL = "final"
-TRANS = "trans"
-
-# Stats family per tag, for variable-count accounting.
-_VAR_FAMILY = {FINAL: "final", TRANS: "transition"}
+def final_var(i: int) -> tuple:
+    """Name of "state i is final", for ``CnfInstance.lookup``."""
+    return ("final", i)
 
 
-def final_var(i: int) -> VarName:
-    """State i is final."""
-    return (FINAL, i)
-
-
-def trans_var(a: int, i: int, j: int) -> VarName:
-    """Transition from state i to state j on symbol a."""
-    return (TRANS, a, i, j)
+def trans_var(a: int, i: int, j: int) -> tuple:
+    """Name of the transition from state i to state j on symbol a."""
+    return ("trans", a, i, j)
 
 
 class CnfError(ValueError):
-    """Inconsistent use of the variable registry or the clause store."""
+    """A name outside the variable layout, or a bad clause for the store."""
 
 
 class CnfInstance:
-    """A clause store with a variable registry and a (family, arity) clause tally.
+    """A clause store over the layout of k states and n symbols, with a
+    (family, arity) clause tally.
 
-    Only final and transition variables are named; every other variable is
-    an anonymous index range.  decision_block is m when setting variables
+    The finals and transitions are variables 1..layout_size, under the
+    stats families "final" and "transition"; every other variable is an
+    anonymous index range.  The default (0, 0) has no layout, for
+    instances built by hand.  decision_block is m when setting variables
     1..m decides the instance by unit propagation, else 0 (the module
     docstring says who sets it).  Single writer while under construction;
     treat as immutable afterwards.
     """
 
-    def __init__(self) -> None:
-        self.var_count = 0
+    def __init__(self, k: int = 0, n: int = 0) -> None:
+        self.k = k
+        self.n = n
+        self.layout_size = self.var_count = k + n * k * k
         self.clauses: list[tuple[int, ...]] = []
         self.decision_block = 0
-        self.var_family_counts: Counter[str] = Counter()
+        # unary + drops the families a small layout leaves at zero
+        self.var_family_counts: Counter[str] = +Counter(final=k, transition=self.var_count - k)
         self._tally: Counter[tuple[str, int]] = Counter()
-        self._index: dict[VarName, int] = {}
 
-    # -- registry ----------------------------------------------------------
-
-    def fresh_var(self, name: VarName) -> int:
-        """Index for name, registering a new variable on first use."""
-        idx = self._index.get(name)
-        if idx is not None:
-            return idx
-        self.var_count += 1
-        idx = self.var_count
-        self._index[name] = idx
-        self.var_family_counts[_VAR_FAMILY.get(name[0], "other")] += 1
-        return idx
+    # -- variables ---------------------------------------------------------
 
     def fresh_aux(self, family: str, count: int) -> int:
         """First index of count new anonymous variables of one stats family."""
@@ -81,11 +70,15 @@ class CnfInstance:
         self.var_family_counts[family] += count
         return first
 
-    def lookup(self, name: VarName) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise CnfError(f"variable {name!r} is not registered") from None
+    def lookup(self, name: tuple) -> int:
+        """Variable of final_var(i) or trans_var(a, i, j) in the layout."""
+        k = self.k
+        match name:
+            case ("final", i) if 1 <= i <= k:
+                return i
+            case ("trans", a, i, j) if 0 <= a < self.n and 1 <= i <= k and 1 <= j <= k:
+                return k + (a * k + i - 1) * k + j
+        raise CnfError(f"variable {name!r} is not in the layout of {k} states and {self.n} symbols")
 
     # -- clauses -----------------------------------------------------------
 
@@ -100,7 +93,7 @@ class CnfInstance:
         if literal_count:
             top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
             if top > self.var_count:
-                raise CnfError(f"a literal references unregistered variable {top}")
+                raise CnfError(f"a literal references variable {top} beyond the {self.var_count} allocated")
             if not all(map(all, clauses)):
                 raise CnfError("literal 0 is not allowed")
             if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != literal_count:

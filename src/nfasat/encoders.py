@@ -47,11 +47,11 @@ sample extends to a model by setting each reach and auxiliary variable to
 its true value.  Instance sizes stay polynomial in the closure sizes for
 all but the direct encoding.
 
-Only the final and transition variables are named in the instance.  They
-are variables 1..m, m = k + n*k^2, allocated first; every encoder records m
-as the instance's ``decision_block``.  The encoders index them through the
-tables ``_base_instance`` returns, and keep the reach variables of each
-closure word in a dict keyed by the word.
+The finals and transitions are the instance's fixed layout, variables
+1..m (``cnf``); every encoder records m as the instance's
+``decision_block``.  The encoders index them through the tables
+``_base_instance`` reads from the layout, and keep the reach variables of
+each closure word in a dict keyed by the word.
 
 Why m decides the instance.  Take a point where unit propagation is at a
 fixpoint without conflict and every final and transition variable is set;
@@ -111,16 +111,6 @@ class ModelKind(str, Enum):
     SUFFIX = "sm"
     HYBRID = "hm"
 
-    @staticmethod
-    def parse(text: str) -> "ModelKind":
-        try:
-            return ModelKind(text.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown model {text!r}; expected one of "
-                + ", ".join(m.value for m in ModelKind)
-            ) from None
-
 
 class BudgetExceededError(RuntimeError):
     """Instance too large for the configured literal budget."""
@@ -153,11 +143,11 @@ def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list
     Returns the instance, the final variable per state (finals[i - 1]) and
     the transition variables per symbol (trans[a][i - 1][j - 1]).
     """
-    inst = CnfInstance()
+    inst = CnfInstance(k, sample.alphabet_size)
     states = range(1, k + 1)
-    finals = [inst.fresh_var(final_var(i)) for i in states]
+    finals = [inst.lookup(final_var(i)) for i in states]
     trans = [
-        [[inst.fresh_var(trans_var(a, i, j)) for j in states] for i in states]
+        [[inst.lookup(trans_var(a, i, j)) for j in states] for i in states]
         for a in range(sample.alphabet_size)
     ]
     if () in sample.positives:
@@ -375,13 +365,8 @@ def encode_direct(
             blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
             batch.add_clauses(blocked, repeat("direct_reject"))
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block = _block_size(sample, k)
+    inst.decision_block = inst.layout_size
     return inst
-
-
-def _block_size(sample: Sample, k: int) -> int:
-    """m: the k finals and n*k^2 transitions, which ``_base_instance`` allocates first."""
-    return k + sample.alphabet_size * k * k
 
 
 def _path_conjuncts(
@@ -455,7 +440,7 @@ def encode_hybrid(
         if word:
             emit_word(word, positive=False)
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block = _block_size(sample, k)
+    inst.decision_block = inst.layout_size
     return inst
 
 
@@ -470,15 +455,23 @@ def encode(
         raise SampleError(f"state count k must be >= 1, got {k}")
     if kind == ModelKind.DIRECT:
         return encode_direct(sample, k, literal_budget)
+    return encode_hybrid(sample, k, _hybrid_cuts(kind, sample, cuts), literal_budget)
+
+
+def _hybrid_cuts(
+    kind: ModelKind, sample: Sample, cuts: SplitAssignment | None
+) -> SplitAssignment:
+    """The cuts pm, sm or hm encodes as the hybrid: every word cut at its end,
+    at its start, or as the caller's split assignment says."""
     if kind == ModelKind.PREFIX:
-        return encode_prefix(sample, k, literal_budget)
+        return all_prefix_cuts(sample)
     if kind == ModelKind.SUFFIX:
-        return encode_suffix(sample, k, literal_budget)
-    if kind == ModelKind.HYBRID:
-        if cuts is None:
-            raise ValueError("the hybrid encoding requires a split assignment")
-        return encode_hybrid(sample, k, cuts, literal_budget)
-    raise ValueError(f"unknown model kind {kind!r}")
+        return all_suffix_cuts(sample)
+    if kind != ModelKind.HYBRID:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if cuts is None:
+        raise ValueError("the hybrid model requires a split assignment")
+    return cuts
 
 
 def _check_budget(projected_literals: int, literal_budget: int) -> None:
@@ -549,15 +542,7 @@ def estimate_size(
             direct_reject=(neg * k**wminus, wminus + 1),
         )
         return estimate
-    # pm and sm are the hybrid with every word cut at its end or at its start.
-    if kind == ModelKind.PREFIX:
-        cuts = all_prefix_cuts(sample)
-    elif kind == ModelKind.SUFFIX:
-        cuts = all_suffix_cuts(sample)
-    elif kind != ModelKind.HYBRID:
-        raise ValueError(f"unknown model kind {kind!r}")
-    elif cuts is None:
-        raise ValueError("the hybrid estimate requires a split assignment")
+    cuts = _hybrid_cuts(kind, sample, cuts)
     return _hybrid_estimate(sample, k, cuts, *_part_uses(sample, cuts))
 
 

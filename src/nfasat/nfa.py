@@ -102,26 +102,6 @@ def nfa_to_json(nfa: Nfa) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def nfa_from_json(text: str) -> Nfa:
-    payload = json.loads(text)
-    n = payload["n"]
-    transitions = set()
-    for i, sym, j in payload["transitions"]:
-        if isinstance(sym, int):
-            a = sym
-        elif sym.isdigit():
-            a = int(sym)
-        else:
-            a = ord(sym) - ord("a")
-        transitions.add((i, a, j))
-    return Nfa(
-        k=payload["k"],
-        n=n,
-        transitions=frozenset(transitions),
-        finals=frozenset(payload["finals"]),
-    )
-
-
 def nfa_to_dot(nfa: Nfa) -> str:
     lines = [
         "digraph nfa {",

@@ -1,4 +1,4 @@
-"""Word samples: parsing, prefix/suffix closures, and split assignments.
+"""Word samples: parsing, text formats, and split assignments.
 
 A word is a tuple of symbol ids (small non-negative ints below the alphabet
 size); the empty tuple is the empty word.  A sample holds the alphabet size
@@ -88,24 +88,6 @@ class Sample:
             raise SampleError(f"words listed as both positive and negative: {shown}")
 
 
-def prefixes(words: Iterable[Word]) -> set[Word]:
-    """All non-empty prefixes of the given words, deduplicated."""
-    out: set[Word] = set()
-    for word in words:
-        for i in range(1, len(word) + 1):
-            out.add(word[:i])
-    return out
-
-
-def suffixes(words: Iterable[Word]) -> set[Word]:
-    """All non-empty suffixes of the given words, deduplicated."""
-    out: set[Word] = set()
-    for word in words:
-        for i in range(len(word)):
-            out.add(word[i:])
-    return out
-
-
 def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
     """Check that cuts cover exactly the non-empty sample words, in range."""
     expected = {w for w in sample.words() if w}
@@ -121,24 +103,6 @@ def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
     for word, cut in cuts.items():
         if type(cut) is not int or not 0 <= cut <= len(word):  # a bool is an int subclass
             raise SampleError(f"cut {cut!r} is not an integer in 0..{len(word)}")
-
-
-def split_sets(sample: Sample, cuts: SplitAssignment) -> tuple[set[Word], set[Word]]:
-    """Prefix parts and suffix parts induced by a split assignment.
-
-    Empty parts are excluded from the returned sets; the per-word
-    decomposition itself stays available through the cuts mapping.
-    """
-    validate_cuts(sample, cuts)
-    prefix_parts: set[Word] = set()
-    suffix_parts: set[Word] = set()
-    for word, cut in cuts.items():
-        head, tail = word[:cut], word[cut:]
-        if head:
-            prefix_parts.add(head)
-        if tail:
-            suffix_parts.add(tail)
-    return prefix_parts, suffix_parts
 
 
 def all_prefix_cuts(sample: Sample) -> SplitAssignment:

@@ -167,7 +167,7 @@ def solve_external(
     """Write the instance to DIMACS, run the solver_cmd process, parse the result.
 
     Variables the solver leaves unmentioned default to false, so the returned
-    assignment always covers every registered variable.
+    assignment always covers variables 1..var_count.
     """
     with tempfile.TemporaryDirectory(prefix="nfasat-") as tmp:
         cnf_path = Path(tmp) / "instance.cnf"
@@ -197,19 +197,19 @@ def solve_in_process(
     )
 
 
-def decode_nfa(assignment: dict[int, bool], registry: CnfInstance, k: int, n: int) -> Nfa:
+def decode_nfa(assignment: dict[int, bool], instance: CnfInstance, k: int, n: int) -> Nfa:
     """Read the final-state and transition variables out of a model.
 
     Auxiliary variables are ignored; missing entries count as false.
     """
     finals = frozenset(
-        i for i in range(1, k + 1) if assignment.get(registry.lookup(final_var(i)), False)
+        i for i in range(1, k + 1) if assignment.get(instance.lookup(final_var(i)), False)
     )
     transitions = frozenset(
         (i, a, j)
         for a in range(n)
         for i in range(1, k + 1)
         for j in range(1, k + 1)
-        if assignment.get(registry.lookup(trans_var(a, i, j)), False)
+        if assignment.get(instance.lookup(trans_var(a, i, j)), False)
     )
     return Nfa(k=k, n=n, transitions=transitions, finals=finals)

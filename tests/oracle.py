@@ -1,12 +1,17 @@
-"""Exhaustive inference oracle and an independent membership check, for tests only.
+"""Exhaustive inference oracle, an independent membership check and word
+closures, for tests only.
 
 The oracle enumerates every transition relation / final set combination in a
 fixed order and is the ground truth the SAT encodings are tested against; it
 never touches the encoder or solver code paths.  accepts_by_path_search is a
 depth-first membership routine, deliberately independent of nfasat.nfa.accepts.
+prefixes and suffixes count closures by brute force, independent of the
+split index that the optimizers score with.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +38,16 @@ def accepts_by_path_search(nfa: Nfa, word: Word) -> bool:
         return any(walk(t, pos + 1) for t in succ.get((state, word[pos]), ()))
 
     return walk(1, 0)
+
+
+def prefixes(words: Iterable[Word]) -> set[Word]:
+    """All non-empty prefixes of the given words, deduplicated."""
+    return {word[:i] for word in words for i in range(1, len(word) + 1)}
+
+
+def suffixes(words: Iterable[Word]) -> set[Word]:
+    """All non-empty suffixes of the given words, deduplicated."""
+    return {word[i:] for word in words for i in range(len(word))}
 
 
 # ---------------------------------------------------------------------------

@@ -419,9 +419,10 @@ class TestResolveCuts:
             ('{"ils": ', "is not valid JSON"),
             (b'{"ils": {"max_iter": "\xff"}}', "is not valid JSON"),
             ('["ils"]', "must hold a JSON object, not list"),
+            ('{"ils": {"rng_seed": 5}}', "rng_seed is not a config key; --seed sets the optimizer seed"),
         ],
         ids=["unknown-key", "invalid-value", "float-count", "string-value", "section-not-object",
-             "unknown-section", "malformed-json", "not-utf8", "not-an-object"],
+             "unknown-section", "malformed-json", "not-utf8", "not-an-object", "rng-seed"],
     )
     def test_bad_optimizer_config_is_one_line_error(self, tmp_path, sample_file, text, expected):
         config = tmp_path / "params.json"
@@ -812,7 +813,7 @@ class TestVerificationGate:
         import nfasat.cli as cli_mod
         from nfasat.nfa import Nfa
 
-        def broken_decode(assignment, registry, k, n):
+        def broken_decode(assignment, instance, k, n):
             return Nfa(k=k, n=n, transitions=frozenset(), finals=frozenset())
 
         monkeypatch.setattr(cli_mod, "decode_nfa", broken_decode)

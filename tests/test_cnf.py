@@ -9,27 +9,72 @@ from nfasat.cnf import (
     parse_dimacs,
     trans_var,
 )
-from nfasat.solver import solve_in_process
+from nfasat.nfa import Nfa
+from nfasat.solver import decode_nfa, solve_in_process
 
 
-def test_fresh_var_dense_numbering():
-    inst = CnfInstance()
-    assert inst.fresh_var(final_var(1)) == 1
-    assert inst.fresh_var(trans_var(0, 1, 1)) == 2
-    assert inst.fresh_var(final_var(1)) == 1
-    assert inst.var_count == 2
+def _in_layout(name: tuple, k: int, n: int) -> bool:
+    """The layout's names, stated without its arithmetic."""
+    if name[0] == "final":
+        return len(name) == 2 and 1 <= name[1] <= k
+    if name[0] == "trans":
+        return len(name) == 4 and 0 <= name[1] < n and 1 <= name[2] <= k and 1 <= name[3] <= k
+    return False
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["final", "trans", "reach"]), st.lists(st.integers(-1, 5), max_size=4)
+        ).map(lambda parts: (parts[0], *parts[1])),
+        max_size=20,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_layout_numbers_finals_then_transitions(k, n, names, rng):
+    inst = CnfInstance(k, n)
+    states = range(1, k + 1)
+    layout = [final_var(i) for i in states] + [
+        trans_var(a, i, j) for a in range(n) for i in states for j in states
+    ]
+    m = k + n * k * k
+    assert [inst.lookup(name) for name in layout] == list(range(1, m + 1))
+    assert inst.var_count == inst.layout_size == m
+    assert inst.var_family_counts == {"final": k, "transition": n * k * k}
+    for name in names:
+        if _in_layout(name, k, n):
+            assert layout[inst.lookup(name) - 1] == name
+        else:
+            with pytest.raises(CnfError):
+                inst.lookup(name)
+    nfa = Nfa(
+        k=k,
+        n=n,
+        transitions=frozenset(
+            (i, a, j) for a in range(n) for i in states for j in states if rng.random() < 0.5
+        ),
+        finals=frozenset(i for i in states if rng.random() < 0.5),
+    )
+    assignment = {inst.lookup(final_var(i)): i in nfa.finals for i in states}
+    assignment.update(
+        (inst.lookup(trans_var(a, i, j)), (i, a, j) in nfa.transitions)
+        for a in range(n)
+        for i in states
+        for j in states
+    )
+    assert decode_nfa(assignment, inst, k, n) == nfa
 
 
 def test_duplicate_literals_merged():
-    inst = CnfInstance()
-    x = inst.fresh_var(final_var(1))
+    inst, x = CnfInstance(1), 1
     inst.add_clause([x, x])
     assert inst.clauses == [(x,)]
 
 
 def test_tautology_dropped():
-    inst = CnfInstance()
-    x = inst.fresh_var(final_var(1))
+    inst, x = CnfInstance(1), 1
     inst.add_clause([x, -x])
     assert inst.clauses == []
 
@@ -54,8 +99,7 @@ def test_unregistered_variable_rejected():
 
 
 def test_dimacs_single_unit():
-    inst = CnfInstance()
-    x = inst.fresh_var(final_var(1))
+    inst, x = CnfInstance(1), 1
     inst.add_clause([x])
     assert dimacs_text(inst) == "p cnf 1 1\n1 0\n"
 
@@ -65,17 +109,13 @@ def test_dimacs_empty_instance():
 
 
 def test_dimacs_negative_literal_line():
-    inst = CnfInstance()
-    inst.fresh_var(final_var(1))
-    inst.fresh_var(final_var(2))
+    inst = CnfInstance(2)
     inst.add_clause([-2, 1])
     assert "-2 1 0" in dimacs_text(inst)
 
 
 def test_stats_histogram_sums_to_clause_count():
-    inst = CnfInstance()
-    x = inst.fresh_var(final_var(1))
-    y = inst.fresh_var(final_var(2))
+    inst, x, y = CnfInstance(2), 1, 2
     inst.add_clause([x], family="a")
     inst.add_clause([x, y], family="b")
     inst.add_clause([-x, -y], family="b")
@@ -90,9 +130,7 @@ def test_stats_histogram_sums_to_clause_count():
     )
 )
 def test_dimacs_round_trip(clause_lists):
-    inst = CnfInstance()
-    for i in range(1, 7):
-        inst.fresh_var(final_var(i))
+    inst = CnfInstance(6)
     for lits in clause_lists:
         inst.add_clause(lits)
     var_count, clauses = parse_dimacs(dimacs_text(inst))
@@ -115,10 +153,7 @@ def test_parse_dimacs_rejects_malformed_input(text):
 
 
 def _two_vars() -> CnfInstance:
-    inst = CnfInstance()
-    inst.fresh_var(final_var(1))
-    inst.fresh_var(final_var(2))
-    return inst
+    return CnfInstance(2)
 
 
 @pytest.mark.parametrize(
@@ -146,8 +181,7 @@ def test_bulk_store_tallies_families_in_order():
 
 
 def test_auxiliary_ranges_are_anonymous_and_named_by_family():
-    inst = CnfInstance()
-    inst.fresh_var(final_var(1))
+    inst = CnfInstance(1)
     first = inst.fresh_aux("prefix_rec_aux", 3)
     reach = inst.fresh_aux("prefix_path", 1)
     second = inst.fresh_aux("accept_aux", 2)

@@ -500,8 +500,7 @@ def test_pinned_dimacs_and_family_stats(case):
 class TestDefineChecks:
     @pytest.mark.parametrize("lits", [(1, 0), (1, 99)])
     def test_bad_conjunct_raises_and_stores_nothing(self, lits):
-        inst = CnfInstance()
-        y = inst.fresh_var(final_var(1))
+        inst, y = CnfInstance(1), 1
         with pytest.raises(CnfError):
             _define(inst, [y], [(0, lits)], _PREFIX_FAMILIES)
         assert inst.clauses == []

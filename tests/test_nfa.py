@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfasat.nfa import Nfa, accepts, nfa_from_json, nfa_to_dot, nfa_to_json, verify
+from nfasat.nfa import Nfa, accepts, nfa_to_dot, nfa_to_json, verify
 from nfasat.sample import Sample
 
 from oracle import OracleBoundError, accepts_by_path_search, oracle_exists
@@ -132,7 +133,12 @@ def test_json_round_trip():
         transitions=frozenset({(1, 0, 2), (2, 1, 3), (3, 0, 1)}),
         finals=frozenset({2, 3}),
     )
-    assert nfa_from_json(nfa_to_json(nfa)) == nfa
+    assert json.loads(nfa_to_json(nfa)) == {
+        "k": 3,
+        "n": 2,
+        "finals": [2, 3],
+        "transitions": [[1, "a", 2], [2, "b", 3], [3, "a", 1]],
+    }
 
 
 def test_dot_output_mentions_states():

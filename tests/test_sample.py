@@ -4,17 +4,14 @@ from hypothesis import given, strategies as st
 from nfasat.sample import (
     Sample,
     SampleError,
-    all_prefix_cuts,
-    all_suffix_cuts,
     format_sample,
     parse_sample,
-    prefixes,
-    split_sets,
-    suffixes,
     validate_cuts,
     word_from_text,
     word_to_text,
 )
+
+from oracle import prefixes, suffixes
 
 A, B = (0,), (1,)
 AB = (0, 1)
@@ -146,35 +143,6 @@ class TestClosures:
 
 
 class TestSplits:
-    def test_split_basic(self):
-        sample = Sample.build(2, [AB, ABB], [])
-        sp, ss = split_sets(sample, {AB: 1, ABB: 2})
-        assert sp == {A, AB}
-        assert ss == {B}
-
-    def test_split_pure_suffix(self):
-        sample = Sample.build(2, [AB], [])
-        sp, ss = split_sets(sample, {AB: 0})
-        assert sp == set()
-        assert ss == {AB}
-
-    def test_split_pure_prefix(self):
-        sample = Sample.build(2, [AB], [])
-        sp, ss = split_sets(sample, {AB: 2})
-        assert sp == {AB}
-        assert ss == set()
-
-    def test_all_prefix_matches_prefix_model_input(self):
-        sample = Sample.build(2, [AB, ABB], [B])
-        sp, ss = split_sets(sample, all_prefix_cuts(sample))
-        assert sp == {AB, ABB, B}
-        assert ss == set()
-
-    def test_all_suffix(self):
-        sample = Sample.build(2, [AB], [B])
-        sp, ss = split_sets(sample, all_suffix_cuts(sample))
-        assert (sp, ss) == (set(), {AB, B})
-
     def test_cut_out_of_range(self):
         sample = Sample.build(2, [AB], [])
         with pytest.raises(SampleError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfasat.cdcl import CdclSolver
-from nfasat.cnf import CnfInstance, dimacs_text, final_var, trans_var
+from nfasat.cnf import CnfInstance, dimacs_text
 from nfasat.encoders import ModelKind, encode, encode_prefix
 from nfasat.nfa import verify
 from nfasat.sample import Sample
@@ -25,8 +25,7 @@ from oracle import oracle_exists
 
 
 def unit_instance(*units: int) -> CnfInstance:
-    inst = CnfInstance()
-    inst.fresh_var(final_var(1))
+    inst = CnfInstance(1)
     for lit in units:
         inst.add_clause([lit])
     return inst
@@ -53,9 +52,7 @@ class TestInProcess:
             solve_in_process(unit_instance(1), timeout)
 
     def test_assignment_covers_all_variables(self):
-        inst = CnfInstance()
-        inst.fresh_var(final_var(1))
-        inst.fresh_var(final_var(2))  # never mentioned in a clause
+        inst = CnfInstance(2)  # variable 2 is never mentioned in a clause
         inst.add_clause([1])
         out = solve_in_process(inst)
         assert set(out.assignment) == {1, 2}
@@ -129,8 +126,7 @@ class TestExternal:
         rng = random.Random(0)
         for _ in range(5):
             shuffled = CnfInstance()
-            for i in range(base.var_count):
-                shuffled.fresh_var(("v", i))
+            shuffled.fresh_aux("other", base.var_count)
             order = list(base.clauses)
             rng.shuffle(order)
             for clause in order:
@@ -174,18 +170,13 @@ class TestOutputParsing:
 
 class TestDecode:
     def test_decode_simple_loop(self):
-        inst = CnfInstance()
-        f1 = inst.fresh_var(final_var(1))
-        d = inst.fresh_var(trans_var(0, 1, 1))
+        inst, f1, d = CnfInstance(1, 1), 1, 2
         nfa = decode_nfa({f1: True, d: True}, inst, 1, 1)
         assert nfa.finals == frozenset({1})
         assert nfa.transitions == frozenset({(1, 0, 1)})
 
     def test_decode_nothing_final(self):
-        inst = CnfInstance()
-        inst.fresh_var(final_var(1))
-        inst.fresh_var(trans_var(0, 1, 1))
-        nfa = decode_nfa({}, inst, 1, 1)
+        nfa = decode_nfa({}, CnfInstance(1, 1), 1, 1)
         assert nfa.finals == frozenset()
         assert not verify(nfa, Sample.build(1, [()], [])).ok
 

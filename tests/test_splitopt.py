@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nfasat.cli import random_sample
 from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind, encode
-from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts, prefixes, suffixes
+from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
 from nfasat.splitopt import (
     GaParams,
     IlsParams,
@@ -21,6 +21,7 @@ from nfasat.splitopt import (
 )
 
 from _helpers import random_tiny_sample
+from oracle import prefixes, suffixes
 
 A, B = (0,), (1,)
 AB = (0, 1)
