@@ -20,32 +20,35 @@ in how word acceptance is expressed:
 * prefix: the hybrid with every word cut at |w|.
 * suffix: the hybrid with every word cut at 0.
 
-Every prefix, suffix, link, direct-path and accept definition goes through
-one helper, ``_define``: each output is the OR of AND terms, with one
-anonymous auxiliary variable per term (Tseitin style).  It emits only the
-halves the sample uses (Plaisted & Greenbaum, J. Symb. Comp. 1986).  A word
-that is accepted needs "reach => some path" of its reach variables, a word
-that is rejected needs "some path => reach".  So each closure word carries
-polarity bits: a positive sample word marks its closure word positive and a
-negative one marks it negative; a prefix (suffix) takes the union of the
-marks of the words one letter longer on the right (left); a word's prefix
-part and suffix part both take the word's mark.  Per definition:
+Every clause except the empty-word units goes through one helper, ``_define``:
+each output is the OR of AND terms, with one anonymous auxiliary variable
+per term (Tseitin style).  It emits only the halves the sample uses
+(Plaisted & Greenbaum, J. Symb. Comp. 1986).  A word that is accepted needs
+"reach => some path" of its reach variables, a word that is rejected needs
+"some path => reach".  So each closure word carries polarity bits: a
+positive sample word marks its closure word positive and a negative one
+marks it negative; a prefix (suffix) takes the union of the marks of the
+words one letter longer on the right (left); a word's prefix part and
+suffix part both take the word's mark.  Per definition:
 
 * positive use only: per term one [-x, lit] per conjunct; then one choice
   clause per output ([-y, aux...], or a single [aux...] when the OR is
   asserted outright, as accepting a word, a hybrid positive link and a
   direct positive word are);
-* negative use only: no auxiliary variables, one [y, -lits...] per term;
+* negative use only: no auxiliary variables, one [y, -lits...] per term,
+  or [-lits...] when the OR is asserted false, as rejecting a word, a
+  hybrid negative link and a direct negative word are;
 * both: per term one [-x, lit] per conjunct and [x, -lits...]; then the
   choice clauses; then [y, -x] per term.
 
-Each chain, and each pass of verdicts and links, is one checked batch.
-Sound and complete: only final and transition variables are decoded, the
-surviving clauses still force every accepted word to have an accepting run
-and every rejected word to have none, and any NFA consistent with the
-sample extends to a model by setting each reach and auxiliary variable to
-its true value.  Instance sizes stay polynomial in the closure sizes for
-all but the direct encoding.
+The size bounds count these clauses from the same family tables
+(``_add_definitions``).  Each chain, and each pass of verdicts and links, is
+one checked batch.  Sound and complete: only final and transition
+variables are decoded, the surviving clauses still force every accepted
+word to have an accepting run and every rejected word to have none, and any
+NFA consistent with the sample extends to a model by setting each reach and
+auxiliary variable to its true value.  Instance sizes stay polynomial in
+the closure sizes for all but the direct encoding.
 
 The finals and transitions are the instance's fixed layout, variables
 1..m (``cnf``); every encoder records m as the instance's
@@ -162,20 +165,27 @@ _POSITIVE, _NEGATIVE = 1, 2
 _BOTH = _POSITIVE | _NEGATIVE
 
 # Per definition: aux family, (binary family per conjunct), reverse, choice, output.
-# Asserted ORs are positive uses only, so they have no reverse or output family.
+# An asserted OR has no output family; its reverse family asserts it false.
+Families = tuple[str, tuple[str, ...], str, str, str | None]
 _PREFIX_FAMILIES = ("prefix_rec_aux", ("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
                     "prefix_rec_ternary", "prefix_rec_choice", "prefix_rec_bin_out")
 _SUFFIX_FAMILIES = ("suffix_rec_aux", ("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
                     "suffix_rec_ternary", "suffix_rec_choice", "suffix_rec_bin_out")
-_LINK_FAMILIES = ("link_aux", ("link_bin",) * 3, None, "link_choice", None)
-_ACCEPT_FAMILIES = ("accept_aux", ("accept_bin",) * 2, None, "accept_choice", None)
+_LINK_FAMILIES = ("link_aux", ("link_bin",) * 3, "link_reject_ternary", "link_choice", None)
+_ACCEPT_FAMILIES = ("accept_aux", ("accept_bin",) * 2, "reject_bin", "accept_choice", None)
+
+
+def _direct_families(length: int) -> Families:
+    """dm's table for a word of the given length: a path's transitions and final."""
+    bins = ("direct_bin",) * (length + 1)
+    return ("direct_path_aux", bins, "direct_reject", "direct_choice", None)
 
 
 def _define(
     sink: _Batch | CnfInstance,
     outputs: list[int] | None,
     terms: list[tuple[int | None, Sequence[int]]],
-    families: tuple[str, tuple[str, ...], str | None, str, str | None],
+    families: Families,
     uses: int = _POSITIVE,
 ) -> None:
     """Define each output as the OR of its AND terms, in the module docstring's order.
@@ -184,14 +194,20 @@ def _define(
     is (output index, conjunct literals), all terms with as many conjuncts.
     families: aux variable family, one binary family per conjunct, then the
     reverse, choice and output families.  uses: the polarity bits of the
-    outputs; an asserted OR (outputs None) is a positive use.  The aux
+    outputs.  With outputs None the OR itself is asserted, true for a
+    positive use (one choice clause over the aux variables) and false for a
+    negative one: one [-lits...] clause per term under the reverse family
+    (``reject_bin``, ``link_reject_ternary`` or ``direct_reject``).  The aux
     variables are one index range.  A one-letter word's reach variables are
     transition variables, so a conjunct can repeat; a reverse clause names
     it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
     if uses == _NEGATIVE:
-        clauses = [(outputs[out], *_negated(lits)) for out, lits in terms]
+        if outputs is None:
+            clauses = [_negated(lits) for _, lits in terms]
+        else:
+            clauses = [(outputs[out], *_negated(lits)) for out, lits in terms]
         sink.add_clauses(clauses, repeat(reverse_family))
         return
     both = uses == _BOTH
@@ -228,18 +244,23 @@ def _negated(lits: Sequence[int]) -> tuple[int, ...]:
 
 
 def _marks(sample: Sample) -> list[tuple[Word, int]]:
-    """Each sample word with the polarity bit of its label."""
-    return [(w, _POSITIVE) for w in sample.positives] + [(w, _NEGATIVE) for w in sample.negatives]
+    """Each non-empty sample word with the polarity bit of its label: the
+    positives, then the negatives, each in ``word_key`` order."""
+    positives = [(w, _POSITIVE) for w in sample.sorted_positives() if w]
+    return positives + [(w, _NEGATIVE) for w in sample.sorted_negatives() if w]
 
 
-def _part_uses(sample: Sample, cuts: SplitAssignment) -> tuple[dict[Word, int], dict[Word, int]]:
-    """Polarity bits of the prefix closure of the words' heads and the suffix
-    closure of their tails, after checking the cuts."""
+def _part_uses(
+    sample: Sample, cuts: SplitAssignment
+) -> tuple[list[tuple[Word, int]], dict[Word, int], dict[Word, int]]:
+    """The sample's marks, then the polarity bits of the prefix closure of the
+    words' heads and the suffix closure of their tails, after checking the cuts."""
     validate_cuts(sample, cuts)
-    marked = [(word, bits) for word, bits in _marks(sample) if word]
-    heads = [(w[: cuts[w]], bits) for w, bits in marked]
-    tails = [(w[cuts[w] :], bits) for w, bits in marked]
+    marks = _marks(sample)
+    heads = [(w[: cuts[w]], bits) for w, bits in marks]
+    tails = [(w[cuts[w] :], bits) for w, bits in marks]
     return (
+        marks,
         _closure_uses(heads, lambda word: word[:-1]),
         _closure_uses(tails, lambda word: word[1:]),
     )
@@ -345,25 +366,23 @@ def _emit_suffix_chain(
 def encode_direct(
     sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
 ) -> CnfInstance:
-    """Explicit state-path encoding; blows up as k^|word|."""
-    _check_budget(_direct_literals(sample, k), literal_budget)
+    """Explicit state-path encoding; blows up as k^|word|.  Each word's paths
+    into a final state are one asserted OR, so the budget sums them per word."""
+    marks = _marks(sample)
+    sizes = [
+        _add_definitions(SizeEstimate({}, {}), _direct_families(len(w)), {bits: 1}, k ** len(w))
+        for w, bits in marks
+    ]
+    _check_budget(sum(size.total_literals() for size in sizes), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
     states = range(k)
     batch = _Batch(inst)
-    for word in sample.sorted_positives():
-        if word:
-            terms = [
-                (None, _path_conjuncts(trans, finals, word, path))
-                for path in product(states, repeat=len(word))
-            ]
-            bin_families = ("direct_bin",) * (len(word) + 1)
-            families = ("direct_path_aux", bin_families, None, "direct_choice", None)
-            _define(batch, None, terms, families)
-    for word in sample.sorted_negatives():
-        if word:
-            paths = product(states, repeat=len(word))
-            blocked = [_negated(_path_conjuncts(trans, finals, word, path)) for path in paths]
-            batch.add_clauses(blocked, repeat("direct_reject"))
+    for word, bits in marks:
+        terms = [
+            (None, _path_conjuncts(trans, finals, word, path))
+            for path in product(states, repeat=len(word))
+        ]
+        _define(batch, None, terms, _direct_families(len(word)), bits)
     inst.add_clauses(batch.clauses, batch.families)
     inst.decision_block = inst.layout_size
     return inst
@@ -403,9 +422,9 @@ def encode_hybrid(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     """Split-word encoding: prefix machinery feeds suffix machinery per word."""
-    prefix_uses, suffix_uses = _part_uses(sample, cuts)
-    estimate = _hybrid_estimate(sample, k, cuts, prefix_uses, suffix_uses)
-    _check_budget(estimate.total_literals(), literal_budget)
+    marks, prefix_uses, suffix_uses = _part_uses(sample, cuts)
+    literals = _hybrid_estimate(sample, k, cuts, marks, prefix_uses, suffix_uses).total_literals()
+    _check_budget(literals, literal_budget)
     inst, finals, trans = _base_instance(sample, k)
     linked = {w[cut:] for w, cut in cuts.items() if 0 < cut < len(w)}
     prefix_reach = _emit_prefix_chain(inst, prefix_uses, trans, k)
@@ -413,32 +432,18 @@ def encode_hybrid(
 
     states = range(k)
     batch = _Batch(inst)
-
-    def emit_word(word: Word, positive: bool) -> None:
+    for word, bits in marks:  # the OR of runs into a final state, asserted by the label
         cut = cuts[word]
         head, tail = word[:cut], word[cut:]
         if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
             reach = prefix_reach[word] if head else suffix_rows[word][0]
-            conjuncts = list(zip(reach, finals))
-            accept, reject = _ACCEPT_FAMILIES, "reject_bin"
+            terms = [(None, lits) for lits in zip(reach, finals)]
+            families = _ACCEPT_FAMILIES
         else:  # linked at the cut state
-            head_vars = prefix_reach[head]
-            tail_rows = suffix_rows[tail]
-            conjuncts = [
-                (head_vars[j], tail_rows[j][end], finals[end]) for j in states for end in states
-            ]
-            accept, reject = _LINK_FAMILIES, "link_reject_ternary"
-        if positive:  # some conjunction holds: a run into a final state
-            _define(batch, None, [(None, lits) for lits in conjuncts], accept)
-        else:
-            batch.add_clauses(list(map(_negated, conjuncts)), repeat(reject))
-
-    for word in sample.sorted_positives():
-        if word:
-            emit_word(word, positive=True)
-    for word in sample.sorted_negatives():
-        if word:
-            emit_word(word, positive=False)
+            rows = zip(prefix_reach[head], suffix_rows[tail])  # per cut state
+            terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
+            families = _LINK_FAMILIES
+        _define(batch, None, terms, families, bits)
     inst.add_clauses(batch.clauses, batch.families)
     inst.decision_block = inst.layout_size
     return inst
@@ -482,20 +487,6 @@ def _check_budget(projected_literals: int, literal_budget: int) -> None:
         )
 
 
-def _direct_literals(sample: Sample, k: int) -> int:
-    total = 0
-    for word in sample.positives:
-        m = len(word)
-        if m:
-            paths = k**m
-            total += paths * (m + 1) * 2 + paths
-    for word in sample.negatives:
-        m = len(word)
-        if m:
-            total += k**m * (m + 1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Closed-form size bounds per constraint family.
 # ---------------------------------------------------------------------------
@@ -516,31 +507,20 @@ class SizeEstimate:
     def total_variables(self) -> int:
         return sum(self.variable_bounds.values())
 
-    def total_clauses(self) -> int:
-        return sum(count for count, _ in self.clause_bounds.values())
-
     def total_literals(self) -> int:
         return sum(count * arity for count, arity in self.clause_bounds.values())
 
 
 def estimate_size(
-    kind: ModelKind,
-    sample: Sample,
-    k: int,
-    cuts: SplitAssignment | None = None,
+    kind: ModelKind, sample: Sample, k: int, cuts: SplitAssignment | None = None
 ) -> SizeEstimate:
-    if kind == ModelKind.DIRECT:
-        pos, neg = len(sample.positives), len(sample.negatives)
-        wplus = max((len(w) for w in sample.positives), default=0)
-        wminus = max((len(w) for w in sample.negatives), default=0)
-        paths_plus = k**wplus
+    if k < 1:
+        raise SampleError(f"state count k must be >= 1, got {k}")
+    if kind == ModelKind.DIRECT:  # every word of a polarity as long as its longest
         estimate = _base_estimate(sample, k)
-        estimate.variable_bounds["direct_path_aux"] = pos * paths_plus
-        estimate.clause_bounds.update(
-            direct_bin=(pos * (wplus + 1) * paths_plus, 2),
-            direct_choice=(pos, paths_plus),
-            direct_reject=(neg * k**wminus, wminus + 1),
-        )
+        for words, bits in ((sample.positives, _POSITIVE), (sample.negatives, _NEGATIVE)):
+            longest = max(map(len, words), default=0)
+            _add_definitions(estimate, _direct_families(longest), {bits: len(words)}, k**longest)
         return estimate
     cuts = _hybrid_cuts(kind, sample, cuts)
     return _hybrid_estimate(sample, k, cuts, *_part_uses(sample, cuts))
@@ -550,62 +530,55 @@ def _base_estimate(sample: Sample, k: int) -> SizeEstimate:
     """Finals, transitions and the empty-word units."""
     lam = int(() in sample.positives) + int(() in sample.negatives)
     clauses = {"empty_word_unit": (lam, 1)} if lam else {}
-    return SizeEstimate({"final": k, "transition": sample.alphabet_size * k * k}, clauses)
+    return SizeEstimate(dict(CnfInstance(k, sample.alphabet_size).var_family_counts), clauses)
+
+
+def _add_definitions(
+    estimate: SizeEstimate, families: Families, counts: dict[int, int], terms: int,
+    outputs: int | None = None,
+) -> SizeEstimate:
+    """Add what ``_define`` emits for counts[uses] definitions per polarity
+    class, each of terms terms over outputs outputs (None: an asserted OR),
+    and return the estimate.  A positive use has aux variables, binaries and
+    choice clauses, a negative use only reverse clauses, a shared one all of
+    these and output binaries; a class in counts adds its families at 0 too.
+    """
+    aux_family, bin_families, reverse_family, choice_family, out_family = families
+    forward = counts.get(_POSITIVE, 0) + counts.get(_BOTH, 0)
+    clauses = estimate.clause_bounds
+    if _POSITIVE in counts or _BOTH in counts:
+        estimate.variable_bounds[aux_family] = forward * terms
+        for family in bin_families:  # the conjuncts may share a family
+            clauses[family] = (clauses.get(family, (0,))[0] + forward * terms, 2)
+        if outputs is None:  # one clause over all the aux variables
+            clauses[choice_family] = (forward, terms)
+        else:
+            clauses[choice_family] = (forward * outputs, terms // outputs + 1)
+    if _NEGATIVE in counts or _BOTH in counts:
+        reverse = counts.get(_NEGATIVE, 0) + counts.get(_BOTH, 0)
+        clauses[reverse_family] = (reverse * terms, len(bin_families) + (outputs is not None))
+    if _BOTH in counts:
+        clauses[out_family] = (counts[_BOTH] * terms, 2)
+    return estimate
 
 
 def _hybrid_estimate(
-    sample: Sample,
-    k: int,
-    cuts: SplitAssignment,
-    prefix_uses: dict[Word, int],
-    suffix_uses: dict[Word, int],
+    sample: Sample, k: int, cuts: SplitAssignment, marks: list[tuple[Word, int]],
+    prefix_uses: dict[Word, int], suffix_uses: dict[Word, int],
 ) -> SizeEstimate:
-    """Bounds for validated cuts, each chain definition by its polarity class.
-
-    A positive-use definition has aux variables, binaries and choice clauses,
-    a negative-use one only reverse clauses, a shared one all of these plus
-    output binaries (module docstring).  One-letter words are transitions.
-    """
-    # a word cut inside is linked; every other non-empty word gets a verdict
-    linked_pos = linked_neg = 0
-    for word, cut in cuts.items():
-        if 0 < cut < len(word):
-            linked_pos += word in sample.positives
-            linked_neg += word in sample.negatives
-    accepted = len(sample.positives) - (() in sample.positives) - linked_pos
-    rejected = len(sample.negatives) - (() in sample.negatives) - linked_neg
+    """Bounds for validated cuts: each verdict, link and chain definition by
+    its polarity class.  One-letter words are transitions, and every suffix
+    counts all k start states."""
+    linked = Counter(bits for word, bits in marks if 0 < cuts[word] < len(word))
+    verdicts = Counter(bits for _, bits in marks) - linked
     pre = Counter(bits for word, bits in prefix_uses.items() if len(word) >= 2)
     suf = Counter(bits for word, bits in suffix_uses.items() if len(word) >= 2)
-    # definitions with aux variables (forward) and with reverse clauses
-    pre_fwd, pre_rev = pre[_POSITIVE] + pre[_BOTH], pre[_NEGATIVE] + pre[_BOTH]
-    suf_fwd, suf_rev = suf[_POSITIVE] + suf[_BOTH], suf[_NEGATIVE] + suf[_BOTH]
     estimate = _base_estimate(sample, k)
-    estimate.variable_bounds.update(
-        accept_aux=accepted * k,
-        prefix_path=pre.total() * k,
-        prefix_rec_aux=pre_fwd * k * k,
-        suffix_path=suf.total() * k * k,
-        suffix_rec_aux=suf_fwd * k**3,
-        link_aux=linked_pos * k * k,
-    )
-    estimate.clause_bounds.update(
-        accept_bin=(2 * k * accepted, 2),
-        accept_choice=(accepted, k),
-        reject_bin=(k * rejected, 2),
-        prefix_rec_bin_prev=(pre_fwd * k * k, 2),
-        prefix_rec_bin_trans=(pre_fwd * k * k, 2),
-        prefix_rec_ternary=(pre_rev * k * k, 3),
-        prefix_rec_choice=(pre_fwd * k, k + 1),
-        prefix_rec_bin_out=(pre[_BOTH] * k * k, 2),
-        suffix_rec_bin_tail=(suf_fwd * k**3, 2),
-        suffix_rec_bin_trans=(suf_fwd * k**3, 2),
-        suffix_rec_ternary=(suf_rev * k**3, 3),
-        suffix_rec_choice=(suf_fwd * k * k, k + 1),
-        suffix_rec_bin_out=(suf[_BOTH] * k**3, 2),
-        link_bin=(3 * k * k * linked_pos, 2),
-        link_choice=(linked_pos, k * k),
-        link_reject_ternary=(k * k * linked_neg, 3),
-    )
+    estimate.variable_bounds.update(prefix_path=pre.total() * k, suffix_path=suf.total() * k * k)
+    _add_definitions(estimate, _ACCEPT_FAMILIES, verdicts, k)
+    _add_definitions(estimate, _PREFIX_FAMILIES, pre, k * k, k)
+    _add_definitions(estimate, _SUFFIX_FAMILIES, suf, k**3, k * k)
+    _add_definitions(estimate, _LINK_FAMILIES, linked, k * k)
     return SizeEstimate(
         {family: bound for family, bound in estimate.variable_bounds.items() if bound},
         {family: bound for family, bound in estimate.clause_bounds.items() if bound[0]},

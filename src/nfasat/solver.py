@@ -26,6 +26,8 @@ UNSAT = cdcl.UNSAT
 UNKNOWN = cdcl.UNKNOWN
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
+# the longest wait subprocess takes: poll counts milliseconds in a C int
+_LONGEST_WAIT_SECONDS = 2_147_483.0
 COUNTERS = ("decisions", "conflicts", "propagations")
 # "c decisions 17" as nfasat-solve prints it, "decisions : 17" as MiniSat does
 COUNTER_PATTERN = re.compile(r"(decisions|conflicts|propagations)\s*[:=]?\s*(\d+)", re.IGNORECASE)
@@ -130,9 +132,10 @@ def solve_dimacs_file(
 ) -> SolveOutcome:
     """Solve a DIMACS file: in-process by default, or by running solver_cmd.
 
-    A None timeout means no limit; a solver_cmd that names ``{timeout}``
-    then raises ValueError.  In-process, an unreadable or malformed file
-    raises OSError or CnfError.
+    A None timeout means no limit, and ``{timeout}`` in solver_cmd then
+    raises ValueError; past ``_LONGEST_WAIT_SECONDS`` (inf too) a process
+    runs unlimited, with the value in ``{timeout}``.  In-process, an
+    unreadable or malformed file raises OSError or CnfError.
     """
     if solver_cmd is None:
         try:
@@ -141,6 +144,8 @@ def solve_dimacs_file(
             raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
         return _solve_clauses(*parse_dimacs(text), timeout_seconds)
     argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
+    if timeout_seconds is not None and timeout_seconds > _LONGEST_WAIT_SECONDS:
+        timeout_seconds = None
     start = time.perf_counter()
     try:
         proc = subprocess.run(

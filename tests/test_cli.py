@@ -323,6 +323,22 @@ class TestInferCommand:
         assert report["conflicts"] >= 0 and report["propagations"] > 0
 
 
+@pytest.mark.parametrize("timeout", ["inf", "3e6"])
+@pytest.mark.parametrize("command", ["infer", "solve"])
+def test_long_timeout_with_a_solver_command_runs_unlimited(
+    tmp_path, sample_file, capsys, command, timeout
+):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    solver = f"{sys.executable} -m nfasat.dimacs_solver {{cnf}} --timeout {{timeout}}"
+    target = str(sample_file) if command == "infer" else str(cnf)
+    extra = ["--model", "pm", "--k", "2", "--nfa-out", str(tmp_path / "n.json")]
+    code = main([command, target, *(extra if command == "infer" else []),
+                 "--timeout", timeout, "--solver", solver])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "SAT"
+
+
 @pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
 @pytest.mark.parametrize("command", ["infer", "solve", "nfasat-solve"])
 def test_bad_timeout_is_one_line_error(tmp_path, sample_file, capsys, command, timeout):

@@ -7,9 +7,13 @@ import pytest
 from nfasat.cli import random_sample
 from nfasat.cnf import CnfError, CnfInstance, dimacs_text, final_var, trans_var
 from nfasat.encoders import (
+    _ACCEPT_FAMILIES,
+    _LINK_FAMILIES,
     _PREFIX_FAMILIES,
+    _SUFFIX_FAMILIES,
     BudgetExceededError,
     _define,
+    _direct_families,
     ModelKind,
     encode,
     encode_direct,
@@ -19,7 +23,7 @@ from nfasat.encoders import (
     estimate_size,
 )
 from nfasat.nfa import Nfa, accepts, verify
-from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
+from nfasat.sample import Sample, SampleError, all_prefix_cuts, all_suffix_cuts
 from nfasat.solver import decode_nfa, solve_in_process
 from nfasat.splitopt import IlsParams, ils_optimize
 
@@ -76,6 +80,13 @@ class TestDirect:
         sample = Sample.build(1, [word], [])
         with pytest.raises(BudgetExceededError):
             encode_direct(sample, 5)
+
+    def test_budget_threshold_is_pinned(self):
+        # the literal count the budget checks for the first pinned sample at k = 2
+        sample, k, literals = random_sample(2, 30, 6, 0.5, 3), 2, 7580
+        with pytest.raises(BudgetExceededError):
+            encode_direct(sample, k, literal_budget=literals - 1)
+        assert encode_direct(sample, k, literal_budget=literals).clauses
 
 
 class TestPrefix:
@@ -342,6 +353,44 @@ class TestSizeEstimates:
         assert est.variable_bounds["suffix_rec_aux"] == 8
         assert est.total_variables() == 24
 
+    def test_hybrid_estimate_of_every_family(self):
+        # (0, 1, 1) and (0, 0, 1) are linked, one positive and one negative;
+        # the prefix (0, 0) is a positive verdict and the negative link's head,
+        # and the suffix (1, 1) a positive link's tail and a negative verdict
+        positives = [(), (0, 1, 1), (0, 0), (1, 0, 1)]
+        negatives = [(0, 0, 1), (1, 1), (1, 0)]
+        cuts = {(0, 1, 1): 1, (0, 0): 2, (1, 0, 1): 0, (0, 0, 1): 2, (1, 1): 0, (1, 0): 2}
+        est = estimate_size(ModelKind.HYBRID, Sample.build(2, positives, negatives), 2, cuts)
+        assert est.variable_bounds == {
+            "final": 2,
+            "transition": 8,
+            "accept_aux": 4,
+            "prefix_path": 4,
+            "prefix_rec_aux": 4,
+            "suffix_path": 12,
+            "suffix_rec_aux": 24,
+            "link_aux": 4,
+        }
+        assert est.clause_bounds == {
+            "empty_word_unit": (1, 1),
+            "accept_bin": (8, 2),
+            "accept_choice": (2, 2),
+            "reject_bin": (4, 2),
+            "prefix_rec_bin_prev": (4, 2),
+            "prefix_rec_bin_trans": (4, 2),
+            "prefix_rec_ternary": (8, 3),
+            "prefix_rec_choice": (2, 3),
+            "prefix_rec_bin_out": (4, 2),
+            "suffix_rec_bin_tail": (24, 2),
+            "suffix_rec_bin_trans": (24, 2),
+            "suffix_rec_ternary": (8, 3),
+            "suffix_rec_choice": (12, 3),
+            "suffix_rec_bin_out": (8, 2),
+            "link_bin": (12, 2),
+            "link_choice": (1, 4),
+            "link_reject_ternary": (4, 3),
+        }
+
     def test_generated_counts_within_bounds(self):
         rng = random.Random(0)
         for _ in range(30):
@@ -368,6 +417,40 @@ def test_literal_estimate_within_a_fifth_of_the_instance(args, k, kind):
     sample = random_sample(*args)
     literals = encode(kind, sample, k).literal_count()
     assert literals <= estimate_size(kind, sample, k).total_literals() <= 1.2 * literals
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("size", [encode, estimate_size])
+def test_state_count_below_one_raises(kind, size):
+    sample = Sample.build(2, [AB], [B])
+    with pytest.raises(SampleError, match="state count k must be >= 1, got 0"):
+        size(kind, sample, 0, all_prefix_cuts(sample))
+
+
+def test_every_family_is_named_by_a_family_table():
+    """Every clause but the empty-word units comes from _define, so its family
+    is in a table; every variable is in the layout, a chain's reach
+    variables or a table's aux family."""
+    tables = [_PREFIX_FAMILIES, _SUFFIX_FAMILIES, _LINK_FAMILIES, _ACCEPT_FAMILIES]
+    tables.append(_direct_families(1))
+    clause_families = {"empty_word_unit"}
+    for _, bins, reverse, choice, out in tables:
+        clause_families |= {*bins, reverse, choice, out} - {None}
+    var_families = {"final", "transition", "prefix_path", "suffix_path", *(t[0] for t in tables)}
+    seen_clauses, seen_vars = set(), set()
+    rng = random.Random(13)
+    for _ in range(40):
+        sample = random_tiny_sample(rng, n=2, max_len=4, max_each=4)
+        k = rng.randint(1, 3)
+        cuts = random_cut_assignment(rng, sample)
+        for kind in ModelKind:
+            inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+            assert set(inst.family_clause_counts()) <= clause_families, kind
+            assert set(inst.var_family_counts) <= var_families, kind
+            seen_clauses |= set(inst.family_clause_counts())
+            seen_vars |= set(inst.var_family_counts)
+    # and every table family is in use
+    assert (seen_clauses, seen_vars) == (clause_families, var_families)
 
 
 def test_every_encoder_records_the_finals_and_transitions_as_decision_block():
@@ -495,6 +578,47 @@ def test_pinned_dimacs_and_family_stats(case):
         stats = _stats_text(inst)
         assert _sha(dimacs_text(inst)) == pinned[0], label
         assert _sha(stats)[:16] == pinned[1], (label, stats)
+
+
+# (random_sample arguments, k) -> model -> sha256 of _estimate_text, for the
+# PINNED_CASES samples; hm-ils is scored at the cuts of IlsParams(rng_seed=1).
+PINNED_ESTIMATES = {
+    ((2, 30, 6, 0.5, 3), 2): {
+        "dm": "6dc6e4331bb541b08f1c346a232e5650b45463cc52934adcdeec99069343994c",
+        "pm": "5df8cde4fc9166b1eb1a0bbce63191ad16c020cf14516d67c01b10d3525ea791",
+        "sm": "cef2f02939312df3e36a669243b0c949b6eb3a0687f399611d14d66023876aa7",
+        "hm-ils": "a1cf0b68c0beff2473da95c814997a3030a6e3be8e86aad0bf5921ee893879de",
+    },
+    ((3, 40, 8, 0.5, 5), 3): {
+        "dm": "df47221308cc830af6085713c21a675009fbdfc6905e83bae4ee7399eb209e71",
+        "pm": "53678045450bf2fb1a46abc8bdfb33caffbcf35ec3fa13c6b36934a760551c19",
+        "sm": "7e68bc5deb371b9d19710905ac6d6acec94fb4b7fa220eacad814a1b117247a7",
+        "hm-ils": "d53335aa9ef8d9144092d6f7616ab41e931e0e70d4eefe4a3369b30fb2d5096e",
+    },
+}
+
+
+def _estimate_text(est) -> str:
+    """Canonical text of an estimate's variable and clause bounds."""
+    return json.dumps(
+        [
+            sorted(est.variable_bounds.items()),
+            sorted((family, list(bound)) for family, bound in est.clause_bounds.items()),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_ESTIMATES), ids=lambda case: f"n{case[0][0]}-seed{case[0][4]}-k{case[1]}"
+)
+def test_pinned_size_estimates(case):
+    args, k = case
+    sample = random_sample(*args)
+    cuts = ils_optimize(sample, k, IlsParams(rng_seed=1)).cuts
+    for label, pinned in PINNED_ESTIMATES[case].items():
+        kind = ModelKind(label[:2])
+        est = estimate_size(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        assert _sha(_estimate_text(est)) == pinned, label
 
 
 class TestDefineChecks:

@@ -91,6 +91,15 @@ class TestExternal:
         assert out.status == "SAT"
         assert out.assignment == {1: True}
 
+    @pytest.mark.parametrize("timeout", [math.inf, 3e6])
+    def test_timeout_longer_than_a_process_wait_runs_unlimited(self, tmp_path, timeout):
+        # subprocess cannot wait that long; the solver still gets the value
+        path = tmp_path / "unit.cnf"
+        path.write_text(dimacs_text(unit_instance(1)))
+        out = solve_dimacs_file(path, BUNDLED_SOLVER, timeout)
+        assert out.status == "SAT"
+        assert out.assignment == {1: True}
+
     def test_timeout_template_without_a_timeout_raises(self, tmp_path):
         path = tmp_path / "unit.cnf"
         path.write_text(dimacs_text(unit_instance(1)))
