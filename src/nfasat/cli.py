@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .cnf import CnfError, CnfInstance, dimacs_text
+from .cnf import CnfError, CnfInstance, write_dimacs
 from .encoders import BudgetExceededError, DEFAULT_LITERAL_BUDGET, ModelKind, encode
 from .nfa import nfa_to_dot, nfa_to_json, verify
 from .sample import (
@@ -593,7 +593,8 @@ def _run(argv: list[str] | None = None) -> int:
             ils_params=ils_params,
             ga_params=ga_params,
         )
-        Path(args.out).write_text(dimacs_text(instance))
+        with open(args.out, "w") as sink:
+            write_dimacs(instance, sink)
         stats_path = args.stats_out or args.out + ".stats.json"
         stats = instance.stats_dict()
         stats["generation_seconds"] = report.t_m_seconds

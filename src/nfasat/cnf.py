@@ -140,15 +140,17 @@ class CnfInstance:
         }
 
 
+_WRITE_BLOCK, _READ_BLOCK = 4096, 1 << 16  # clauses per write, characters per read
+
+
 def write_dimacs(instance: CnfInstance, sink: IO[str]) -> None:
-    """Emit DIMACS CNF: header, then one zero-terminated clause per line."""
-    sink.write(f"p cnf {instance.var_count} {len(instance.clauses)}\n")
-    for clause in instance.clauses:
-        if clause:
-            sink.write(" ".join(str(lit) for lit in clause))
-            sink.write(" 0\n")
-        else:
-            sink.write("0\n")
+    """Emit DIMACS CNF: header, then one zero-terminated clause (a tuple) per line."""
+    clauses = instance.clauses
+    sink.write(f"p cnf {instance.var_count} {len(clauses)}\n")
+    formats = {arity: "%d " * arity + "0\n" for arity in set(map(len, clauses))}
+    for start in range(0, len(clauses), _WRITE_BLOCK):
+        block = clauses[start : start + _WRITE_BLOCK]
+        sink.write("".join(map(str.__mod__, map(formats.__getitem__, map(len, block)), block)))
 
 
 def dimacs_text(instance: CnfInstance) -> str:
@@ -160,42 +162,48 @@ def dimacs_text(instance: CnfInstance) -> str:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Read DIMACS CNF text back into (var_count, clauses).
+    """Read DIMACS CNF text into (var_count, clauses), a block of whole lines at a time.
 
-    Raises CnfError for a missing or malformed header, a token that is not an
-    integer, an unterminated last clause, or a literal whose variable exceeds
-    the header's variable count.
+    Only a block with a comment, a header or a bad token goes line by line,
+    and a clause may span blocks.  Raises CnfError for a missing or malformed
+    header, a non-integer token, an unterminated last clause, or a literal
+    whose variable exceeds the header's variable count.
     """
-    var_count = 0
+    var_count, top, start = None, 0, 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    saw_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf" or not parts[2].isdigit():
-                raise CnfError(f"bad DIMACS header {line!r}")
-            var_count = int(parts[2])
-            saw_header = True
-            continue
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise CnfError(f"bad DIMACS token {tok!r} in line {line!r}") from None
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending.clear()
-            else:
-                pending.append(lit)
+    while start < len(text):
+        end = text.find("\n", start + _READ_BLOCK) + 1 or len(text)
+        block, start = text[start:end], end
+        try:
+            lits = list(map(int, block.split()))
+        except ValueError:  # a comment, a header or a bad token: go line by line
+            lits = []
+            for line in map(str.strip, block.splitlines()):
+                if line.startswith("p"):
+                    parts = line.split()
+                    if len(parts) != 4 or parts[1] != "cnf" or not parts[2].isdecimal():
+                        raise CnfError(f"bad DIMACS header {line!r}") from None
+                    var_count = int(parts[2])
+                elif line and not line.startswith("c"):
+                    for tok in line.split():
+                        try:
+                            lits.append(int(tok))
+                        except ValueError:
+                            raise CnfError(f"bad DIMACS token {tok!r} in line {line!r}") from None
+        pending += lits
+        top = max(top, max(lits, default=0), -min(lits, default=0))
+        if 0 in lits:  # else the clause runs on, and the carry is not scanned again
+            ready, at = tuple(pending), 0
+            for _ in range(ready.count(0)):
+                zero = ready.index(0, at)
+                clauses.append(ready[at:zero])
+                at = zero + 1
+            pending = list(ready[at:])
     if pending:
         raise CnfError("last clause is not zero-terminated")
-    if not saw_header:
+    if var_count is None:
         raise CnfError("missing DIMACS header")
-    top = max(map(abs, chain.from_iterable(clauses)), default=0)
     if top > var_count:
         number = next(i for i, clause in enumerate(clauses, 1) if top in clause or -top in clause)
         raise CnfError(

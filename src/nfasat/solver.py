@@ -106,16 +106,19 @@ def _parse_solver_output(text: str) -> tuple[str, list[int], dict[str, int | Non
     return status, literals, counters
 
 
+def _check_timeout(timeout_seconds: float | None) -> None:
+    if timeout_seconds is not None and not timeout_seconds >= 0:  # also catches nan
+        raise ValueError(f"timeout must be a number of seconds >= 0, got {timeout_seconds}")
+
+
 def _solve_clauses(
     var_count: int, clauses: list, timeout_seconds: float | None, decided_by: int = 0
 ) -> SolveOutcome:
     """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
 
     decided_by is the solver's stop rule (0 searches until every variable
-    is set).  Raises ValueError for a timeout that is negative or nan.
+    is set).
     """
-    if timeout_seconds is not None and not timeout_seconds >= 0:  # also catches nan
-        raise ValueError(f"timeout must be a number of seconds >= 0, got {timeout_seconds}")
     start = time.perf_counter()
     deadline = start + timeout_seconds if timeout_seconds is not None else None
     solver = cdcl.CdclSolver(var_count, clauses)
@@ -132,11 +135,12 @@ def solve_dimacs_file(
 ) -> SolveOutcome:
     """Solve a DIMACS file: in-process by default, or by running solver_cmd.
 
-    A None timeout means no limit, and ``{timeout}`` in solver_cmd then
-    raises ValueError; past ``_LONGEST_WAIT_SECONDS`` (inf too) a process
-    runs unlimited, with the value in ``{timeout}``.  In-process, an
-    unreadable or malformed file raises OSError or CnfError.
+    A None timeout means no limit (``{timeout}`` in solver_cmd then raises
+    ValueError), and a negative or nan one raises ValueError; past
+    ``_LONGEST_WAIT_SECONDS`` (inf too) a process runs unlimited, with the
+    value in ``{timeout}``.  In-process, a bad file raises OSError or CnfError.
     """
+    _check_timeout(timeout_seconds)
     if solver_cmd is None:
         try:
             text = Path(cnf_path).read_text()
@@ -197,6 +201,7 @@ def solve_in_process(
     unassigned ones read as false, as ``solve_external`` does.  A negative
     or nan timeout raises ValueError.
     """
+    _check_timeout(timeout_seconds)
     return _solve_clauses(
         instance.var_count, instance.clauses, timeout_seconds, instance.decision_block
     )

@@ -6,15 +6,19 @@ fixed order and is the ground truth the SAT encodings are tested against; it
 never touches the encoder or solver code paths.  accepts_by_path_search is a
 depth-first membership routine, deliberately independent of nfasat.nfa.accepts.
 prefixes and suffixes count closures by brute force, independent of the
-split index that the optimizers score with.
+split index that the optimizers score with.  parse_dimacs_by_token and
+write_dimacs_by_clause are DIMACS reading and writing one token and one
+clause at a time, the reference for the block-wise ``nfasat.cnf`` routines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import IO, Iterable
 
 import numpy as np
 
+from nfasat.cnf import CnfError, CnfInstance
 from nfasat.nfa import Nfa
 from nfasat.sample import Sample, Word, word_key
 
@@ -204,3 +208,60 @@ def _slow_scan(
         if finals is not None:
             return relation, finals
     return None
+
+
+# ---------------------------------------------------------------------------
+# DIMACS one token and one clause at a time.
+# ---------------------------------------------------------------------------
+
+
+def write_dimacs_by_clause(instance: CnfInstance, sink: IO[str]) -> None:
+    """Header, then one zero-terminated clause per line, one write per part."""
+    sink.write(f"p cnf {instance.var_count} {len(instance.clauses)}\n")
+    for clause in instance.clauses:
+        if clause:
+            sink.write(" ".join(str(lit) for lit in clause))
+            sink.write(" 0\n")
+        else:
+            sink.write("0\n")
+
+
+def parse_dimacs_by_token(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """(var_count, clauses) of DIMACS text, read line by line and token by
+    token, with ``nfasat.cnf.parse_dimacs``'s CnfError messages."""
+    var_count = 0
+    clauses: list[tuple[int, ...]] = []
+    pending: list[int] = []
+    saw_header = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf" or not parts[2].isdigit():
+                raise CnfError(f"bad DIMACS header {line!r}")
+            var_count = int(parts[2])
+            saw_header = True
+            continue
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise CnfError(f"bad DIMACS token {tok!r} in line {line!r}") from None
+            if lit == 0:
+                clauses.append(tuple(pending))
+                pending.clear()
+            else:
+                pending.append(lit)
+    if pending:
+        raise CnfError("last clause is not zero-terminated")
+    if not saw_header:
+        raise CnfError("missing DIMACS header")
+    top = max(map(abs, chain.from_iterable(clauses)), default=0)
+    if top > var_count:
+        number = next(i for i, clause in enumerate(clauses, 1) if top in clause or -top in clause)
+        raise CnfError(
+            f"variable {top} in clause {number} exceeds the header's {var_count} variables"
+        )
+    return var_count, clauses

@@ -58,6 +58,13 @@ class TestGenerateCommand:
         assert int(header[3]) == stats["clauses"]
         assert stats["generation_seconds"] >= 0
 
+    def test_dimacs_file_holds_the_instance_text(self, tmp_path, sample_file):
+        out = tmp_path / "demo.cnf"
+        assert main(["generate", str(sample_file), "--model", "sm", "--k", "2",
+                     "--out", str(out)]) == 0
+        instance, _, _ = generate_instance(parse_sample(sample_file.read_text()), ModelKind.SUFFIX, 2)
+        assert out.read_bytes() == dimacs_text(instance).encode()
+
     def test_stats_sidecar_carries_family_counts(self, tmp_path, sample_file):
         out = tmp_path / "demo.cnf"
         assert main(["generate", str(sample_file), "--model", "hm", "--k", "2",

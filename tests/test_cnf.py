@@ -1,6 +1,13 @@
+import random
+import tracemalloc
+from io import StringIO
+from itertools import repeat
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from nfasat import cnf
 from nfasat.cnf import (
     CnfError,
     CnfInstance,
@@ -11,6 +18,8 @@ from nfasat.cnf import (
 )
 from nfasat.nfa import Nfa
 from nfasat.solver import decode_nfa, solve_in_process
+
+from oracle import parse_dimacs_by_token, write_dimacs_by_clause
 
 
 def _in_layout(name: tuple, k: int, n: int) -> bool:
@@ -202,3 +211,111 @@ def test_decision_block_survives_clauses_inside_it_and_clears_beyond():
     assert inst.decision_block == 2
     inst.add_clause([aux, 1])
     assert inst.decision_block == 0
+
+
+# Tokens that int() reads differently from a plain literal, or not at all.
+_ODD_TOKENS = ["-0", "+2", "007", "1_0", "_1", "--1", "1.5", "x", "c", "p", "\u0663"]
+_EXTRA_LINES = ["c comment", "c", "cp 1 0", "c p cnf 1 1", "", "   "]
+_BAD_HEADERS = ["p", "p cnf 3", "p dnf 3 1", "p cnf 3 1 0", "p cnf two 1", "p cnf -1 1"]
+
+
+@st.composite
+def _dimacs_like_texts(draw) -> str:
+    """DIMACS-like text: clauses cut into lines at random, comments, blank
+    lines and headers anywhere, CRLF, odd tokens, a missing final zero."""
+    clauses = draw(st.lists(st.lists(st.integers(-9, 9).filter(bool), max_size=4), max_size=12))
+    tokens = []
+    for clause in clauses:
+        tokens += map(str, clause)
+        tokens.append(draw(st.sampled_from(["0", "0", "-0"])))
+    if tokens and draw(st.integers(0, 4)) == 0:
+        tokens.pop()
+    if tokens and draw(st.integers(0, 3)) == 0:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    lines, done = [], 0
+    while done < len(tokens):
+        width = draw(st.integers(1, 6))
+        lines.append(draw(st.sampled_from([" ", "  ", "\t"])).join(tokens[done : done + width]))
+        done += width
+    if draw(st.integers(0, 5)):
+        count = draw(st.sampled_from(["9", "9", "4", "0", "\u0663"]))
+        lines.insert(draw(st.integers(0, len(lines))), f"p cnf {count} {len(clauses)}")
+    extras = draw(st.lists(st.sampled_from(_EXTRA_LINES), max_size=4))
+    if not draw(st.integers(0, 5)):
+        extras.append(draw(st.sampled_from(_BAD_HEADERS)))
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(draw(st.sampled_from(["", " ", "\t"])) + line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip()
+
+
+def _parsed(parse, text):
+    """What a parser returns, or its CnfError message."""
+    try:
+        return parse(text)
+    except CnfError as err:
+        return f"CnfError: {err}"
+
+
+@given(_dimacs_like_texts(), st.integers(1, 40))
+def test_parse_dimacs_matches_token_parser(text, block):
+    with mock.patch.object(cnf, "_READ_BLOCK", block):
+        assert _parsed(parse_dimacs, text) == _parsed(parse_dimacs_by_token, text)
+
+
+def test_parse_dimacs_matches_token_parser_over_full_blocks():
+    rng = random.Random(5)
+    lines, tokens = ["c generated", "p cnf 50 30000"], []
+    for _ in range(30000):
+        tokens += [str(rng.choice((-1, 1)) * rng.randint(1, 50)) for _ in range(rng.randint(0, 4))]
+        tokens.append("0")
+    while tokens:
+        cut = rng.randint(1, 7)
+        lines.append(" ".join(tokens[:cut]))
+        del tokens[:cut]
+        if rng.random() < 0.001:
+            lines.append("c between clauses")
+    text = "\n".join(lines) + "\n"
+    first_cut = text.find("\n", cnf._READ_BLOCK) + 1
+    assert len(text) > 2 * cnf._READ_BLOCK and text[:first_cut].split()[-1] != "0"
+    parsed = parse_dimacs(text)
+    assert parsed == parse_dimacs_by_token(text) and len(parsed[1]) == 30000
+
+
+def test_parse_dimacs_carries_one_clause_over_many_blocks():
+    text = "p cnf 9 2\n" + "1 -2 3 " * 30000 + "0\n-9 0\n"
+    assert len(text) > 3 * cnf._READ_BLOCK
+    assert parse_dimacs(text) == parse_dimacs_by_token(text) == (9, [(1, -2, 3) * 30000, (-9,)])
+
+
+def test_parse_dimacs_rejects_a_header_count_that_int_cannot_read():
+    with pytest.raises(CnfError, match="bad DIMACS header"):
+        parse_dimacs("p cnf \u00b2 1\n1 0\n")
+
+
+@given(
+    st.lists(st.lists(st.integers(-21, 21).filter(bool), max_size=5, unique_by=abs), max_size=25),
+    st.integers(1, 6),
+)
+def test_write_dimacs_matches_per_clause_writer(clause_lists, block):
+    inst = CnfInstance(3, 2)  # 21 variables, so literals of one and two digits
+    inst.add_clauses(list(map(tuple, clause_lists)), repeat("other"))
+    expected = StringIO()
+    write_dimacs_by_clause(inst, expected)
+    with mock.patch.object(cnf, "_WRITE_BLOCK", block):
+        assert dimacs_text(inst) == expected.getvalue()
+
+
+def test_write_dimacs_memory_grows_with_the_clauses_only():
+    # one format per arity present, not one per arity up to the widest clause
+    inst = CnfInstance(1)
+    inst.fresh_aux("other", 5000)
+    inst.add_clauses([tuple(range(1, 5002)), (-1,)], ["wide", "unit"])
+    tracemalloc.start()
+    try:
+        text = dimacs_text(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith(" 5001 0\n-1 0\n") and peak < 1_000_000

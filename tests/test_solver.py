@@ -100,6 +100,14 @@ class TestExternal:
         assert out.status == "SAT"
         assert out.assignment == {1: True}
 
+    @pytest.mark.parametrize("timeout", [math.nan, -1.0])
+    def test_bad_timeout_raises_before_a_process_starts(self, tmp_path, timeout):
+        # a process that started would end in SolverError: the command does not exist
+        path = tmp_path / "unit.cnf"
+        path.write_text(dimacs_text(unit_instance(1)))
+        with pytest.raises(ValueError, match="timeout must be a number of seconds >= 0"):
+            solve_dimacs_file(path, "/nonexistent/solver {cnf} {timeout}", timeout)
+
     def test_timeout_template_without_a_timeout_raises(self, tmp_path):
         path = tmp_path / "unit.cnf"
         path.write_text(dimacs_text(unit_instance(1)))
