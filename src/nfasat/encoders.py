@@ -96,11 +96,11 @@ from typing import Callable, Iterable, Sequence
 from .cnf import CnfInstance, final_var, trans_var
 from .sample import (
     Sample,
-    SampleError,
     SplitAssignment,
     Word,
     all_prefix_cuts,
     all_suffix_cuts,
+    check_state_count,
     validate_cuts,
     word_key,
 )
@@ -456,8 +456,7 @@ def encode(
     cuts: SplitAssignment | None = None,
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
-    if k < 1:
-        raise SampleError(f"state count k must be >= 1, got {k}")
+    check_state_count(k)
     if kind == ModelKind.DIRECT:
         return encode_direct(sample, k, literal_budget)
     return encode_hybrid(sample, k, _hybrid_cuts(kind, sample, cuts), literal_budget)
@@ -514,8 +513,7 @@ class SizeEstimate:
 def estimate_size(
     kind: ModelKind, sample: Sample, k: int, cuts: SplitAssignment | None = None
 ) -> SizeEstimate:
-    if k < 1:
-        raise SampleError(f"state count k must be >= 1, got {k}")
+    check_state_count(k)
     if kind == ModelKind.DIRECT:  # every word of a polarity as long as its longest
         estimate = _base_estimate(sample, k)
         for words, bits in ((sample.positives, _POSITIVE), (sample.negatives, _NEGATIVE)):

@@ -88,6 +88,11 @@ class Sample:
             raise SampleError(f"words listed as both positive and negative: {shown}")
 
 
+def check_state_count(k: int) -> None:
+    if k < 1:
+        raise SampleError(f"state count k must be >= 1, got {k}")
+
+
 def validate_cuts(sample: Sample, cuts: SplitAssignment) -> None:
     """Check that cuts cover exactly the non-empty sample words, in range."""
     expected = {w for w in sample.words() if w}

@@ -4,14 +4,22 @@ A split assignment is scored by the number of distinct non-empty prefixes of
 the prefix parts plus k times the number of distinct non-empty suffixes of
 the suffix parts, the paper's proxy (suffix machinery costs k times more
 variables).  It ignores polarity, linking and start-state pruning, so it
-does not track the instance size: on the seed-3 mink-target corpus at k = 3,
-ILS cuts (``IlsParams()``) score below all-prefix cuts on 45 of 56 samples,
-and 38 of those 45 encode to more variables than pm (ROADMAP item 2).
+does not track the instance size (ROADMAP item 2).
 
 Two seeded optimizers search the cut space (one cut in 0..|w| per word):
 an iterated local search that re-cuts one roulette-picked word per step to
 its best position, and a steady-state genetic algorithm with per-word
 uniform crossover and uniform re-draw mutation.
+
+The ILS starts from the best of its seeded random cuts, the all-prefix cuts
+and the all-suffix cuts, so it never ends worse than either corner.  From a
+random start alone it ended above the all-prefix cuts on all 45 seed-3
+unsat-random samples at k = 4; it ended below them on 45 of the 56 seed-3
+mink-target samples at k = 3, but 38 of those 45 encoded to more variables
+than pm.  From the best of the three, with ``IlsParams()``, the all-prefix cuts
+are a local optimum on every sample of those corpora at k = 2, 3 and 4, so
+hm-ils encodes to pm's instance; at k = 1 the ILS ends below them on all 56
+mink-target samples, and hm-ils encodes 21,921 clauses against pm's 27,325.
 
 Both score through one split index built per call (``_split_index``): every
 distinct non-empty prefix and suffix of the sample's words gets a dense
@@ -34,7 +42,16 @@ from itertools import accumulate
 from operator import or_
 from typing import IO
 
-from .sample import Sample, SampleError, SplitAssignment, Word, validate_cuts
+from .sample import (
+    Sample,
+    SampleError,
+    SplitAssignment,
+    Word,
+    all_prefix_cuts,
+    all_suffix_cuts,
+    check_state_count,
+    validate_cuts,
+)
 
 
 def _check_types(params: IlsParams | GaParams) -> None:
@@ -96,6 +113,7 @@ class OptResult:
 
 def fitness(sample: Sample, k: int, cuts: SplitAssignment) -> int:
     """Distinct prefixes of the prefix parts plus k times distinct suffixes."""
+    check_state_count(k)
     validate_cuts(sample, cuts)
     return _SplitScore(sample.sorted_nonempty_words(), cuts, k).fitness()
 
@@ -159,8 +177,11 @@ class _SplitScore:
         pref_ids, suf_ids = _split_index(words)
         self.head_runs = dict(zip(words, pref_ids))
         self.tail_runs = dict(zip(words, suf_ids))
-        self._pref_count = [0] * sum(map(len, pref_ids))
-        self._suf_count = [0] * sum(map(len, suf_ids))
+        # ids are dense from 0, so the largest id + 1 counts the distinct parts
+        self.prefix_ids = max(map(max, pref_ids), default=-1) + 1
+        self.suffix_ids = max(map(max, suf_ids), default=-1) + 1
+        self._pref_count = [0] * self.prefix_ids
+        self._suf_count = [0] * self.suffix_ids
         self.distinct_pref = self.distinct_suf = 0
         for w in words:
             self._shift(w, self.cuts[w], 1)
@@ -172,6 +193,13 @@ class _SplitScore:
 
     def fitness(self) -> int:
         return self.distinct_pref + self.k * self.distinct_suf
+
+    def recut(self, cuts: SplitAssignment) -> None:
+        """Move every word to its cut in cuts."""
+        for word, cut in cuts.items():
+            self._shift(word, self.cuts[word], -1)
+            self._shift(word, cut, 1)
+        self.cuts = dict(cuts)
 
     def rescore_word(self, word: Word) -> tuple[int, int]:
         """Move word to its best cut (smallest index on ties).
@@ -195,7 +223,12 @@ class _SplitScore:
 
 
 def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
-    """Iterated local search: repeatedly re-cut one roulette-picked word."""
+    """Iterated local search: repeatedly re-cut one roulette-picked word.
+
+    The search starts from the best of the seeded random cuts, the all-prefix
+    cuts and the all-suffix cuts, the first of them on a tie.
+    """
+    check_state_count(k)
     params.validate()
     words = sample.sorted_nonempty_words()
     if not words:
@@ -203,10 +236,17 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
 
-    cuts = {w: rng.randint(0, len(w)) for w in words}
-    score = _SplitScore(words, cuts, k)
-    best_fit = score.fitness()
-    best_cuts = dict(score.cuts)
+    drawn = {w: rng.randint(0, len(w)) for w in words}
+    score = _SplitScore(words, drawn, k)
+    # all-prefix cuts make every prefix id a prefix part, all-suffix cuts every suffix id
+    best_fit, best_cuts = min(
+        (score.fitness(), drawn),
+        (score.prefix_ids, all_prefix_cuts(sample)),
+        (k * score.suffix_ids, all_suffix_cuts(sample)),
+        key=lambda candidate: candidate[0],
+    )
+    if best_cuts is not drawn:
+        score.recut(best_cuts)
     initial_fit = best_fit
     trace = [TracePoint(0, best_fit, 0.0)]
 
@@ -238,6 +278,7 @@ def _uniform_crossover(rng: random.Random, first: list[int], second: list[int]) 
 
 def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     """Steady-state GA: truncation parents, uniform crossover, uniform re-draw."""
+    check_state_count(k)
     params.validate()
     words = sample.sorted_nonempty_words()
     if not words:

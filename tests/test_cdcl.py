@@ -218,7 +218,7 @@ def test_failed_load_restores_the_collector():
 PINNED_SEARCHES = {
     "pm": (UNSAT, 34, 20, 6795),
     "sm": (UNSAT, 63, 33, 29503),
-    "hm-ils": (UNSAT, 62, 28, 7473),
+    "hm-ils": (UNSAT, 34, 20, 6795),  # the ILS keeps its all-prefix start: pm's instance
 }
 
 

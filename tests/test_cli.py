@@ -506,7 +506,8 @@ class TestBench:
             assert total.vars == pytest.approx(sum(r.vars for r in model_rows))
 
     def test_ils_params_reach_the_optimizer(self):
-        sample = random_sample(2, 12, 6, 0.5, seed=2)
+        # a sample on which the default ILS improves on its start, so the cap shows
+        sample = random_sample(2, 12, 6, 0.5, seed=31)
         capped = IlsParams(max_iter=1, max_iter_without_improv=1)
         rows = run_bench(
             [("s", sample)],
@@ -527,7 +528,7 @@ class TestBench:
     def test_cli_bench_reads_config(self, tmp_path):
         sdir = tmp_path / "samples"
         sdir.mkdir()
-        sample = random_sample(2, 12, 6, 0.5, seed=2)
+        sample = random_sample(2, 12, 6, 0.5, seed=31)  # the default ILS improves on its start here
         (sdir / "s.txt").write_text(format_sample(sample))
         config = tmp_path / "params.json"
         config.write_text(json.dumps({"ils": {"max_iter": 1, "max_iter_without_improv": 1}}))

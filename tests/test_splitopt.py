@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nfasat.cli import random_sample
 from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind, encode
-from nfasat.sample import Sample, all_prefix_cuts, all_suffix_cuts
+from nfasat.sample import Sample, SampleError, all_prefix_cuts, all_suffix_cuts
 from nfasat.splitopt import (
     GaParams,
     IlsParams,
@@ -48,6 +48,22 @@ class TestFitness:
         cuts1 = {AB: 1, ABB: 2, B: 0}
         cuts2 = {B: 0, ABB: 2, AB: 1}
         assert fitness(sample, 2, cuts1) == fitness(sample, 2, cuts2)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sample, k: fitness(sample, k, all_prefix_cuts(sample)),
+        lambda sample, k: ils_optimize(sample, k, IlsParams()),
+        lambda sample, k: ga_optimize(sample, k, GaParams(max_gen=5)),
+    ],
+    ids=["fitness", "ils", "ga"],
+)
+@pytest.mark.parametrize("k", [0, -2])
+def test_state_count_below_one_is_rejected(run, k):
+    sample = random_sample(2, 10, 5, 0.5, seed=1)
+    with pytest.raises(SampleError, match=f"state count k must be >= 1, got {k}$"):
+        run(sample, k)
 
 
 class TestWordWeights:
@@ -154,6 +170,17 @@ class TestIls:
                 continue
             result = ils_optimize(sample, 3, IlsParams(max_iter=100, rng_seed=seed))
             assert result.best_fitness <= result.initial_fitness
+
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_never_worse_than_either_corner(self, seed, k):
+        rng = random.Random(seed)
+        sample = random_tiny_sample(rng, max_len=5, max_each=4)
+        if not sample.sorted_nonempty_words():
+            return
+        result = ils_optimize(sample, k, IlsParams(max_iter=50, rng_seed=seed))
+        corners = (all_prefix_cuts(sample), all_suffix_cuts(sample))
+        assert result.best_fitness <= min(fitness(sample, k, cuts) for cuts in corners)
 
     def test_stagnation_stop(self):
         sample = Sample.build(2, [A], [])
@@ -265,7 +292,13 @@ class TestFitnessOracle:
 
         ils = ils_optimize(sample, k, IlsParams(max_iter=30, rng_seed=seed))
         draws = random.Random(seed)
-        assert ils.initial_fitness == _set_fitness({w: draws.randint(0, len(w)) for w in words}, k)
+        starts = (
+            {w: draws.randint(0, len(w)) for w in words},
+            {w: len(w) for w in words},
+            {w: 0 for w in words},
+        )
+        assert ils.initial_fitness == min(_set_fitness(cuts, k) for cuts in starts)
+        assert ils.trace[0].best_fitness == ils.initial_fitness
         assert ils.best_fitness == _set_fitness(ils.cuts, k)
 
         params = GaParams(population_size=6, max_gen=8, rng_seed=seed)
@@ -287,7 +320,7 @@ def _digest(obj) -> str:
 # order, the tie-breaks or the stopping rules moves these values.
 PINNED_TRAJECTORIES = {
     ((2, 40, 8, 0.5, 3), 3, 1, (("population_size", 20), ("max_gen", 40))): {
-        "ils": (83, 167, 224, "030805648acc9b57", "9c8f955a70019e6c"),
+        "ils": (80, 80, 101, "52cc6d11f1603947", "c9dda9c514780d13"),
         "ga": (67, 106, 41, "c81b36664ef396e4", "a5404f338560b104"),
         "hm-ga": "0801cfcf6d15cf7b5d5912c43a276e9ca1cb1229214ea082a6ace029cc739dde",
     },
@@ -298,9 +331,15 @@ PINNED_TRAJECTORIES = {
         (("population_size", 16), ("max_gen", 300), ("max_gen_without_improv", 15),
          ("p_mut", 0.1), ("p_parents", 0.2)),
     ): {
-        "ils": (226, 491, 297, "97e1248c590cbe0d", "dea694806a84feb7"),
+        "ils": (220, 220, 101, "d98e7ade21ebed93", "17aaef3ff88086fb"),
         "ga": (237, 346, 47, "d638aeb7d9af7f10", "430c1b3e9c19081e"),
         "hm-ga": "91eacaa92edd52122b1fc45bee6ae5673fe0a978a3547fbeb0c69e4a4f5f6492",
+    },
+    # the seeded draw beats both corners at k = 1, and the search then improves on it
+    ((2, 40, 8, 0.5, 3), 1, 5, (("population_size", 20), ("max_gen", 40))): {
+        "ils": (39, 65, 229, "58e87cdcaf9eb8de", "53779e49ee3c44cc"),
+        "ga": (42, 62, 41, "04ec2355cc52c41f", "b1c58a38b0cf5acf"),
+        "hm-ga": "84be84ccd7b2a26b48109cdac874ef4ad4b9b91bc5d783649b673b9fd78e400c",
     },
 }
 
