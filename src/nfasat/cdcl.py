@@ -31,8 +31,11 @@ Stop rule.  ``solve(decided_by=m)`` returns SAT at the first decision point
 assigned, and reads every still unassigned variable as false.  That is
 sound only for a formula in which any such fixpoint extends to a model and
 the caller reads no variable above m; the encoders' instances are built
-that way (``CnfInstance.decision_block``).  The default m = 0 searches until
-every variable is assigned and returns a full model.
+that way (``CnfInstance.decision_block``), and stay so with the lex-leader
+clauses that ``solve_in_process`` adds: every "equal so far" variable above
+m that they force is true, and one left unassigned, read as false, satisfies
+every clause it is in.  The default m = 0 searches until every variable is
+assigned and returns a full model.
 
 Built for the instances this package generates; for heavy lifting point the
 solver bridge at an external solver instead.

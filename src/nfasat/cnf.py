@@ -14,7 +14,9 @@ Once the finals and transitions are set, unit propagation decides an
 encoder's instance, so the encoder records m as its decision block (see
 ``encoders``).  A later clause batch that names a variable above m clears
 the block to 0, so only instances whose every clause the encoder vouches
-for keep it.
+for keep it.  The encoder also vouches that states 2..k are interchangeable,
+which ``lex_leader`` breaks for the in-process solver; any later batch
+withdraws that, as a clause over the layout can tell states apart.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class CnfInstance:
     stats families "final" and "transition"; every other variable is an
     anonymous index range.  The default (0, 0) has no layout, for
     instances built by hand.  decision_block is m when setting variables
-    1..m decides the instance by unit propagation, else 0 (the module
-    docstring says who sets it).  Single writer while under construction;
-    treat as immutable afterwards.
+    1..m decides the instance by unit propagation, else 0, and symmetric
+    is True while every permutation of states 2..k keeps the instance's
+    verdict (the module docstring says who sets them).  Single writer while
+    under construction; treat as immutable afterwards.
     """
 
     def __init__(self, k: int = 0, n: int = 0) -> None:
@@ -57,6 +60,7 @@ class CnfInstance:
         self.layout_size = self.var_count = k + n * k * k
         self.clauses: list[tuple[int, ...]] = []
         self.decision_block = 0
+        self.symmetric = False
         # unary + drops the families a small layout leaves at zero
         self.var_family_counts: Counter[str] = +Counter(final=k, transition=self.var_count - k)
         self._tally: Counter[tuple[str, int]] = Counter()
@@ -87,8 +91,10 @@ class CnfInstance:
 
         Literal 0, a variable beyond var_count, or one variable twice in a
         clause raises CnfError and stores nothing; the checks make no flat
-        copy of the batch.  A variable above the decision block clears it.
+        copy of the batch.  A variable above the decision block clears it,
+        and any batch clears symmetric.
         """
+        self.symmetric = False
         literal_count = sum(map(len, clauses))
         if literal_count:
             top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
@@ -109,6 +115,33 @@ class CnfInstance:
         clause = tuple(dict.fromkeys(literals))
         if len(set(map(abs, clause))) == len(clause):
             self.add_clauses([clause], (family,))
+
+    def lex_leader(self) -> tuple[int, list[tuple[int, ...]]]:
+        """Solver variable count and clauses of a lex-leader predicate
+        (Crawford et al., KR 1996); no clauses unless symmetric and k >= 3.
+
+        Renumbering states 2..k only reorders their columns (final j,
+        trans(0, 1, j), ..., trans(n-1, 1, j)).  Each adjacent pair (x, y)
+        gets x <= y in lex order: (-e[t-1], -x[t], y[t]) per position t, and
+        for t <= n a fresh "equal up to t" e[t] with (-e[t-1], -x[t], e[t])
+        and (-e[t-1], y[t], e[t]); e[0] is true and dropped.
+        """
+        k, n, top = self.k, self.n, self.var_count
+        if not self.symmetric or k < 3:
+            return top, []
+        columns = [
+            [j, *(self.lookup(trans_var(a, 1, j)) for a in range(n))] for j in range(2, k + 1)
+        ]
+        clauses: list[tuple[int, ...]] = []
+        for x, y in zip(columns, columns[1:]):
+            equal: tuple[int, ...] = ()
+            for t in range(n + 1):
+                clauses.append((*equal, -x[t], y[t]))
+                if t < n:
+                    top += 1
+                    clauses += [(*equal, -x[t], top), (*equal, y[t], top)]
+                    equal = (-top,)
+        return top, clauses
 
     @property
     def arity_hist(self) -> Counter[int]:

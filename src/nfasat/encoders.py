@@ -82,6 +82,13 @@ or its direct blocking clause, all false, which is a conflict.  The empty
 word's units name only finals.  The automaton is therefore consistent with
 the sample, and by completeness the instance is satisfiable; the solver can
 stop there (``cdcl``'s stop rule).
+
+The encoders also set ``symmetric``.  The instance admits every consistent
+NFA, and renumbering states 2..k keeps one consistent, so the in-process
+solver's ``lex_leader`` clauses keep the verdict.  m still decides: their
+e_t lie above m, every e_t they force at a fixpoint is true, and an
+unassigned e_t read as false satisfies each clause it is in (one not yet
+true also holds an unassigned -e[t-1]).
 """
 
 from __future__ import annotations
@@ -384,7 +391,7 @@ def encode_direct(
         ]
         _define(batch, None, terms, _direct_families(len(word)), bits)
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block = inst.layout_size
+    inst.decision_block, inst.symmetric = inst.layout_size, True
     return inst
 
 
@@ -445,7 +452,7 @@ def encode_hybrid(
             families = _LINK_FAMILIES
         _define(batch, None, terms, families, bits)
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block = inst.layout_size
+    inst.decision_block, inst.symmetric = inst.layout_size, True
     return inst
 
 

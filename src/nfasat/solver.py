@@ -112,16 +112,18 @@ def _check_timeout(timeout_seconds: float | None) -> None:
 
 
 def _solve_clauses(
-    var_count: int, clauses: list, timeout_seconds: float | None, decided_by: int = 0
+    var_count: int, clauses: list, timeout_seconds: float | None, decided_by: int = 0,
+    solver_vars: int = 0,
 ) -> SolveOutcome:
     """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
 
     decided_by is the solver's stop rule (0 searches until every variable
-    is set).
+    is set); solver_vars, if above var_count, also counts the clauses' own
+    variables above it.
     """
     start = time.perf_counter()
     deadline = start + timeout_seconds if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver(var_count, clauses)
+    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses)
     status, model, decisions = solver.solve(deadline, decided_by)
     elapsed = time.perf_counter() - start
     assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
@@ -198,12 +200,17 @@ def solve_in_process(
     transitions) is set and propagation is at a conflict-free fixpoint.  So
     a SAT assignment is exact only on finals and transitions, which are all
     that ``decode_nfa`` reads; it still covers every variable, with the
-    unassigned ones read as false, as ``solve_external`` does.  A negative
-    or nan timeout raises ValueError.
+    unassigned ones read as false, as ``solve_external`` does.  The solver
+    also gets the instance's ``lex_leader`` clauses, which keep the verdict
+    but not the search path, so a SAT answer may be a different consistent
+    NFA; neither they nor their variables reach the instance or the
+    assignment.  A negative or nan timeout raises ValueError.
     """
     _check_timeout(timeout_seconds)
+    solver_vars, predicate = instance.lex_leader()
     return _solve_clauses(
-        instance.var_count, instance.clauses, timeout_seconds, instance.decision_block
+        instance.var_count, instance.clauses + predicate, timeout_seconds,
+        instance.decision_block, solver_vars,
     )
 
 

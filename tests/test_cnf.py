@@ -16,7 +16,9 @@ from nfasat.cnf import (
     parse_dimacs,
     trans_var,
 )
+from nfasat.encoders import encode_prefix
 from nfasat.nfa import Nfa
+from nfasat.sample import Sample
 from nfasat.solver import decode_nfa, solve_in_process
 
 from oracle import parse_dimacs_by_token, write_dimacs_by_clause
@@ -211,6 +213,38 @@ def test_decision_block_survives_clauses_inside_it_and_clears_beyond():
     assert inst.decision_block == 2
     inst.add_clause([aux, 1])
     assert inst.decision_block == 0
+
+
+def test_encoder_vouches_for_the_symmetry_and_a_later_batch_withdraws_it():
+    sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
+    for add in (lambda inst: inst.add_clause([1]), lambda inst: inst.add_clauses([], ())):
+        inst = encode_prefix(sample, 4)
+        var_count, predicate = inst.lex_leader()
+        assert (var_count, len(predicate)) == (inst.var_count + 2 * 2, 2 * (3 * 2 + 1))
+        add(inst)
+        assert inst.lex_leader() == (inst.var_count, [])
+
+
+def test_lex_leader_orders_the_columns_of_states_2_to_k():
+    inst = CnfInstance(3, 1)
+    inst.symmetric = True
+    f2, f3 = inst.lookup(final_var(2)), inst.lookup(final_var(3))
+    t2, t3 = inst.lookup(trans_var(0, 1, 2)), inst.lookup(trans_var(0, 1, 3))
+    e = inst.var_count + 1
+    assert inst.lex_leader() == (
+        inst.var_count + 1,
+        [(-f2, f3), (-f2, e), (f3, e), (-e, -t2, t3)],
+    )
+
+
+def test_no_lex_leader_below_three_states_or_without_a_layout():
+    sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
+    for k in (1, 2):
+        assert encode_prefix(sample, k).lex_leader()[1] == []
+    hand_built = CnfInstance()
+    hand_built.symmetric = True  # no layout, so no states to order
+    assert hand_built.lex_leader() == (0, [])
+    assert CnfInstance(3, 2).lex_leader() == (3 + 2 * 9, [])  # never vouched for
 
 
 # Tokens that int() reads differently from a plain literal, or not at all.

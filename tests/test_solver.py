@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfasat.cdcl import CdclSolver
-from nfasat.cnf import CnfInstance, dimacs_text
+from nfasat.cnf import CnfInstance, dimacs_text, final_var, trans_var
+from nfasat.cli import random_sample
 from nfasat.encoders import ModelKind, encode, encode_prefix
-from nfasat.nfa import verify
+from nfasat.nfa import Nfa, accepts, verify
 from nfasat.sample import Sample
 from nfasat.solver import (
     SolverError,
@@ -227,20 +228,28 @@ def _sized_samples(draw, sizes=_ORACLE_SIZES):
     return sample, k, cuts
 
 
+# Plus k = 4, where the lex-leader predicate orders two adjacent pairs of
+# states; past the oracle's range the full search alone is the reference.
+_EARLY_STOP_SIZES = _ORACLE_SIZES + [(1, 4), (2, 4)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(_sized_samples())
+@given(_sized_samples(_EARLY_STOP_SIZES))
 def test_early_stop_matches_full_search_and_oracle(case):
-    """Stopping once the finals and transitions are set keeps every verdict,
-    and every early SAT decodes to an NFA that verifies."""
+    """Stopping once the finals and transitions are set, with the lex-leader
+    predicate, keeps every verdict of a full search without it and of the
+    oracle, and every early SAT decodes to an NFA that verifies."""
     sample, k, cuts = case
     n = sample.alphabet_size
-    truth = "SAT" if oracle_exists(sample, k)[0] else "UNSAT"
+    truth = None
+    if n * k * k <= 20:
+        truth = "SAT" if oracle_exists(sample, k)[0] else "UNSAT"
     for kind in ModelKind:
         inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
         assert inst.decision_block == k + n * k * k
         full_status, _, _ = CdclSolver(inst.var_count, inst.clauses).solve(decided_by=0)
         early = solve_in_process(inst)
-        assert early.status == full_status == truth, kind
+        assert early.status == full_status == (truth or full_status), kind
         if early.status == "SAT":
             assert verify(decode_nfa(early.assignment, inst, k, n), sample).ok, kind
 
@@ -258,3 +267,72 @@ def test_wide_alphabet_verdicts_match_oracle(case):
         if out.status == "SAT":
             nfa = decode_nfa(out.assignment, inst, k, sample.alphabet_size)
             assert verify(nfa, sample).ok, kind
+
+
+def _column_ordered(nfa: Nfa) -> Nfa:
+    """nfa with states 2..k renumbered so their columns (final, then the
+    transition from state 1 per symbol) rise in lex order."""
+    def column(j):
+        return (j in nfa.finals, *((1, a, j) in nfa.transitions for a in range(nfa.n)))
+
+    order = [1, *sorted(range(2, nfa.k + 1), key=column)]
+    new = {old: i for i, old in enumerate(order, 1)}
+    return Nfa(
+        nfa.k, nfa.n,
+        frozenset((new[i], a, new[j]) for i, a, j in nfa.transitions),
+        frozenset(map(new.get, nfa.finals)),
+    )
+
+
+@st.composite
+def _planted_cases(draw):
+    n, k = draw(st.sampled_from([(n, k) for n in (1, 2) for k in (3, 4)]))
+    states = range(1, k + 1)
+    edges = [(i, a, j) for i in states for a in range(n) for j in states]
+    target = Nfa(
+        k, n,
+        frozenset(e for e in edges if draw(st.booleans())),
+        frozenset(i for i in states if draw(st.booleans())),
+    )
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    words = draw(st.lists(word, min_size=1, max_size=8, unique=True))
+    cuts = {w: draw(st.integers(0, len(w))) for w in words if w}
+    return target, words, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_cases())
+def test_column_ordered_target_satisfies_clauses_and_predicate(case):
+    """A target NFA, renumbered into column order and fixed as units,
+    satisfies every encoding of the words it labels plus the predicate."""
+    target, words, cuts = case
+    planted = _column_ordered(target)
+    positives = {w for w in words if accepts(target, w)}
+    assert positives == {w for w in words if accepts(planted, w)}
+    sample = Sample.build(target.n, positives, set(words) - positives)
+    k, n = target.k, target.n
+    states = range(1, k + 1)
+    for kind in ModelKind:
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        units = []
+        for i in states:
+            f = inst.lookup(final_var(i))
+            units.append((f if i in planted.finals else -f,))
+            for a in range(n):
+                for j in states:
+                    t = inst.lookup(trans_var(a, i, j))
+                    units.append((t if (i, a, j) in planted.transitions else -t,))
+        var_count, predicate = inst.lex_leader()
+        assert len(predicate) == (k - 2) * (3 * n + 1), kind
+        status, _, _ = CdclSolver(var_count, inst.clauses + predicate + units).solve()
+        assert status == "SAT", kind
+
+
+@pytest.mark.parametrize("kind", [ModelKind.PREFIX, ModelKind.SUFFIX])
+def test_lex_leader_cuts_decisions_on_an_unsat_proof(kind):
+    inst = encode(kind, random_sample(2, 50, 12, 0.5, seed=7), 4)
+    plain = CdclSolver(inst.var_count, inst.clauses)
+    assert plain.solve(decided_by=inst.decision_block)[0] == "UNSAT"
+    out = solve_in_process(inst)
+    assert out.status == "UNSAT"
+    assert out.decisions < plain.decisions
