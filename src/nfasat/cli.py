@@ -240,25 +240,33 @@ def infer(
     instance_name: str = "sample",
     ils_params: IlsParams | None = None,
     ga_params: GaParams | None = None,
+    k_max: int | None = None,
 ):
     """generate -> solve -> decode -> verify; returns (report, nfa or None).
 
-    A solver_cmd runs that solver process; without one the bundled solver
-    runs in-process.
+    Tries k, k+1, ... up to k_max (only k without one) and stops at the first
+    size that is not UNSAT: a SAT after an UNKNOWN would not be minimal.  A
+    solver_cmd runs that solver process; without one the bundled solver runs
+    in-process.
     """
-    instance, report, _ = generate_instance(
-        sample, model, k, cuts_source, seed, literal_budget, instance_name,
-        ils_params, ga_params,
-    )
-    if solver_cmd is not None:
-        outcome = solve_external(instance, solver_cmd, timeout_seconds)
-    else:
-        outcome = solve_in_process(instance, timeout_seconds)
-    report.record(outcome)
+    if k_max is not None and k_max < k:
+        raise ConfigError(f"--k-max {k_max} is below --k {k}")
+    for size in range(k, (k if k_max is None else k_max) + 1):
+        instance, report, _ = generate_instance(
+            sample, model, size, cuts_source, seed, literal_budget, instance_name,
+            ils_params, ga_params,
+        )
+        if solver_cmd is not None:
+            outcome = solve_external(instance, solver_cmd, timeout_seconds)
+        else:
+            outcome = solve_in_process(instance, timeout_seconds)
+        report.record(outcome)
+        if outcome.status != UNSAT:
+            break
     nfa = None
     if outcome.status == SAT:
         assert outcome.assignment is not None
-        nfa = decode_nfa(outcome.assignment, instance, k, sample.alphabet_size)
+        nfa = decode_nfa(outcome.assignment, instance, size, sample.alphabet_size)
         check = verify(nfa, sample)
         if not check.ok:
             bad = ", ".join(
@@ -285,34 +293,6 @@ def _bench_model_parts(label: str) -> tuple[ModelKind, str]:
     if label.startswith("hm-"):
         return ModelKind.HYBRID, label[len("hm-") :]
     return ModelKind(label), "prefix"
-
-
-def bench_one(
-    sample: Sample,
-    label: str,
-    k: int,
-    run_index: int,
-    base_seed: int,
-    solver_cmd: str | None,
-    timeout_seconds: float,
-    literal_budget: int,
-    instance_name: str,
-    ils_params: IlsParams | None = None,
-    ga_params: GaParams | None = None,
-) -> RunReport:
-    model, cuts_source = _bench_model_parts(label)
-    seed = base_seed + run_index
-    try:
-        report, _ = infer(
-            sample, model, k, cuts_source, seed, solver_cmd, timeout_seconds,
-            literal_budget, instance_name, ils_params, ga_params,
-        )
-    except BudgetExceededError:
-        return RunReport(
-            instance=instance_name, model=label, k=k, seed=seed, status="GENFAIL"
-        )
-    report.model = label
-    return report
 
 
 def _mean(values: list[float]) -> float | None:
@@ -395,14 +375,19 @@ def run_bench(
     for name, sample in samples:
         k = k_of(name)
         for label in models:
+            model, cuts_source = _bench_model_parts(label)
             series = runs if label in STOCHASTIC_MODELS else 1
-            reports = [
-                bench_one(
-                    sample, label, k, run_index, base_seed, solver_cmd, timeout_seconds,
-                    literal_budget, name, ils_params, ga_params,
-                )
-                for run_index in range(series)
-            ]
+            reports = []
+            for seed in range(base_seed, base_seed + series):
+                try:
+                    report, _ = infer(
+                        sample, model, k, cuts_source, seed, solver_cmd, timeout_seconds,
+                        literal_budget, name, ils_params, ga_params,
+                    )
+                except BudgetExceededError:
+                    report = RunReport(instance=name, model=label, k=k, seed=seed, status="GENFAIL")
+                report.model = label
+                reports.append(report)
             if series >= 3:
                 pairs = [
                     (r.fitness, r.vars)
@@ -529,7 +514,11 @@ def _run(argv: list[str] | None = None) -> int:
     p_gen.add_argument("--cuts", default="prefix", help="prefix|suffix|ils|ga|file:<path>")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--stats-out", default=None)
-    p_gen.add_argument("--trace-out", default=None)
+    p_gen.add_argument(
+        "--trace-out",
+        default=None,
+        help="write the optimizer's best-fitness trace as CSV (--model hm --cuts ils|ga only)",
+    )
     _add_common_flags(p_gen)
 
     p_solve = sub.add_parser("solve", help="run a SAT solver on a DIMACS file")
@@ -580,8 +569,10 @@ def _run(argv: list[str] | None = None) -> int:
     ils_params, ga_params = load_optimizer_config(getattr(args, "config", None))
 
     if args.command == "generate":
-        sample = load_sample(args.sample, args.format)
         model = ModelKind(args.model)
+        if args.trace_out and not (model == ModelKind.HYBRID and args.cuts in ("ils", "ga")):
+            raise ConfigError("--trace-out needs an optimizer run: --model hm --cuts ils or ga")
+        sample = load_sample(args.sample, args.format)
         instance, report, opt_result = generate_instance(
             sample,
             model,
@@ -599,7 +590,7 @@ def _run(argv: list[str] | None = None) -> int:
         stats = instance.stats_dict()
         stats["generation_seconds"] = report.t_m_seconds
         Path(stats_path).write_text(json.dumps(stats, indent=2) + "\n")
-        if args.trace_out and opt_result is not None:
+        if args.trace_out:
             with open(args.trace_out, "w") as sink:
                 write_trace_csv(opt_result.trace, sink)
         print(json.dumps(report.to_dict(), indent=2))
@@ -614,27 +605,10 @@ def _run(argv: list[str] | None = None) -> int:
 
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
-        model = ModelKind(args.model)
-        if args.k_max is not None and args.k_max < args.k:
-            raise ConfigError(f"--k-max {args.k_max} is below --k {args.k}")
-        k_values = range(args.k, (args.k_max or args.k) + 1)
-        report = nfa = None
-        for k in k_values:
-            report, nfa = infer(
-                sample,
-                model,
-                k,
-                args.cuts,
-                args.seed,
-                args.solver,
-                args.timeout,
-                args.budget_literals,
-                instance_name=Path(args.sample).stem,
-                ils_params=ils_params,
-                ga_params=ga_params,
-            )
-            if report.status != UNSAT:  # a later SAT after an UNKNOWN would not be minimal
-                break
+        report, nfa = infer(
+            sample, ModelKind(args.model), args.k, args.cuts, args.seed, args.solver, args.timeout,
+            args.budget_literals, Path(args.sample).stem, ils_params, ga_params, k_max=args.k_max,
+        )
         print(json.dumps(report.to_dict(), indent=2))
         if nfa is not None:
             payload = nfa_to_json(nfa)
@@ -649,7 +623,10 @@ def _run(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         if args.runs < 1:
             raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-        sample_paths = sorted(Path(args.sample_dir).glob(args.glob))
+        try:
+            sample_paths = sorted(Path(args.sample_dir).glob(args.glob))
+        except (ValueError, NotImplementedError) as err:  # empty or absolute pattern
+            raise ConfigError(f"--glob {args.glob!r} must be a non-empty relative pattern") from err
         if not sample_paths:
             parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
         samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]

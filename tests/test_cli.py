@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from nfasat.cli import (
+    ConfigError,
     InferenceError,
     RunReport,
     aggregate_runs,
@@ -133,6 +134,17 @@ class TestGenerateCommand:
         rows = trace.read_text().splitlines()
         assert rows[0] == "step,best_fitness,elapsed_seconds"
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize("model", [["--model", "pm"], ["--model", "hm", "--cuts", "prefix"]])
+    def test_trace_out_without_optimizer_is_one_line_error(self, tmp_path, sample_file, model):
+        out = tmp_path / "x.cnf"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(sample_file), *model, "--k", "2", "--out", str(out),
+                  "--trace-out", str(tmp_path / "trace.csv")])
+        assert str(err.value) == (
+            "nfasat: error: --trace-out needs an optimizer run: --model hm --cuts ils or ga"
+        )
+        assert not out.exists() and not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("cuts", ["ils", "ga"])
     def test_optimizer_on_empty_word_only_sample_is_one_line_error(self, tmp_path, cuts):
@@ -322,6 +334,21 @@ class TestInferCommand:
         assert code == 1
         assert (report["k"], report["status"]) == (1, "UNKNOWN")
         assert not (tmp_path / "n.json").exists()
+
+    def test_sweep_stops_at_first_sat_in_memory(self):
+        sample = parse_sample("n=1\na+\naa-\n")
+        report, nfa = infer(sample, ModelKind.PREFIX, 1, k_max=3)
+        assert (report.k, report.status) == (2, "SAT")
+        assert nfa is not None and nfa.k == 2 and verify(nfa, sample).ok
+
+    def test_sweep_stops_at_unknown_in_memory(self):
+        sample = parse_sample("n=1\na+\naa-\n")
+        report, nfa = infer(sample, ModelKind.PREFIX, 1, timeout_seconds=0, k_max=3)
+        assert (report.k, report.status, nfa) == (1, "UNKNOWN", None)
+
+    def test_sweep_k_max_below_k_in_memory(self):
+        with pytest.raises(ConfigError, match=r"^--k-max 2 is below --k 3$"):
+            infer(Sample.build(2, [AB], [B]), ModelKind.PREFIX, 3, k_max=2)
 
     def test_report_shows_solver_counters(self, tmp_path, sample_file, capsys):
         assert main(["infer", str(sample_file), "--model", "pm", "--k", "2",
@@ -544,10 +571,10 @@ class TestBench:
 
     def test_deterministic_model_identical_across_runs(self):
         sample = Sample.build(2, [AB], [B])
-        from nfasat.cli import bench_one
-
-        first = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x")
-        second = bench_one(sample, "pm", 2, 0, 0, None, 60, 10**8, "x")
+        first, second = (
+            run_bench([("x", sample)], ["pm"], lambda _: 2, 1, None, 60, 10**8, 0)[0]
+            for _ in range(2)
+        )
         assert first.comparable_dict() == second.comparable_dict()
 
     def test_generation_failure_gets_600s_credit(self):
@@ -640,8 +667,11 @@ class TestBench:
         [
             (["--k", "2", "--runs", "0"], "--runs must be >= 1, got 0"),
             (["--k", "0"], "state count k must be >= 1, got 0"),
+            (["--k", "2", "--glob", ""], "--glob '' must be a non-empty relative pattern"),
+            (["--k", "2", "--glob", "/abs*.txt"],
+             "--glob '/abs*.txt' must be a non-empty relative pattern"),
         ],
-        ids=["zero-runs", "zero-k"],
+        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob"],
     )
     def test_bad_bound_is_one_line_error(self, tmp_path, flags, expected):
         sdir = tmp_path / "samples"
