@@ -19,7 +19,9 @@ lists:
   lowest index on ties.  Assignments are undone by truncating the trail at a
   decision boundary kept in ``trail_lim``.
 - Loading pauses the cyclic garbage collector, as every object it makes
-  stays alive, and then restores the caller's collector state.
+  stays alive, and then restores the caller's collector state.  It checks
+  literal ranges and repeated variables, except with ``checked=True``,
+  which only ``solve_in_process`` passes, for a clause store's clauses.
 
 Search is first-UIP clause learning with non-chronological backjumping,
 local learnt-clause minimization, VSIDS-style activity and phase saving.  The
@@ -65,7 +67,7 @@ def _extend(table: list, lit: int, items: tuple) -> None:
 
 
 class CdclSolver:
-    def __init__(self, var_count: int, clauses: Iterable[Sequence[int]]) -> None:
+    def __init__(self, var_count: int, clauses: Iterable[Sequence[int]], *, checked: bool = False) -> None:
         n = var_count
         size = 2 * n + 1
         self.var_count = n
@@ -91,39 +93,41 @@ class CdclSolver:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self._load(clauses)
+            self._load(clauses, checked)
         finally:
             if collecting:
                 gc.enable()
 
     # -- loading -----------------------------------------------------------
 
-    def _load(self, clauses: Iterable[Sequence[int]]) -> None:
+    def _load(self, clauses: Iterable[Sequence[int]], checked: bool) -> None:
         """Check literal ranges, then file each clause by size.
 
         A clause with distinct variables (all the encoders emit) passes one
         set test; only the others take the dedupe and tautology path.  Long
         clauses are copied, so the caller's sequences are never mutated.
+        checked skips the range and set tests, which the caller vouches for.
         """
-        clauses = clauses if isinstance(clauses, list) else list(clauses)
-        n = self.var_count
-        literals = set(chain.from_iterable(clauses))
-        if literals and (0 in literals or max(literals) > n or min(literals) < -n):
-            bad = next(lit for lit in sorted(literals) if lit == 0 or abs(lit) > n)
-            raise ValueError(f"literal {bad} out of range for {n} variables")
+        if not checked:
+            clauses = clauses if isinstance(clauses, list) else list(clauses)
+            n = self.var_count
+            literals = set(chain.from_iterable(clauses))
+            if literals and (0 in literals or max(literals) > n or min(literals) < -n):
+                bad = next(lit for lit in sorted(literals) if lit == 0 or abs(lit) > n)
+                raise ValueError(f"literal {bad} out of range for {n} variables")
         bins = self.bins
         watches = self.watches
         for raw in clauses:
             size = len(raw)
             if size == 2:
                 a, b = raw
-                if a != b and a != -b:
+                if checked or (a != b and a != -b):
                     implied = bins[a] = bins[a] or []
                     implied.append(b)
                     implied = bins[b] = bins[b] or []
                     implied.append(a)
                     continue
-            elif size > 2 and len(set(map(abs, raw))) == size:
+            elif size > 2 and (checked or len(set(map(abs, raw))) == size):
                 lits = list(raw)
                 a, b = lits[0], lits[1]
                 watching = watches[a] = watches[a] or []

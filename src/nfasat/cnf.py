@@ -50,8 +50,9 @@ class CnfInstance:
     instances built by hand.  decision_block is m when setting variables
     1..m decides the instance by unit propagation, else 0, and symmetric
     is True while every permutation of states 2..k keeps the instance's
-    verdict (the module docstring says who sets them).  Single writer while
-    under construction; treat as immutable afterwards.
+    verdict (the module docstring says who sets them).  ``add_clauses`` is
+    the only writer of clauses, and ``solve_in_process`` relies on its
+    checks; treat the instance as immutable once built.
     """
 
     def __init__(self, k: int = 0, n: int = 0) -> None:
@@ -89,13 +90,16 @@ class CnfInstance:
     def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
         """Store clauses, the i-th under the i-th family, after checking the batch.
 
-        Literal 0, a variable beyond var_count, or one variable twice in a
-        clause raises CnfError and stores nothing; the checks make no flat
-        copy of the batch.  A variable above the decision block clears it,
-        and any batch clears symmetric.
+        Fewer families than clauses, literal 0, a variable beyond var_count,
+        or one variable twice in a clause raises CnfError and stores
+        nothing; the checks make no flat copy of the batch.  A variable above
+        the decision block clears it, and any batch clears symmetric.
         """
         self.symmetric = False
-        literal_count = sum(map(len, clauses))
+        batch = Counter(zip(families, map(len, clauses)))
+        if batch.total() != len(clauses):
+            raise CnfError(f"the families ran out after {batch.total()} of {len(clauses)} clauses")
+        literal_count = sum(arity * count for (_, arity), count in batch.items())
         if literal_count:
             top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
             if top > self.var_count:
@@ -108,7 +112,7 @@ class CnfInstance:
             if top > self.decision_block:
                 self.decision_block = 0
         self.clauses += clauses
-        self._tally.update(zip(families, map(len, clauses)))
+        self._tally.update(batch)
 
     def add_clause(self, literals: Iterable[int], family: str = "other") -> None:
         """Store one clause after merging duplicates; drop it if it is a tautology."""

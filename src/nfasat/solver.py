@@ -15,7 +15,9 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import cdcl
 from .cnf import CnfError, CnfInstance, final_var, trans_var, parse_dimacs, write_dimacs
@@ -112,18 +114,18 @@ def _check_timeout(timeout_seconds: float | None) -> None:
 
 
 def _solve_clauses(
-    var_count: int, clauses: list, timeout_seconds: float | None, decided_by: int = 0,
-    solver_vars: int = 0,
+    var_count: int, clauses: Iterable, timeout_seconds: float | None, decided_by: int = 0,
+    solver_vars: int = 0, checked: bool = False,
 ) -> SolveOutcome:
     """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
 
     decided_by is the solver's stop rule (0 searches until every variable
     is set); solver_vars, if above var_count, also counts the clauses' own
-    variables above it.
+    variables above it; only ``solve_in_process`` passes ``checked``.
     """
     start = time.perf_counter()
     deadline = start + timeout_seconds if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses)
+    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses, checked=checked)
     status, model, decisions = solver.solve(deadline, decided_by)
     elapsed = time.perf_counter() - start
     assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
@@ -204,13 +206,16 @@ def solve_in_process(
     also gets the instance's ``lex_leader`` clauses, which keep the verdict
     but not the search path, so a SAT answer may be a different consistent
     NFA; neither they nor their variables reach the instance or the
-    assignment.  A negative or nan timeout raises ValueError.
+    assignment.  The solver files both unchecked: ``add_clauses``, the only
+    writer of ``instance.clauses``, checked them, and ``lex_leader`` builds
+    its own in range and without repeats.  A negative or nan timeout raises
+    ValueError.
     """
     _check_timeout(timeout_seconds)
     solver_vars, predicate = instance.lex_leader()
     return _solve_clauses(
-        instance.var_count, instance.clauses + predicate, timeout_seconds,
-        instance.decision_block, solver_vars,
+        instance.var_count, chain(instance.clauses, predicate), timeout_seconds,
+        instance.decision_block, solver_vars, checked=True,
     )
 
 

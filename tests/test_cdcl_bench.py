@@ -1,4 +1,6 @@
-"""Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load alone.
+"""Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load
+alone, with the load's own checks and with ``checked=True`` (how
+``solve_in_process`` loads a clause store's clauses).
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
@@ -25,6 +27,16 @@ def test_cdcl_load(benchmark):
 
     def load():
         return CdclSolver(instance.var_count, instance.clauses)
+
+    solver = benchmark.pedantic(load, rounds=3, iterations=1)
+    assert solver.decisions == 0 and not solver.unsat_at_load
+
+
+def test_cdcl_load_of_checked_clauses(benchmark):
+    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+
+    def load():
+        return CdclSolver(instance.var_count, instance.clauses, checked=True)
 
     solver = benchmark.pedantic(load, rounds=3, iterations=1)
     assert solver.decisions == 0 and not solver.unsat_at_load

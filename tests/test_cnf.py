@@ -191,6 +191,17 @@ def test_bulk_store_tallies_families_in_order():
     assert inst.arity_hist == {2: 2, 1: 1}
 
 
+def test_bulk_store_rejects_a_batch_that_runs_out_of_families_and_stores_nothing():
+    inst = CnfInstance()
+    inst.fresh_aux("other", 3)
+    with pytest.raises(CnfError, match="families ran out after 1 of 3 clauses"):
+        inst.add_clauses([(1, 2), (2, 3), (1, 3)], ["a"])
+    assert inst.clauses == [] and inst.family_hist == {}
+    inst.add_clauses([(1, 2), (2, 3), (1, 3)], repeat("a"))  # an endless family is enough
+    assert inst.stats_dict()["clauses"] == sum(inst.arity_hist.values()) == 3
+    assert inst.family_clause_counts() == {"a": 3}
+
+
 def test_auxiliary_ranges_are_anonymous_and_named_by_family():
     inst = CnfInstance(1)
     first = inst.fresh_aux("prefix_rec_aux", 3)
@@ -235,6 +246,21 @@ def test_lex_leader_orders_the_columns_of_states_2_to_k():
         inst.var_count + 1,
         [(-f2, f3), (-f2, e), (f3, e), (-e, -t2, t3)],
     )
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_lex_leader_clauses_meet_the_store_invariants(k, n):
+    """The in-process solver files these clauses unchecked, as it does the store's."""
+    inst = CnfInstance(k, n)
+    inst.fresh_aux("other", 2)
+    inst.symmetric = True
+    var_count, predicate = inst.lex_leader()
+    assert len(predicate) == (k - 2) * (3 * n + 1)
+    for clause in predicate:
+        assert 0 not in clause, clause
+        assert max(map(abs, clause)) <= var_count, clause
+        assert len(set(map(abs, clause))) == len(clause), clause
 
 
 def test_no_lex_leader_below_three_states_or_without_a_layout():

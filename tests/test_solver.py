@@ -20,6 +20,7 @@ from nfasat.solver import (
     solve_in_process,
     _parse_solver_output,
 )
+from nfasat.splitopt import IlsParams, ils_optimize
 
 from _helpers import BUNDLED_SOLVER
 from oracle import oracle_exists
@@ -336,3 +337,33 @@ def test_lex_leader_cuts_decisions_on_an_unsat_proof(kind):
     out = solve_in_process(inst)
     assert out.status == "UNSAT"
     assert out.decisions < plain.decisions
+
+
+@st.composite
+def _any_size_samples(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    words = draw(st.lists(word, min_size=1, max_size=7, unique=True).filter(any))  # ILS needs a cut
+    split = draw(st.integers(0, len(words)))
+    return Sample.build(n, words[:split], words[split:]), k, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_size_samples())
+def test_in_process_route_searches_as_the_checking_route_does(case):
+    """solve_in_process files the store's clauses and the predicate unchecked;
+    the search is the one a checked load of the same clauses takes."""
+    sample, k, seed = case
+    cuts = ils_optimize(sample, k, IlsParams(rng_seed=seed)).cuts
+    for kind in ModelKind:
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        solver_vars, predicate = inst.lex_leader()
+        checking = CdclSolver(solver_vars, inst.clauses + predicate)
+        status, model, decisions = checking.solve(decided_by=inst.decision_block)
+        out = solve_in_process(inst)
+        found = (out.status, out.decisions, out.conflicts, out.propagations)
+        assert found == (status, decisions, checking.conflicts, checking.propagations), kind
+        if status == "SAT":
+            assert out.assignment == {v: model[v] for v in range(1, inst.var_count + 1)}, kind
+        else:
+            assert out.assignment is None, kind
