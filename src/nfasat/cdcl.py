@@ -34,10 +34,9 @@ assigned, and reads every still unassigned variable as false.  That is
 sound only for a formula in which any such fixpoint extends to a model and
 the caller reads no variable above m; the encoders' instances are built
 that way (``CnfInstance.decision_block``), and stay so with the lex-leader
-clauses that ``solve_in_process`` adds: every "equal so far" variable above
-m that they force is true, and one left unassigned, read as false, satisfies
-every clause it is in.  The default m = 0 searches until every variable is
-assigned and returns a full model.
+clauses that ``solve_in_process`` adds (``solver.lex_leader`` says why).
+The default m = 0 searches until every variable is assigned and returns a
+full model.
 
 Built for the instances this package generates; for heavy lifting point the
 solver bridge at an external solver instead.

@@ -25,6 +25,7 @@ from .sample import (
     SplitAssignment,
     all_prefix_cuts,
     all_suffix_cuts,
+    check_state_count,
     format_sample,
     parse_sample,
     word_from_text,
@@ -184,8 +185,13 @@ def resolve_cuts(
         return result.cuts, result.best_fitness, result
     elif source.startswith("file:"):
         path = source[len("file:") :]
-        raw = _read_json_object(path, "cuts file")
-        cuts = {word_from_text(text, sample.alphabet_size): cut for text, cut in raw.items()}
+        cuts = {}
+        for text, cut in _read_json_object(path, "cuts file").items():
+            word = word_from_text(text, sample.alphabet_size)
+            if word in cuts:
+                again = word_to_text(word, sample.alphabet_size)
+                raise ConfigError(f"cuts file {path} names the word {again!r} twice (again as {text!r})")
+            cuts[word] = cut
     else:
         raise SampleError(
             f"unknown cuts source {source!r}; expected prefix, suffix, ils, ga, or file:<path>"
@@ -631,6 +637,8 @@ def _run(argv: list[str] | None = None) -> int:
             parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
         samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]
         models = [m.strip() for m in args.models.split(",") if m.strip()]
+        if not models:
+            raise ConfigError(f"--models {args.models!r} names no model")
         for label in models:
             if label not in BENCH_MODELS:
                 parser.error(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
@@ -644,8 +652,7 @@ def _run(argv: list[str] | None = None) -> int:
                     raise ConfigError(f"k map {args.k_map} maps {name!r} to {k!r}, not a positive int")
             k_of = k_table.__getitem__
         elif args.k is not None:
-            if args.k < 1:
-                raise ConfigError(f"state count k must be >= 1, got {args.k}")
+            check_state_count(args.k)
             k_of = lambda name: args.k
         else:
             parser.error("bench requires --k or --k-map")

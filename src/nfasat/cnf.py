@@ -10,13 +10,10 @@ variables included, is allocated after them as an anonymous contiguous
 range known only by its stats family; the encoders keep those indices in
 their own tables.
 
-Once the finals and transitions are set, unit propagation decides an
-encoder's instance, so the encoder records m as its decision block (see
-``encoders``).  A later clause batch that names a variable above m clears
-the block to 0, so only instances whose every clause the encoder vouches
-for keep it.  The encoder also vouches that states 2..k are interchangeable,
-which ``lex_leader`` breaks for the in-process solver; any later batch
-withdraws that, as a clause over the layout can tell states apart.
+An encoder records one guarantee as the instance's decision block m:
+setting variables 1..m decides the instance by unit propagation, and
+states 2..k are interchangeable (see ``encoders``).  Every later clause
+batch clears it to 0, as a clause over the layout can tell states apart.
 """
 
 from __future__ import annotations
@@ -47,11 +44,10 @@ class CnfInstance:
     The finals and transitions are variables 1..layout_size, under the
     stats families "final" and "transition"; every other variable is an
     anonymous index range.  The default (0, 0) has no layout, for
-    instances built by hand.  decision_block is m when setting variables
-    1..m decides the instance by unit propagation, else 0, and symmetric
-    is True while every permutation of states 2..k keeps the instance's
-    verdict (the module docstring says who sets them).  ``add_clauses`` is
-    the only writer of clauses, and ``solve_in_process`` relies on its
+    instances built by hand.  decision_block is m while setting 1..m
+    decides the instance and states 2..k are interchangeable, else 0: an
+    encoder sets it, and every batch of ``add_clauses``, the only writer of
+    clauses, clears it.  ``solve_in_process`` relies on that writer's
     checks; treat the instance as immutable once built.
     """
 
@@ -61,7 +57,6 @@ class CnfInstance:
         self.layout_size = self.var_count = k + n * k * k
         self.clauses: list[tuple[int, ...]] = []
         self.decision_block = 0
-        self.symmetric = False
         # unary + drops the families a small layout leaves at zero
         self.var_family_counts: Counter[str] = +Counter(final=k, transition=self.var_count - k)
         self._tally: Counter[tuple[str, int]] = Counter()
@@ -92,10 +87,10 @@ class CnfInstance:
 
         Fewer families than clauses, literal 0, a variable beyond var_count,
         or one variable twice in a clause raises CnfError and stores
-        nothing; the checks make no flat copy of the batch.  A variable above
-        the decision block clears it, and any batch clears symmetric.
+        nothing; the checks make no flat copy of the batch.  Every batch,
+        an empty one too, clears the decision block.
         """
-        self.symmetric = False
+        self.decision_block = 0
         batch = Counter(zip(families, map(len, clauses)))
         if batch.total() != len(clauses):
             raise CnfError(f"the families ran out after {batch.total()} of {len(clauses)} clauses")
@@ -109,43 +104,8 @@ class CnfInstance:
             if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != literal_count:
                 clause = next(c for c in clauses if len(set(map(abs, c))) < len(c))
                 raise CnfError(f"clause {clause} names a variable twice")
-            if top > self.decision_block:
-                self.decision_block = 0
         self.clauses += clauses
         self._tally.update(batch)
-
-    def add_clause(self, literals: Iterable[int], family: str = "other") -> None:
-        """Store one clause after merging duplicates; drop it if it is a tautology."""
-        clause = tuple(dict.fromkeys(literals))
-        if len(set(map(abs, clause))) == len(clause):
-            self.add_clauses([clause], (family,))
-
-    def lex_leader(self) -> tuple[int, list[tuple[int, ...]]]:
-        """Solver variable count and clauses of a lex-leader predicate
-        (Crawford et al., KR 1996); no clauses unless symmetric and k >= 3.
-
-        Renumbering states 2..k only reorders their columns (final j,
-        trans(0, 1, j), ..., trans(n-1, 1, j)).  Each adjacent pair (x, y)
-        gets x <= y in lex order: (-e[t-1], -x[t], y[t]) per position t, and
-        for t <= n a fresh "equal up to t" e[t] with (-e[t-1], -x[t], e[t])
-        and (-e[t-1], y[t], e[t]); e[0] is true and dropped.
-        """
-        k, n, top = self.k, self.n, self.var_count
-        if not self.symmetric or k < 3:
-            return top, []
-        columns = [
-            [j, *(self.lookup(trans_var(a, 1, j)) for a in range(n))] for j in range(2, k + 1)
-        ]
-        clauses: list[tuple[int, ...]] = []
-        for x, y in zip(columns, columns[1:]):
-            equal: tuple[int, ...] = ()
-            for t in range(n + 1):
-                clauses.append((*equal, -x[t], y[t]))
-                if t < n:
-                    top += 1
-                    clauses += [(*equal, -x[t], top), (*equal, y[t], top)]
-                    equal = (-top,)
-        return top, clauses
 
     @property
     def arity_hist(self) -> Counter[int]:

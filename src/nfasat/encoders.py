@@ -83,12 +83,8 @@ word's units name only finals.  The automaton is therefore consistent with
 the sample, and by completeness the instance is satisfiable; the solver can
 stop there (``cdcl``'s stop rule).
 
-The encoders also set ``symmetric``.  The instance admits every consistent
-NFA, and renumbering states 2..k keeps one consistent, so the in-process
-solver's ``lex_leader`` clauses keep the verdict.  m still decides: their
-e_t lie above m, every e_t they force at a fixpoint is true, and an
-unassigned e_t read as false satisfies each clause it is in (one not yet
-true also holds an unassigned -e[t-1]).
+The decision block also vouches that states 2..k are interchangeable;
+``solver.lex_leader`` breaks that symmetry and argues why m still decides.
 """
 
 from __future__ import annotations
@@ -160,10 +156,8 @@ def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list
         [[inst.lookup(trans_var(a, i, j)) for j in states] for i in states]
         for a in range(sample.alphabet_size)
     ]
-    if () in sample.positives:
-        inst.add_clause([finals[0]], family="empty_word_unit")
-    if () in sample.negatives:
-        inst.add_clause([-finals[0]], family="empty_word_unit")
+    units = [(finals[0],)] * (() in sample.positives) + [(-finals[0],)] * (() in sample.negatives)
+    inst.add_clauses(units, repeat("empty_word_unit"))
     return inst, finals, trans
 
 
@@ -391,7 +385,7 @@ def encode_direct(
         ]
         _define(batch, None, terms, _direct_families(len(word)), bits)
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block, inst.symmetric = inst.layout_size, True
+    inst.decision_block = inst.layout_size
     return inst
 
 
@@ -452,7 +446,7 @@ def encode_hybrid(
             families = _LINK_FAMILIES
         _define(batch, None, terms, families, bits)
     inst.add_clauses(batch.clauses, batch.families)
-    inst.decision_block, inst.symmetric = inst.layout_size, True
+    inst.decision_block = inst.layout_size
     return inst
 
 

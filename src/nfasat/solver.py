@@ -60,7 +60,10 @@ def _child_env() -> dict[str, str]:
 
 def _render_command(template: str, cnf_path: str, timeout_seconds: float | None) -> list[str]:
     """argv of a solver template; a None timeout (no limit) cannot fill ``{timeout}``."""
-    argv = shlex.split(template)
+    try:
+        argv = shlex.split(template)
+    except ValueError as err:  # an unbalanced quote or a trailing backslash
+        raise SolverError(f"solver template {template!r}: {err}") from err
     rendered = []
     for part in argv:
         if "{timeout}" in part:
@@ -193,6 +196,39 @@ def solve_external(
     return outcome
 
 
+def lex_leader(instance: CnfInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """Solver variable count and clauses of a lex-leader predicate
+    (Crawford, Ginsberg, Luks & Roy, KR 1996); none unless the instance has
+    a decision block and k >= 3.
+
+    Renumbering states 2..k only reorders their columns (final j,
+    trans(0, 1, j), ..., trans(n-1, 1, j)).  Each adjacent pair (x, y)
+    gets x <= y in lex order: (-e[t-1], -x[t], y[t]) per position t, and
+    for t <= n a fresh "equal up to t" e[t] with (-e[t-1], -x[t], e[t])
+    and (-e[t-1], y[t], e[t]); e[0] is true and dropped.  Renumbering keeps
+    an NFA consistent, so the verdict stays.  The block still decides: each
+    e[t] lies above it, is true where a fixpoint forces it, and read as
+    false where unassigned satisfies each clause it is in (one not yet true
+    also holds an unassigned -e[t-1]).
+    """
+    k, n, top = instance.k, instance.n, instance.var_count
+    if not instance.decision_block or k < 3:
+        return top, []
+    columns = [
+        [j, *(instance.lookup(trans_var(a, 1, j)) for a in range(n))] for j in range(2, k + 1)
+    ]
+    clauses: list[tuple[int, ...]] = []
+    for x, y in zip(columns, columns[1:]):
+        equal: tuple[int, ...] = ()
+        for t in range(n + 1):
+            clauses.append((*equal, -x[t], y[t]))
+            if t < n:
+                top += 1
+                clauses += [(*equal, -x[t], top), (*equal, y[t], top)]
+                equal = (-top,)
+    return top, clauses
+
+
 def solve_in_process(
     instance: CnfInstance, timeout_seconds: float | None = None
 ) -> SolveOutcome:
@@ -206,13 +242,14 @@ def solve_in_process(
     also gets the instance's ``lex_leader`` clauses, which keep the verdict
     but not the search path, so a SAT answer may be a different consistent
     NFA; neither they nor their variables reach the instance or the
-    assignment.  The solver files both unchecked: ``add_clauses``, the only
-    writer of ``instance.clauses``, checked them, and ``lex_leader`` builds
-    its own in range and without repeats.  A negative or nan timeout raises
-    ValueError.
+    assignment.  Without a decision block there are neither, and the search
+    returns a complete model.  The solver files both unchecked:
+    ``add_clauses``, the only writer of ``instance.clauses``, checked them,
+    and ``lex_leader`` builds its own in range and without repeats.  A
+    negative or nan timeout raises ValueError.
     """
     _check_timeout(timeout_seconds)
-    solver_vars, predicate = instance.lex_leader()
+    solver_vars, predicate = lex_leader(instance)
     return _solve_clauses(
         instance.var_count, chain(instance.clauses, predicate), timeout_seconds,
         instance.decision_block, solver_vars, checked=True,

@@ -373,6 +373,17 @@ def test_long_timeout_with_a_solver_command_runs_unlimited(
     assert json.loads(capsys.readouterr().out)["status"] == "SAT"
 
 
+@pytest.mark.parametrize("command", ["infer", "solve"])
+def test_solver_template_with_an_unbalanced_quote_is_one_line_error(tmp_path, sample_file, command):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    target = str(sample_file) if command == "infer" else str(cnf)
+    extra = ["--model", "pm", "--k", "2"] if command == "infer" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, target, *extra, "--solver", '"x {cnf}'])
+    assert str(err.value) == "nfasat: error: solver template '\"x {cnf}': No closing quotation"
+
+
 @pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
 @pytest.mark.parametrize("command", ["infer", "solve", "nfasat-solve"])
 def test_bad_timeout_is_one_line_error(tmp_path, sample_file, capsys, command, timeout):
@@ -405,6 +416,20 @@ class TestResolveCuts:
         path.write_text(json.dumps({"ab": 1, "b": 0}))
         cuts, _, _ = resolve_cuts(sample, f"file:{path}", 2, 0)
         assert cuts == {AB: 1, B: 0}
+
+    @pytest.mark.parametrize("again", ["0,1", "01"])
+    def test_file_source_naming_a_word_twice_is_one_line_error(self, tmp_path, again):
+        path = tmp_path / "s.txt"
+        path.write_text("n=2\nab+\na+\nb-\n")
+        cuts = tmp_path / "cuts.json"
+        cuts.write_text(f'{{"ab": 1, "{again}": 2, "a": 1, "b": 0}}')
+        with pytest.raises(SystemExit) as err:
+            main(["generate", str(path), "--model", "hm", "--k", "2", "--cuts",
+                  f"file:{cuts}", "--out", str(tmp_path / "x.cnf")])
+        assert str(err.value) == (
+            f"nfasat: error: cuts file {cuts} names the word 'ab' twice (again as '{again}')"
+        )
+        assert not (tmp_path / "x.cnf").exists()
 
     def test_file_source_ambiguous_digit_key_is_one_line_error(self, tmp_path):
         path = tmp_path / "wide.txt"
@@ -670,8 +695,10 @@ class TestBench:
             (["--k", "2", "--glob", ""], "--glob '' must be a non-empty relative pattern"),
             (["--k", "2", "--glob", "/abs*.txt"],
              "--glob '/abs*.txt' must be a non-empty relative pattern"),
+            (["--k", "2", "--models", ","], "--models ',' names no model"),
+            (["--k", "2", "--models", ""], "--models '' names no model"),
         ],
-        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob"],
+        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob", "comma-models", "empty-models"],
     )
     def test_bad_bound_is_one_line_error(self, tmp_path, flags, expected):
         sdir = tmp_path / "samples"

@@ -19,7 +19,7 @@ from nfasat.cnf import (
 from nfasat.encoders import encode_prefix
 from nfasat.nfa import Nfa
 from nfasat.sample import Sample
-from nfasat.solver import decode_nfa, solve_in_process
+from nfasat.solver import decode_nfa, lex_leader, solve_in_process
 
 from oracle import parse_dimacs_by_token, write_dimacs_by_clause
 
@@ -78,21 +78,9 @@ def test_layout_numbers_finals_then_transitions(k, n, names, rng):
     assert decode_nfa(assignment, inst, k, n) == nfa
 
 
-def test_duplicate_literals_merged():
-    inst, x = CnfInstance(1), 1
-    inst.add_clause([x, x])
-    assert inst.clauses == [(x,)]
-
-
-def test_tautology_dropped():
-    inst, x = CnfInstance(1), 1
-    inst.add_clause([x, -x])
-    assert inst.clauses == []
-
-
 def test_empty_clause_marks_unsat():
     inst = CnfInstance()
-    inst.add_clause([])
+    inst.add_clauses([()], ["other"])
     assert solve_in_process(inst).status == "UNSAT"
     assert inst.clauses == [()]
 
@@ -100,18 +88,18 @@ def test_empty_clause_marks_unsat():
 def test_zero_literal_rejected():
     inst = CnfInstance()
     with pytest.raises(CnfError):
-        inst.add_clause([0])
+        inst.add_clauses([(0,)], ["other"])
 
 
 def test_unregistered_variable_rejected():
     inst = CnfInstance()
     with pytest.raises(CnfError):
-        inst.add_clause([1])
+        inst.add_clauses([(1,)], ["other"])
 
 
 def test_dimacs_single_unit():
     inst, x = CnfInstance(1), 1
-    inst.add_clause([x])
+    inst.add_clauses([(x,)], ["other"])
     assert dimacs_text(inst) == "p cnf 1 1\n1 0\n"
 
 
@@ -121,29 +109,31 @@ def test_dimacs_empty_instance():
 
 def test_dimacs_negative_literal_line():
     inst = CnfInstance(2)
-    inst.add_clause([-2, 1])
+    inst.add_clauses([(-2, 1)], ["other"])
     assert "-2 1 0" in dimacs_text(inst)
 
 
 def test_stats_histogram_sums_to_clause_count():
     inst, x, y = CnfInstance(2), 1, 2
-    inst.add_clause([x], family="a")
-    inst.add_clause([x, y], family="b")
-    inst.add_clause([-x, -y], family="b")
+    inst.add_clauses([(x,)], ["a"])
+    inst.add_clauses([(x, y)], ["b"])
+    inst.add_clauses([(-x, -y)], ["b"])
     assert sum(inst.arity_hist.values()) == inst.clause_count() == 3
     assert inst.family_clause_counts() == {"a": 1, "b": 2}
 
 
 @given(
     st.lists(
-        st.lists(st.integers(-6, 6).filter(lambda v: v != 0), min_size=1, max_size=4),
+        st.lists(
+            st.integers(-6, 6).filter(lambda v: v != 0), min_size=1, max_size=4, unique_by=abs
+        ),
         max_size=15,
     )
 )
 def test_dimacs_round_trip(clause_lists):
     inst = CnfInstance(6)
     for lits in clause_lists:
-        inst.add_clause(lits)
+        inst.add_clauses([tuple(lits)], ["other"])
     var_count, clauses = parse_dimacs(dimacs_text(inst))
     assert var_count == inst.var_count
     assert sorted(clauses) == sorted(inst.clauses)
@@ -216,33 +206,32 @@ def test_auxiliary_ranges_are_anonymous_and_named_by_family():
         inst.lookup(trans_var(0, 1, 1))
 
 
-def test_decision_block_survives_clauses_inside_it_and_clears_beyond():
-    inst = _two_vars()
-    aux = inst.fresh_aux("accept_aux", 1)
-    inst.decision_block = 2
-    inst.add_clause([1, -2])  # a planted unit or any clause over the block keeps it
-    assert inst.decision_block == 2
-    inst.add_clause([aux, 1])
-    assert inst.decision_block == 0
+def test_every_batch_clears_the_decision_block():
+    """A batch inside the layout (a planted unit, say) and an empty one both clear it."""
+    for batch in ([(1, -2)], []):
+        inst = _two_vars()
+        inst.decision_block = 2
+        inst.add_clauses(batch, ["other"] * len(batch))
+        assert inst.decision_block == 0, batch
 
 
 def test_encoder_vouches_for_the_symmetry_and_a_later_batch_withdraws_it():
     sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
-    for add in (lambda inst: inst.add_clause([1]), lambda inst: inst.add_clauses([], ())):
+    for batch in ([(1,)], []):
         inst = encode_prefix(sample, 4)
-        var_count, predicate = inst.lex_leader()
+        var_count, predicate = lex_leader(inst)
         assert (var_count, len(predicate)) == (inst.var_count + 2 * 2, 2 * (3 * 2 + 1))
-        add(inst)
-        assert inst.lex_leader() == (inst.var_count, [])
+        inst.add_clauses(batch, ["other"] * len(batch))
+        assert lex_leader(inst) == (inst.var_count, [])
 
 
 def test_lex_leader_orders_the_columns_of_states_2_to_k():
     inst = CnfInstance(3, 1)
-    inst.symmetric = True
+    inst.decision_block = inst.layout_size
     f2, f3 = inst.lookup(final_var(2)), inst.lookup(final_var(3))
     t2, t3 = inst.lookup(trans_var(0, 1, 2)), inst.lookup(trans_var(0, 1, 3))
     e = inst.var_count + 1
-    assert inst.lex_leader() == (
+    assert lex_leader(inst) == (
         inst.var_count + 1,
         [(-f2, f3), (-f2, e), (f3, e), (-e, -t2, t3)],
     )
@@ -254,8 +243,8 @@ def test_lex_leader_clauses_meet_the_store_invariants(k, n):
     """The in-process solver files these clauses unchecked, as it does the store's."""
     inst = CnfInstance(k, n)
     inst.fresh_aux("other", 2)
-    inst.symmetric = True
-    var_count, predicate = inst.lex_leader()
+    inst.decision_block = inst.layout_size
+    var_count, predicate = lex_leader(inst)
     assert len(predicate) == (k - 2) * (3 * n + 1)
     for clause in predicate:
         assert 0 not in clause, clause
@@ -266,11 +255,11 @@ def test_lex_leader_clauses_meet_the_store_invariants(k, n):
 def test_no_lex_leader_below_three_states_or_without_a_layout():
     sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
     for k in (1, 2):
-        assert encode_prefix(sample, k).lex_leader()[1] == []
+        assert lex_leader(encode_prefix(sample, k))[1] == []
     hand_built = CnfInstance()
-    hand_built.symmetric = True  # no layout, so no states to order
-    assert hand_built.lex_leader() == (0, [])
-    assert CnfInstance(3, 2).lex_leader() == (3 + 2 * 9, [])  # never vouched for
+    hand_built.decision_block = hand_built.layout_size  # no layout, so no states to order
+    assert lex_leader(hand_built) == (0, [])
+    assert lex_leader(CnfInstance(3, 2)) == (3 + 2 * 9, [])  # never vouched for
 
 
 # Tokens that int() reads differently from a plain literal, or not at all.

@@ -325,11 +325,11 @@ def test_planted_target_satisfies_every_model():
         for label, inst in instances.items():
             for i in range(1, k + 1):
                 f = inst.lookup(final_var(i))
-                inst.add_clause([f if i in target.finals else -f])
+                inst.add_clauses([(f if i in target.finals else -f,)], ["other"])
                 for a in range(n):
                     for j in range(1, k + 1):
                         t = inst.lookup(trans_var(a, i, j))
-                        inst.add_clause([t if (i, a, j) in target.transitions else -t])
+                        inst.add_clauses([(t if (i, a, j) in target.transitions else -t,)], ["other"])
             assert solve_status(inst) == "SAT", (label, target, sample)
 
 

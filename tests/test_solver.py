@@ -2,6 +2,7 @@ import math
 import random
 import shlex
 import sys
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from nfasat.sample import Sample
 from nfasat.solver import (
     SolverError,
     decode_nfa,
+    lex_leader,
     solve_dimacs_file,
     solve_external,
     solve_in_process,
@@ -29,7 +31,7 @@ from oracle import oracle_exists
 def unit_instance(*units: int) -> CnfInstance:
     inst = CnfInstance(1)
     for lit in units:
-        inst.add_clause([lit])
+        inst.add_clauses([(lit,)], ["other"])
     return inst
 
 
@@ -55,7 +57,7 @@ class TestInProcess:
 
     def test_assignment_covers_all_variables(self):
         inst = CnfInstance(2)  # variable 2 is never mentioned in a clause
-        inst.add_clause([1])
+        inst.add_clauses([(1,)], ["other"])
         out = solve_in_process(inst)
         assert set(out.assignment) == {1, 2}
 
@@ -149,7 +151,7 @@ class TestExternal:
             order = list(base.clauses)
             rng.shuffle(order)
             for clause in order:
-                shuffled.add_clause(clause)
+                shuffled.add_clauses([clause], ["other"])
             assert solve_in_process(shuffled).status == reference
 
 
@@ -285,9 +287,23 @@ def _column_ordered(nfa: Nfa) -> Nfa:
     )
 
 
+def _layout_units(inst: CnfInstance, nfa: Nfa) -> list[tuple[int]]:
+    """Unit clauses that fix the instance's finals and transitions to nfa's."""
+    states = range(1, nfa.k + 1)
+    units = []
+    for i in states:
+        f = inst.lookup(final_var(i))
+        units.append((f if i in nfa.finals else -f,))
+        for a in range(nfa.n):
+            for j in states:
+                t = inst.lookup(trans_var(a, i, j))
+                units.append((t if (i, a, j) in nfa.transitions else -t,))
+    return units
+
+
 @st.composite
-def _planted_cases(draw):
-    n, k = draw(st.sampled_from([(n, k) for n in (1, 2) for k in (3, 4)]))
+def _planted_cases(draw, ks=(3, 4)):
+    n, k = draw(st.sampled_from([(n, k) for n in (1, 2) for k in ks]))
     states = range(1, k + 1)
     edges = [(i, a, j) for i in states for a in range(n) for j in states]
     target = Nfa(
@@ -312,21 +328,40 @@ def test_column_ordered_target_satisfies_clauses_and_predicate(case):
     assert positives == {w for w in words if accepts(planted, w)}
     sample = Sample.build(target.n, positives, set(words) - positives)
     k, n = target.k, target.n
-    states = range(1, k + 1)
     for kind in ModelKind:
         inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
-        units = []
-        for i in states:
-            f = inst.lookup(final_var(i))
-            units.append((f if i in planted.finals else -f,))
-            for a in range(n):
-                for j in states:
-                    t = inst.lookup(trans_var(a, i, j))
-                    units.append((t if (i, a, j) in planted.transitions else -t,))
-        var_count, predicate = inst.lex_leader()
+        var_count, predicate = lex_leader(inst)
         assert len(predicate) == (k - 2) * (3 * n + 1), kind
+        units = _layout_units(inst, planted)
         status, _, _ = CdclSolver(var_count, inst.clauses + predicate + units).solve()
         assert status == "SAT", kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_cases(ks=range(1, 5)), st.data())
+def test_layout_units_after_encoding_drop_the_predicate_and_the_early_stop(case, data):
+    """Units that fix the layout to the target, one of them perhaps flipped,
+    withdraw the decision block: no predicate, the verdict of a full search
+    (SAT exactly when the fixed NFA is consistent), and a complete model."""
+    target, words, cuts = case
+    positives = {w for w in words if accepts(target, w)}
+    sample = Sample.build(target.n, positives, set(words) - positives)
+    k, n = target.k, target.n
+    flip = data.draw(st.integers(0, k + n * k * k))  # 0 flips nothing
+    for kind in ModelKind:
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        units = _layout_units(inst, target)
+        if flip:
+            units[flip - 1] = (-units[flip - 1][0],)
+        fixed = decode_nfa({abs(lit): lit > 0 for (lit,) in units}, inst, k, n)
+        inst.add_clauses(units, repeat("planted_unit"))
+        assert inst.decision_block == 0 and lex_leader(inst) == (inst.var_count, []), kind
+        full_status, _, _ = CdclSolver(inst.var_count, inst.clauses).solve()
+        out = solve_in_process(inst)
+        assert out.status == full_status == ("SAT" if verify(fixed, sample).ok else "UNSAT"), kind
+        if out.status == "SAT":
+            model = out.assignment
+            assert all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in inst.clauses), kind
 
 
 @pytest.mark.parametrize("kind", [ModelKind.PREFIX, ModelKind.SUFFIX])
@@ -357,7 +392,7 @@ def test_in_process_route_searches_as_the_checking_route_does(case):
     cuts = ils_optimize(sample, k, IlsParams(rng_seed=seed)).cuts
     for kind in ModelKind:
         inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
-        solver_vars, predicate = inst.lex_leader()
+        solver_vars, predicate = lex_leader(inst)
         checking = CdclSolver(solver_vars, inst.clauses + predicate)
         status, model, decisions = checking.solve(decided_by=inst.decision_block)
         out = solve_in_process(inst)
