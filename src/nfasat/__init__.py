@@ -12,10 +12,6 @@ from .encoders import (
     ModelKind,
     SizeEstimate,
     encode,
-    encode_direct,
-    encode_hybrid,
-    encode_prefix,
-    encode_suffix,
     estimate_size,
 )
 from .nfa import Nfa, accepts, nfa_to_dot, nfa_to_json, verify

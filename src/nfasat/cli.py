@@ -122,9 +122,22 @@ class ConfigError(ValueError):
     """Malformed optimizer config, cuts file, k map or command-line bound."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key written twice raises ConfigError."""
+    raw: dict = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"writes the key {key!r} twice")
+        raw[key] = value
+    return raw
+
+
 def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a file; a repeated key at any depth is an error."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except ConfigError as err:
+        raise ConfigError(f"{what} {path} {err}") from err
     except ValueError as err:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
@@ -517,7 +530,7 @@ def _run(argv: list[str] | None = None) -> int:
     p_gen.add_argument("sample")
     p_gen.add_argument("--model", required=True, choices=[m.value for m in ModelKind])
     p_gen.add_argument("--k", type=int, required=True)
-    p_gen.add_argument("--cuts", default="prefix", help="prefix|suffix|ils|ga|file:<path>")
+    p_gen.add_argument("--cuts", help="prefix (default)|suffix|ils|ga|file:<path>; --model hm only")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--stats-out", default=None)
     p_gen.add_argument(
@@ -541,7 +554,7 @@ def _run(argv: list[str] | None = None) -> int:
         default=None,
         help="try k, k+1, ... up to this bound and stop at the first size that is not UNSAT",
     )
-    p_infer.add_argument("--cuts", default="prefix")
+    p_infer.add_argument("--cuts", help="as for generate; --model hm only")
     p_infer.add_argument("--nfa-out", default=None)
     p_infer.add_argument("--dot-out", default=None)
     _add_common_flags(p_infer)
@@ -550,10 +563,9 @@ def _run(argv: list[str] | None = None) -> int:
     p_bench = sub.add_parser("bench", help="compare models over a sample directory")
     p_bench.add_argument("sample_dir")
     p_bench.add_argument("--models", default="pm,sm,hm-ils")
-    p_bench.add_argument("--k", type=int, default=None, help="state count for every instance")
-    p_bench.add_argument(
-        "--k-map", default=None, help="JSON file mapping instance name to state count"
-    )
+    k_flags = p_bench.add_mutually_exclusive_group(required=True)
+    k_flags.add_argument("--k", type=int, help="state count for every instance")
+    k_flags.add_argument("--k-map", help="JSON file mapping instance name to state count")
     p_bench.add_argument("--runs", type=int, default=30)
     p_bench.add_argument("--glob", default="*.txt")
     p_bench.add_argument("--out-csv", required=True)
@@ -573,17 +585,21 @@ def _run(argv: list[str] | None = None) -> int:
     if not timeout >= 0:  # also catches nan
         raise ConfigError(f"--timeout must be a number of seconds >= 0, got {timeout}")
     ils_params, ga_params = load_optimizer_config(getattr(args, "config", None))
+    if args.command in ("generate", "infer"):
+        model = ModelKind(args.model)
+        if args.cuts is not None and model != ModelKind.HYBRID:
+            raise ConfigError(f"--cuts applies to --model hm only, not --model {model.value}")
+        cuts_source = args.cuts or "prefix"
 
     if args.command == "generate":
-        model = ModelKind(args.model)
-        if args.trace_out and not (model == ModelKind.HYBRID and args.cuts in ("ils", "ga")):
+        if args.trace_out and not (model == ModelKind.HYBRID and cuts_source in ("ils", "ga")):
             raise ConfigError("--trace-out needs an optimizer run: --model hm --cuts ils or ga")
         sample = load_sample(args.sample, args.format)
         instance, report, opt_result = generate_instance(
             sample,
             model,
             args.k,
-            args.cuts,
+            cuts_source,
             args.seed,
             args.budget_literals,
             instance_name=Path(args.sample).stem,
@@ -612,7 +628,7 @@ def _run(argv: list[str] | None = None) -> int:
     if args.command == "infer":
         sample = load_sample(args.sample, args.format)
         report, nfa = infer(
-            sample, ModelKind(args.model), args.k, args.cuts, args.seed, args.solver, args.timeout,
+            sample, model, args.k, cuts_source, args.seed, args.solver, args.timeout,
             args.budget_literals, Path(args.sample).stem, ils_params, ga_params, k_max=args.k_max,
         )
         print(json.dumps(report.to_dict(), indent=2))
@@ -642,7 +658,7 @@ def _run(argv: list[str] | None = None) -> int:
         for label in models:
             if label not in BENCH_MODELS:
                 parser.error(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
-        if args.k_map:
+        if args.k_map is not None:
             k_table = _read_json_object(args.k_map, "k map")
             for name, _ in samples:
                 if name not in k_table:
@@ -651,11 +667,9 @@ def _run(argv: list[str] | None = None) -> int:
                 if type(k) is not int or k < 1:
                     raise ConfigError(f"k map {args.k_map} maps {name!r} to {k!r}, not a positive int")
             k_of = k_table.__getitem__
-        elif args.k is not None:
+        else:
             check_state_count(args.k)
             k_of = lambda name: args.k
-        else:
-            parser.error("bench requires --k or --k-map")
         rows = run_bench(
             samples,
             models,

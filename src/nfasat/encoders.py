@@ -92,7 +92,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
@@ -130,17 +130,7 @@ class BudgetExceededError(RuntimeError):
 Table = list[list[int]]  # [start state - 1][end state - 1]
 
 
-class _Batch:
-    """Allocates through inst but keeps the clauses, for the caller's one checked store."""
-
-    def __init__(self, inst: CnfInstance) -> None:
-        self.fresh_aux = inst.fresh_aux
-        self.clauses: list[tuple[int, ...]] = []
-        self.families: list[str] = []
-
-    def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
-        self.clauses += clauses
-        self.families += islice(families, len(clauses))
+Batch = tuple[list[tuple[int, ...]], list[str]]  # clauses, and the family of each
 
 
 def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list[Table]]:
@@ -183,7 +173,8 @@ def _direct_families(length: int) -> Families:
 
 
 def _define(
-    sink: _Batch | CnfInstance,
+    inst: CnfInstance,
+    batch: Batch,
     outputs: list[int] | None,
     terms: list[tuple[int | None, Sequence[int]]],
     families: Families,
@@ -191,8 +182,9 @@ def _define(
 ) -> None:
     """Define each output as the OR of its AND terms, in the module docstring's order.
 
-    sink (the encoders' ``_Batch``) takes one ``add_clauses`` call.  A term
-    is (output index, conjunct literals), all terms with as many conjuncts.
+    The aux variables come from inst; the clauses and their families go on
+    the caller's batch, for one ``inst.add_clauses(*batch)``.  A term is
+    (output index, conjunct literals), all terms with as many conjuncts.
     families: aux variable family, one binary family per conjunct, then the
     reverse, choice and output families.  uses: the polarity bits of the
     outputs.  With outputs None the OR itself is asserted, true for a
@@ -204,26 +196,25 @@ def _define(
     it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
+    clauses, clause_families = batch
     if uses == _NEGATIVE:
         if outputs is None:
-            clauses = [_negated(lits) for _, lits in terms]
+            clauses += [_negated(lits) for _, lits in terms]
         else:
-            clauses = [(outputs[out], *_negated(lits)) for out, lits in terms]
-        sink.add_clauses(clauses, repeat(reverse_family))
+            clauses += [(outputs[out], *_negated(lits)) for out, lits in terms]
+        clause_families += [reverse_family] * len(terms)
         return
     both = uses == _BOTH
-    first = sink.fresh_aux(aux_family, len(terms))
+    first = inst.fresh_aux(aux_family, len(terms))
     aux = range(first, first + len(terms))
-    clauses: list[tuple[int, ...]] = []
     for x, (_, lits) in zip(aux, terms):
         clauses += zip(repeat(-x), lits)
         if both:
             clauses.append((x, *_negated(lits)))
-    clause_families = [*bin_families, reverse_family] if both else list(bin_families)
-    clause_families *= len(terms)
+    clause_families += ([*bin_families, reverse_family] if both else bin_families) * len(terms)
     if outputs is None:
         clauses.append(tuple(aux))
-        sink.add_clauses(clauses, clause_families + [choice_family])
+        clause_families.append(choice_family)
         return
     choices = [[-y] for y in outputs]
     for x, (out, _) in zip(aux, terms):
@@ -233,7 +224,6 @@ def _define(
     if both:
         clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
         clause_families += [out_family] * len(terms)
-    sink.add_clauses(clauses, clause_families)
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
@@ -294,7 +284,7 @@ def _emit_prefix_chain(
     """
     states = range(k)
     reach: dict[Word, list[int]] = {}
-    batch = _Batch(inst)
+    batch: Batch = ([], [])
     for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]][0]
@@ -304,8 +294,8 @@ def _emit_prefix_chain(
         parent = reach[word[:-1]]
         step = trans[word[-1]]
         terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(batch, outputs, terms, _PREFIX_FAMILIES, uses[word])
-    inst.add_clauses(batch.clauses, batch.families)
+        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, uses[word])
+    inst.add_clauses(*batch)
     return reach
 
 
@@ -337,7 +327,7 @@ def _emit_suffix_chain(
     states = range(k)
     all_start_words = _suffix_all_start_words(uses, linked)
     reach: dict[Word, Table] = {}
-    batch = _Batch(inst)
+    batch: Batch = ([], [])
     for word in sorted(uses, key=word_key):
         if len(word) == 1:
             reach[word] = trans[word[0]]
@@ -354,17 +344,17 @@ def _emit_suffix_chain(
             for mid in states
             for j in states
         ]
-        _define(batch, outputs, terms, _SUFFIX_FAMILIES, uses[word])
-    inst.add_clauses(batch.clauses, batch.families)
+        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, uses[word])
+    inst.add_clauses(*batch)
     return reach
 
 
 # ---------------------------------------------------------------------------
-# The four encoders.
+# The encoders: dm, and the hybrid that pm, sm and hm share (``encode``).
 # ---------------------------------------------------------------------------
 
 
-def encode_direct(
+def _encode_direct(
     sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
 ) -> CnfInstance:
     """Explicit state-path encoding; blows up as k^|word|.  Each word's paths
@@ -377,14 +367,14 @@ def encode_direct(
     _check_budget(sum(size.total_literals() for size in sizes), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
     states = range(k)
-    batch = _Batch(inst)
+    batch: Batch = ([], [])
     for word, bits in marks:
         terms = [
             (None, _path_conjuncts(trans, finals, word, path))
             for path in product(states, repeat=len(word))
         ]
-        _define(batch, None, terms, _direct_families(len(word)), bits)
-    inst.add_clauses(batch.clauses, batch.families)
+        _define(inst, batch, None, terms, _direct_families(len(word)), bits)
+    inst.add_clauses(*batch)
     inst.decision_block = inst.layout_size
     return inst
 
@@ -402,21 +392,7 @@ def _path_conjuncts(
     return lits
 
 
-def encode_prefix(
-    sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
-) -> CnfInstance:
-    """Prefix-closure encoding: the hybrid with every word cut at its end."""
-    return encode_hybrid(sample, k, all_prefix_cuts(sample), literal_budget)
-
-
-def encode_suffix(
-    sample: Sample, k: int, literal_budget: int = DEFAULT_LITERAL_BUDGET
-) -> CnfInstance:
-    """Suffix-closure encoding: the hybrid with every word cut at its start."""
-    return encode_hybrid(sample, k, all_suffix_cuts(sample), literal_budget)
-
-
-def encode_hybrid(
+def _encode_hybrid(
     sample: Sample,
     k: int,
     cuts: SplitAssignment,
@@ -432,7 +408,7 @@ def encode_hybrid(
     suffix_rows = _emit_suffix_chain(inst, suffix_uses, linked, trans, k)
 
     states = range(k)
-    batch = _Batch(inst)
+    batch: Batch = ([], [])
     for word, bits in marks:  # the OR of runs into a final state, asserted by the label
         cut = cuts[word]
         head, tail = word[:cut], word[cut:]
@@ -444,8 +420,8 @@ def encode_hybrid(
             rows = zip(prefix_reach[head], suffix_rows[tail])  # per cut state
             terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
             families = _LINK_FAMILIES
-        _define(batch, None, terms, families, bits)
-    inst.add_clauses(batch.clauses, batch.families)
+        _define(inst, batch, None, terms, families, bits)
+    inst.add_clauses(*batch)
     inst.decision_block = inst.layout_size
     return inst
 
@@ -457,10 +433,11 @@ def encode(
     cuts: SplitAssignment | None = None,
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
+    """The sample's instance at k states under kind; hm encodes the given cuts."""
     check_state_count(k)
     if kind == ModelKind.DIRECT:
-        return encode_direct(sample, k, literal_budget)
-    return encode_hybrid(sample, k, _hybrid_cuts(kind, sample, cuts), literal_budget)
+        return _encode_direct(sample, k, literal_budget)
+    return _encode_hybrid(sample, k, _hybrid_cuts(kind, sample, cuts), literal_budget)
 
 
 def _hybrid_cuts(

@@ -12,14 +12,8 @@ its best position, and a steady-state genetic algorithm with per-word
 uniform crossover and uniform re-draw mutation.
 
 The ILS starts from the best of its seeded random cuts, the all-prefix cuts
-and the all-suffix cuts, so it never ends worse than either corner.  From a
-random start alone it ended above the all-prefix cuts on all 45 seed-3
-unsat-random samples at k = 4; it ended below them on 45 of the 56 seed-3
-mink-target samples at k = 3, but 38 of those 45 encoded to more variables
-than pm.  From the best of the three, with ``IlsParams()``, the all-prefix cuts
-are a local optimum on every sample of those corpora at k = 2, 3 and 4, so
-hm-ils encodes to pm's instance; at k = 1 the ILS ends below them on all 56
-mink-target samples, and hm-ils encodes 21,921 clauses against pm's 27,325.
+and the all-suffix cuts, so it never ends worse than either corner: from a
+random start alone it often ends above them (README, ROADMAP item 2).
 
 Both score through one split index built per call (``_split_index``): every
 distinct non-empty prefix and suffix of the sample's words gets a dense

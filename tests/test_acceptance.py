@@ -25,10 +25,6 @@ from nfasat.encoders import (
     BudgetExceededError,
     ModelKind,
     encode,
-    encode_direct,
-    encode_hybrid,
-    encode_prefix,
-    encode_suffix,
     estimate_size,
 )
 from nfasat.nfa import verify
@@ -94,14 +90,14 @@ def sweep() -> SweepOutcome:
             case_index += 1
             truth = oracle_exists(sample, k)[0]
             instances = [
-                ("dm", encode_direct(sample, k)),
-                ("pm", encode_prefix(sample, k)),
-                ("sm", encode_suffix(sample, k)),
+                ("dm", encode(ModelKind.DIRECT, sample, k)),
+                ("pm", encode(ModelKind.PREFIX, sample, k)),
+                ("sm", encode(ModelKind.SUFFIX, sample, k)),
             ]
             for split_index in range(5):
                 rng = random.Random(case_index * 5 + split_index)
                 cuts = {w: rng.randint(0, len(w)) for w in nonempty}
-                instances.append((f"hm{split_index}", encode_hybrid(sample, k, cuts)))
+                instances.append((f"hm{split_index}", encode(ModelKind.HYBRID, sample, k, cuts)))
             for label, inst in instances:
                 result = solve_in_process(inst)
                 outcome.solves += 1
@@ -122,7 +118,8 @@ def sweep() -> SweepOutcome:
                 external_probe.append((sample, k, truth))
             outcome.cases += 1
     for sample, k, truth in external_probe:
-        result = solve_external(encode_prefix(sample, k), BUNDLED_SOLVER, timeout_seconds=60)
+        instance = encode(ModelKind.PREFIX, sample, k)
+        result = solve_external(instance, BUNDLED_SOLVER, timeout_seconds=60)
         outcome.external_checked += 1
         if (result.status == "SAT") != truth:
             outcome.external_mismatches += 1
@@ -210,10 +207,10 @@ def test_criterion_3_size_bounds_and_growth():
         ks = [1, 2, 3, 4, 5]
         log_k = [math.log(k) for k in ks]
         pm_counts = [
-            encode_prefix(sample, k).var_family_counts["prefix_rec_aux"] for k in ks
+            encode(ModelKind.PREFIX, sample, k).var_family_counts["prefix_rec_aux"] for k in ks
         ]
         sm_counts = [
-            encode_suffix(sample, k).var_family_counts["suffix_rec_aux"] for k in ks
+            encode(ModelKind.SUFFIX, sample, k).var_family_counts["suffix_rec_aux"] for k in ks
         ]
         pm_slopes.append(_regression_slope(log_k, [math.log(c) for c in pm_counts]))
         sm_slopes.append(_regression_slope(log_k, [math.log(c) for c in sm_counts]))
@@ -311,13 +308,13 @@ def test_criterion_6_degenerate_split_isomorphism():
         sample = Sample.build(2, set(words[:split]), set(words[split:]) - set(words[:split]))
         k = rng.randint(1, 3)
         nonempty = sample.sorted_nonempty_words()
-        pm_status = solve_in_process(encode_prefix(sample, k)).status
+        pm_status = solve_in_process(encode(ModelKind.PREFIX, sample, k)).status
         hm_prefix = solve_in_process(
-            encode_hybrid(sample, k, {w: len(w) for w in nonempty})
+            encode(ModelKind.HYBRID, sample, k, {w: len(w) for w in nonempty})
         ).status
-        sm_status = solve_in_process(encode_suffix(sample, k)).status
+        sm_status = solve_in_process(encode(ModelKind.SUFFIX, sample, k)).status
         hm_suffix = solve_in_process(
-            encode_hybrid(sample, k, {w: 0 for w in nonempty})
+            encode(ModelKind.HYBRID, sample, k, {w: 0 for w in nonempty})
         ).status
         assert hm_prefix == pm_status
         assert hm_suffix == sm_status
@@ -372,14 +369,14 @@ def test_criterion_8_reference_instance_scale():
         pytest.skip("StaMinA training files not available (set NFASAT_STAMINA_DIR)")
     sample = parse_sample(path.read_text(), fmt="abbadingo")
     k = 4
-    pm = encode_prefix(sample, k)
+    pm = encode(ModelKind.PREFIX, sample, k)
     assert abs(pm.var_count - 1276) <= 0.25 * 1276
     assert abs(pm.clause_count() - 4250) <= 0.25 * 4250
     hm_vars = []
     for seed in range(30):
         params = IlsParams(rng_seed=seed)
         result = ils_optimize(sample, k, params)
-        hm_vars.append(encode_hybrid(sample, k, result.cuts).var_count)
+        hm_vars.append(encode(ModelKind.HYBRID, sample, k, result.cuts).var_count)
     assert statistics.mean(hm_vars) <= pm.var_count
     print(
         f"\nACCEPTANCE 8 PASS: reference instance sizes within tolerance "

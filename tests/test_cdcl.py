@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nfasat.cdcl import SAT, UNKNOWN, UNSAT, CdclSolver
 from nfasat.cnf import dimacs_text, parse_dimacs
 from nfasat.cli import random_sample
-from nfasat.encoders import ModelKind, encode, encode_prefix
+from nfasat.encoders import ModelKind, encode
 from nfasat.sample import Sample
 from nfasat.solver import solve_in_process
 from nfasat.splitopt import IlsParams, ils_optimize
@@ -144,7 +144,7 @@ def test_parsed_dimacs_with_duplicates_tautologies_and_repeated_units():
 def test_solving_leaves_the_instance_untouched():
     sample = Sample.build(2, [(0, 1), (1, 1, 0), ()], [(1,), (0, 0), (1, 0, 1)])
     for k in (1, 2, 3):
-        inst = encode_prefix(sample, k)
+        inst = encode(ModelKind.PREFIX, sample, k)
         before = dimacs_text(inst)
         solve_in_process(inst)
         assert dimacs_text(inst) == before

@@ -9,11 +9,11 @@ Compare runs with ``pytest tests/test_cdcl_bench.py --benchmark-only``.
 
 from nfasat.cdcl import UNSAT, CdclSolver
 from nfasat.cli import random_sample
-from nfasat.encoders import encode_prefix
+from nfasat.encoders import ModelKind, encode
 
 
 def test_cdcl_load_and_solve(benchmark):
-    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+    instance = encode(ModelKind.PREFIX, random_sample(2, 40, 7, 0.5, seed=7), 4)
 
     def load_and_solve():
         return CdclSolver(instance.var_count, instance.clauses).solve()[0]
@@ -23,7 +23,7 @@ def test_cdcl_load_and_solve(benchmark):
 
 
 def test_cdcl_load(benchmark):
-    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+    instance = encode(ModelKind.PREFIX, random_sample(2, 40, 7, 0.5, seed=7), 4)
 
     def load():
         return CdclSolver(instance.var_count, instance.clauses)
@@ -33,7 +33,7 @@ def test_cdcl_load(benchmark):
 
 
 def test_cdcl_load_of_checked_clauses(benchmark):
-    instance = encode_prefix(random_sample(2, 40, 7, 0.5, seed=7), 4)
+    instance = encode(ModelKind.PREFIX, random_sample(2, 40, 7, 0.5, seed=7), 4)
 
     def load():
         return CdclSolver(instance.var_count, instance.clauses, checked=True)

@@ -495,9 +495,12 @@ class TestResolveCuts:
             (b'{"ils": {"max_iter": "\xff"}}', "is not valid JSON"),
             ('["ils"]', "must hold a JSON object, not list"),
             ('{"ils": {"rng_seed": 5}}', "rng_seed is not a config key; --seed sets the optimizer seed"),
+            ('{"ils": {"max_iter": 0}, "ils": {"max_iter": 5}}', "writes the key 'ils' twice"),
+            ('{"ils": {"max_iter": 0, "max_iter": 5}}', "writes the key 'max_iter' twice"),
         ],
         ids=["unknown-key", "invalid-value", "float-count", "string-value", "section-not-object",
-             "unknown-section", "malformed-json", "not-utf8", "not-an-object", "rng-seed"],
+             "unknown-section", "malformed-json", "not-utf8", "not-an-object", "rng-seed",
+             "repeated-section", "repeated-nested-key"],
     )
     def test_bad_optimizer_config_is_one_line_error(self, tmp_path, sample_file, text, expected):
         config = tmp_path / "params.json"
@@ -517,8 +520,10 @@ class TestResolveCuts:
             ('["ab"]', "cuts file {path} must hold a JSON object, not list"),
             ('{"ab": "1", "a": 0, "b": 0, "bb": 1}', "cut '1' is not an integer in 0..2"),
             ('{"ab": true, "a": 0, "b": 0, "bb": 1}', "cut True is not an integer in 0..2"),
+            ('{"ab": 1, "a": 0, "b": 0, "bb": 1, "ab": 2}',
+             "cuts file {path} writes the key 'ab' twice"),
         ],
-        ids=["malformed-json", "not-an-object", "string-cut", "bool-cut"],
+        ids=["malformed-json", "not-an-object", "string-cut", "bool-cut", "repeated-word"],
     )
     def test_bad_cuts_file_is_one_line_error(self, tmp_path, sample_file, text, expected):
         cuts = tmp_path / "cuts.json"
@@ -529,6 +534,20 @@ class TestResolveCuts:
         message = str(err.value)
         assert message.startswith("nfasat: error: ") and "\n" not in message
         assert expected.format(path=cuts) in message
+
+    @pytest.mark.parametrize(
+        "command, model, cuts",
+        [("generate", "dm", "prefix"), ("generate", "sm", "file:missing.json"), ("infer", "pm", "ga")],
+    )
+    def test_cuts_without_hybrid_model_is_one_line_error(
+        self, tmp_path, sample_file, command, model, cuts
+    ):
+        out = tmp_path / "x.cnf"
+        extra = ["--out", str(out)] if command == "generate" else ["--nfa-out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main([command, str(sample_file), "--model", model, "--k", "2", "--cuts", cuts, *extra])
+        assert str(err.value) == f"nfasat: error: --cuts applies to --model hm only, not --model {model}"
+        assert not out.exists()
 
 
 class TestBench:
@@ -669,8 +688,9 @@ class TestBench:
             ('{"a": 2}', "k map {path} has no entry for sample 'b'"),
             ('{"a": 2, "b": "2"}', "k map {path} maps 'b' to '2', not a positive int"),
             ('{"a": 0, "b": 2}', "k map {path} maps 'a' to 0, not a positive int"),
+            ('{"a": 1, "b": 2, "a": 2}', "k map {path} writes the key 'a' twice"),
         ],
-        ids=["malformed-json", "missing-sample", "string-value", "zero"],
+        ids=["malformed-json", "missing-sample", "string-value", "zero", "repeated-name"],
     )
     def test_bad_k_map_is_one_line_error(self, tmp_path, text, expected):
         sdir = tmp_path / "samples"
@@ -708,6 +728,20 @@ class TestBench:
         with pytest.raises(SystemExit) as err:
             main(["bench", str(sdir), "--models", "hm-ils", *flags, "--out-csv", str(out_csv)])
         assert str(err.value) == f"nfasat: error: {expected}"
+        assert not out_csv.exists()
+
+    def test_k_with_k_map_is_a_usage_error(self, tmp_path, capsys):
+        sdir = tmp_path / "samples"
+        sdir.mkdir()
+        (sdir / "a.txt").write_text("n=2\nab+\nb-\n")
+        k_map = tmp_path / "k.json"
+        k_map.write_text('{"a": 2}')
+        out_csv = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", str(sdir), "--models", "pm", "--k", "1", "--k-map", str(k_map),
+                  "--out-csv", str(out_csv)])
+        assert err.value.code == 2  # argparse's usage error
+        assert "argument --k-map: not allowed with argument --k" in capsys.readouterr().err
         assert not out_csv.exists()
 
     def test_k_map_sets_each_sample_k(self, tmp_path):

@@ -16,7 +16,7 @@ from nfasat.cnf import (
     parse_dimacs,
     trans_var,
 )
-from nfasat.encoders import encode_prefix
+from nfasat.encoders import ModelKind, encode
 from nfasat.nfa import Nfa
 from nfasat.sample import Sample
 from nfasat.solver import decode_nfa, lex_leader, solve_in_process
@@ -218,7 +218,7 @@ def test_every_batch_clears_the_decision_block():
 def test_encoder_vouches_for_the_symmetry_and_a_later_batch_withdraws_it():
     sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
     for batch in ([(1,)], []):
-        inst = encode_prefix(sample, 4)
+        inst = encode(ModelKind.PREFIX, sample, 4)
         var_count, predicate = lex_leader(inst)
         assert (var_count, len(predicate)) == (inst.var_count + 2 * 2, 2 * (3 * 2 + 1))
         inst.add_clauses(batch, ["other"] * len(batch))
@@ -255,7 +255,7 @@ def test_lex_leader_clauses_meet_the_store_invariants(k, n):
 def test_no_lex_leader_below_three_states_or_without_a_layout():
     sample = Sample.build(2, [(0, 1), (1,)], [(0,)])
     for k in (1, 2):
-        assert lex_leader(encode_prefix(sample, k))[1] == []
+        assert lex_leader(encode(ModelKind.PREFIX, sample, k))[1] == []
     hand_built = CnfInstance()
     hand_built.decision_block = hand_built.layout_size  # no layout, so no states to order
     assert lex_leader(hand_built) == (0, [])

@@ -10,11 +10,11 @@ from io import StringIO
 
 from nfasat.cli import random_sample
 from nfasat.cnf import dimacs_text, parse_dimacs, write_dimacs
-from nfasat.encoders import encode_suffix
+from nfasat.encoders import ModelKind, encode
 
 
 def _instance():
-    return encode_suffix(random_sample(2, 60, 10, 0.5, seed=7), 4)
+    return encode(ModelKind.SUFFIX, random_sample(2, 60, 10, 0.5, seed=7), 4)
 
 
 def test_write_dimacs(benchmark):

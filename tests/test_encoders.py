@@ -16,10 +16,6 @@ from nfasat.encoders import (
     _direct_families,
     ModelKind,
     encode,
-    encode_direct,
-    encode_hybrid,
-    encode_prefix,
-    encode_suffix,
     estimate_size,
 )
 from nfasat.nfa import Nfa, accepts, verify
@@ -41,7 +37,7 @@ def solve_status(inst) -> str:
 class TestDirect:
     def test_single_positive_exact_instance(self):
         sample = Sample.build(1, [A], [])
-        inst = encode_direct(sample, 1)
+        inst = encode(ModelKind.DIRECT, sample, 1)
         f1 = inst.lookup(final_var(1))
         d = inst.lookup(trans_var(0, 1, 1))
         assert inst.var_count == 3  # final, transition, one path aux
@@ -54,21 +50,21 @@ class TestDirect:
     def test_empty_word_contradiction(self):
         sample = Sample.build(1, [()], [()])
         for k in (1, 2):
-            inst = encode_direct(sample, k)
+            inst = encode(ModelKind.DIRECT, sample, k)
             f1 = inst.lookup(final_var(1))
             assert (f1,) in inst.clauses and (-f1,) in inst.clauses
             assert solve_status(inst) == "UNSAT"
 
     def test_path_aux_count_is_k_to_the_length(self):
         sample = Sample.build(2, [AB], [])
-        inst = encode_direct(sample, 2)
+        inst = encode(ModelKind.DIRECT, sample, 2)
         assert inst.var_family_counts["direct_path_aux"] == 4
 
     def test_arities_match_family_shapes(self):
         # words with distinct symbols so no literal dedup shrinks clauses
         sample = Sample.build(2, [AB], [(1, 0)])
         k = 2
-        inst = encode_direct(sample, k)
+        inst = encode(ModelKind.DIRECT, sample, k)
         # the positive word's paths are an asserted OR: no reverse clauses
         assert set(inst.family_hist) == {"direct_bin", "direct_choice", "direct_reject"}
         assert inst.family_hist["direct_bin"] == {2: k**2 * (2 + 1)}
@@ -79,20 +75,20 @@ class TestDirect:
         word = tuple(0 for _ in range(30))
         sample = Sample.build(1, [word], [])
         with pytest.raises(BudgetExceededError):
-            encode_direct(sample, 5)
+            encode(ModelKind.DIRECT, sample, 5)
 
     def test_budget_threshold_is_pinned(self):
         # the literal count the budget checks for the first pinned sample at k = 2
         sample, k, literals = random_sample(2, 30, 6, 0.5, 3), 2, 7580
         with pytest.raises(BudgetExceededError):
-            encode_direct(sample, k, literal_budget=literals - 1)
-        assert encode_direct(sample, k, literal_budget=literals).clauses
+            encode(ModelKind.DIRECT, sample, k, literal_budget=literals - 1)
+        assert encode(ModelKind.DIRECT, sample, k, literal_budget=literals).clauses
 
 
 class TestPrefix:
     def test_single_symbol_prefixes_alias_transitions(self):
         sample = Sample.build(2, [AB], [B])
-        inst = encode_prefix(sample, 2)
+        inst = encode(ModelKind.PREFIX, sample, 2)
         # b, the one negative word, is rejected last, through its transition row out of state 1
         assert inst.family_hist["reject_bin"] == {2: 2}
         assert inst.clauses[-2:] == [
@@ -101,7 +97,7 @@ class TestPrefix:
 
     def test_example_sat_and_decodes_correctly(self):
         sample = Sample.build(2, [AB], [B])
-        inst = encode_prefix(sample, 2)
+        inst = encode(ModelKind.PREFIX, sample, 2)
         out = solve_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 2, 2)
@@ -111,7 +107,7 @@ class TestPrefix:
     def test_accept_machinery_counts(self):
         sample = Sample.build(2, [AB, A], [])
         k = 3
-        inst = encode_prefix(sample, k)
+        inst = encode(ModelKind.PREFIX, sample, k)
         assert inst.var_family_counts["accept_aux"] == 2 * k
         hist = inst.family_hist["accept_choice"]
         assert sum(hist.values()) == 2 and set(hist) == {k}
@@ -121,7 +117,7 @@ class TestPrefix:
         # It is a prefix of a positive and of a negative word, so it keeps its
         # reverse clause, merged to arity 2; the negative-only (0, 0, 0) gets one
         # reverse clause of arity 3 and nothing else.
-        inst = encode_prefix(Sample.build(1, [(0, 0)], [(0, 0, 0)]), 1)
+        inst = encode(ModelKind.PREFIX, Sample.build(1, [(0, 0)], [(0, 0, 0)]), 1)
         assert inst.family_hist["prefix_rec_ternary"] == {2: 1, 3: 1}
         assert inst.family_hist["prefix_rec_bin_prev"] == {2: 1}
         assert inst.family_hist["prefix_rec_bin_trans"] == {2: 1}
@@ -129,12 +125,12 @@ class TestPrefix:
 
     def test_same_word_both_polarities_unsat(self):
         sample = Sample.build(1, [A], [A])
-        assert solve_status(encode_prefix(sample, 2)) == "UNSAT"
+        assert solve_status(encode(ModelKind.PREFIX, sample, 2)) == "UNSAT"
 
     def test_recursion_family_counts(self):
         sample = Sample.build(2, [AB], [])
         k = 2
-        inst = encode_prefix(sample, k)
+        inst = encode(ModelKind.PREFIX, sample, k)
         assert inst.var_family_counts["prefix_path"] == k  # only the length-2 prefix
         assert inst.var_family_counts["prefix_rec_aux"] == k * k
         assert sum(inst.family_hist["prefix_rec_choice"].values()) == k
@@ -144,14 +140,14 @@ class TestPrefix:
 class TestSuffix:
     def test_example_alias_and_prune_counts(self):
         sample = Sample.build(2, [AB], [])
-        inst = encode_suffix(sample, 2)
+        inst = encode(ModelKind.SUFFIX, sample, 2)
         assert inst.var_family_counts["suffix_path"] == 2  # start state 1 only
         assert inst.var_family_counts["suffix_rec_aux"] == 4
         assert solve_status(inst) == "SAT"
 
     def test_one_state_decode(self):
         sample = Sample.build(2, [A], [B])
-        inst = encode_suffix(sample, 1)
+        inst = encode(ModelKind.SUFFIX, sample, 1)
         out = solve_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 1, 2)
@@ -162,19 +158,19 @@ class TestSuffix:
     def test_inner_suffix_costs_k_cubed(self):
         sample = Sample.build(2, [(0, 0, 1)], [])
         k = 2
-        inst = encode_suffix(sample, k)
+        inst = encode(ModelKind.SUFFIX, sample, k)
         # suffix (0,1) sits inside (0,0,1): all starts, so k^3 auxiliaries;
         # the full word itself is pruned to start state 1, so k^2 more
         assert inst.var_family_counts["suffix_rec_aux"] == k**3 + k**2
 
     def test_shared_full_word_not_pruned(self):
         sample = Sample.build(2, [(0, 0, 1)], [AB])
-        inst = encode_suffix(sample, 2)
+        inst = encode(ModelKind.SUFFIX, sample, 2)
         # ab is a sample word but also a proper suffix of aab: all k^2 (start,
         # end) pairs; aab itself is pruned to start state 1, so k more
         assert inst.var_family_counts["suffix_path"] == 4 + 2
         sample2 = Sample.build(2, [(0, 0, 1)], [(1, 1)])
-        inst2 = encode_suffix(sample2, 2)
+        inst2 = encode(ModelKind.SUFFIX, sample2, 2)
         # bb is pruned too: k more on top of ab's k^2 and aab's k
         assert inst2.var_family_counts["suffix_path"] == 4 + 2 + 2
 
@@ -182,16 +178,16 @@ class TestSuffix:
 class TestHybrid:
     def test_all_prefix_cuts_match_prefix_model_structure(self):
         sample = Sample.build(2, [AB, (1, 0)], [B, (0, 0)])
-        pm = encode_prefix(sample, 2)
-        hm = encode_hybrid(sample, 2, all_prefix_cuts(sample))
+        pm = encode(ModelKind.PREFIX, sample, 2)
+        hm = encode(ModelKind.HYBRID, sample, 2, all_prefix_cuts(sample))
         assert hm.var_count == pm.var_count
         assert hm.family_hist == pm.family_hist
         assert solve_status(hm) == solve_status(pm)
 
     def test_all_suffix_cuts_match_suffix_model_structure(self):
         sample = Sample.build(2, [AB, (1, 0)], [B, (0, 0)])
-        sm = encode_suffix(sample, 2)
-        hm = encode_hybrid(sample, 2, all_suffix_cuts(sample))
+        sm = encode(ModelKind.SUFFIX, sample, 2)
+        hm = encode(ModelKind.HYBRID, sample, 2, all_suffix_cuts(sample))
         assert hm.var_count == sm.var_count
         assert hm.family_hist == sm.family_hist
         assert solve_status(hm) == solve_status(sm)
@@ -199,7 +195,7 @@ class TestHybrid:
     def test_mixed_cut_example(self):
         sample = Sample.build(2, [AB], [B])
         cuts = {AB: 1, B: 0}
-        inst = encode_hybrid(sample, 2, cuts)
+        inst = encode(ModelKind.HYBRID, sample, 2, cuts)
         out = solve_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 2, 2)
@@ -214,14 +210,14 @@ class TestHybrid:
     def test_word_in_both_polarities_unsat(self):
         sample = Sample.build(2, [AB], [AB])
         for cut in (0, 1, 2):
-            inst = encode_hybrid(sample, 2, {AB: cut})
+            inst = encode(ModelKind.HYBRID, sample, 2, {AB: cut})
             assert solve_status(inst) == "UNSAT"
 
     def test_link_families_present_for_interior_cut(self):
         sample = Sample.build(2, [(0, 1, 0)], [(1, 1, 0)])
         cuts = {(0, 1, 0): 1, (1, 1, 0): 2}
         k = 2
-        inst = encode_hybrid(sample, k, cuts)
+        inst = encode(ModelKind.HYBRID, sample, k, cuts)
         assert inst.var_family_counts["link_aux"] == k * k
         assert sum(inst.family_hist["link_choice"].values()) == 1
         assert set(inst.family_hist["link_choice"]) == {k * k}
@@ -238,7 +234,7 @@ class TestPolarity:
 
     def test_negative_only_prefix_has_no_aux(self):
         k = 2
-        inst = encode_prefix(Sample.build(2, [], [AB]), k)
+        inst = encode(ModelKind.PREFIX, Sample.build(2, [], [AB]), k)
         assert "prefix_rec_aux" not in inst.var_family_counts
         # one [y, -parent, -trans] per term and nothing else
         assert {f for f in inst.family_hist if f.startswith("prefix")} == {"prefix_rec_ternary"}
@@ -246,7 +242,7 @@ class TestPolarity:
 
     def test_positive_only_prefix_has_no_reverse_or_output_clauses(self):
         k = 2
-        inst = encode_prefix(Sample.build(2, [AB], []), k)
+        inst = encode(ModelKind.PREFIX, Sample.build(2, [AB], []), k)
         assert inst.var_family_counts["prefix_rec_aux"] == k * k
         assert "prefix_rec_ternary" not in inst.family_hist
         assert "prefix_rec_bin_out" not in inst.family_hist
@@ -255,7 +251,7 @@ class TestPolarity:
     def test_prefix_shared_by_both_polarities_keeps_all_five_families(self):
         # (0, 1) is a prefix of the positive (0, 1, 0) and of the negative (0, 1, 1)
         k = 2
-        inst = encode_prefix(Sample.build(2, [(0, 1, 0)], [(0, 1, 1)]), k)
+        inst = encode(ModelKind.PREFIX, Sample.build(2, [(0, 1, 0)], [(0, 1, 1)]), k)
         counts = inst.family_clause_counts()
         assert counts["prefix_rec_bin_prev"] == counts["prefix_rec_bin_trans"] == 2 * k * k
         assert counts["prefix_rec_ternary"] == 2 * k * k  # (0, 1), then the negative-only word
@@ -266,7 +262,7 @@ class TestPolarity:
     def test_suffix_chain_inherits_from_left_extensions(self):
         # (1, 1) is a suffix of the negative (0, 1, 1) only; (0, 1) of the positive only
         k = 2
-        inst = encode_suffix(Sample.build(2, [(1, 0, 1)], [(0, 1, 1)]), k)
+        inst = encode(ModelKind.SUFFIX, Sample.build(2, [(1, 0, 1)], [(0, 1, 1)]), k)
         counts = inst.family_clause_counts()
         # (0, 1) is inside (1, 0, 1): all starts, k^3 terms; (1, 0, 1) is pruned: k^2
         assert inst.var_family_counts["suffix_rec_aux"] == k**3 + k * k
@@ -276,7 +272,7 @@ class TestPolarity:
     def test_hybrid_head_and_tail_inherit_the_word_mark(self):
         k = 2
         sample = Sample.build(2, [(0, 1, 1, 0)], [(1, 0, 0, 1)])
-        inst = encode_hybrid(sample, k, {(0, 1, 1, 0): 2, (1, 0, 0, 1): 2})
+        inst = encode(ModelKind.HYBRID, sample, k, {(0, 1, 1, 0): 2, (1, 0, 0, 1): 2})
         # the positive word's head (0, 1) and tail (1, 0) get aux variables, the
         # negative word's head (1, 0) and tail (0, 1) reverse clauses only
         assert inst.var_family_counts["prefix_rec_aux"] == k * k
@@ -314,14 +310,14 @@ def test_planted_target_satisfies_every_model():
         positives = {w for w in words if accepts(target, w)}
         sample = Sample.build(n, positives, words - positives)
         instances = {
-            "pm": encode_prefix(sample, k),
-            "sm": encode_suffix(sample, k),
-            "hm-prefix": encode_hybrid(sample, k, all_prefix_cuts(sample)),
-            "hm-suffix": encode_hybrid(sample, k, all_suffix_cuts(sample)),
-            "hm-random": encode_hybrid(sample, k, random_cut_assignment(rng, sample)),
+            "pm": encode(ModelKind.PREFIX, sample, k),
+            "sm": encode(ModelKind.SUFFIX, sample, k),
+            "hm-prefix": encode(ModelKind.HYBRID, sample, k, all_prefix_cuts(sample)),
+            "hm-suffix": encode(ModelKind.HYBRID, sample, k, all_suffix_cuts(sample)),
+            "hm-random": encode(ModelKind.HYBRID, sample, k, random_cut_assignment(rng, sample)),
         }
         if sum(k ** len(w) for w in words) <= 3000:
-            instances["dm"] = encode_direct(sample, k)
+            instances["dm"] = encode(ModelKind.DIRECT, sample, k)
         for label, inst in instances.items():
             for i in range(1, k + 1):
                 f = inst.lookup(final_var(i))
@@ -471,13 +467,13 @@ class TestCrossModel:
             k = rng.randint(1, 3)
             truth = oracle_exists(sample, k)[0]
             instances = [
-                encode_direct(sample, k),
-                encode_prefix(sample, k),
-                encode_suffix(sample, k),
+                encode(ModelKind.DIRECT, sample, k),
+                encode(ModelKind.PREFIX, sample, k),
+                encode(ModelKind.SUFFIX, sample, k),
             ]
             for _ in range(3):
                 instances.append(
-                    encode_hybrid(sample, k, random_cut_assignment(rng, sample))
+                    encode(ModelKind.HYBRID, sample, k, random_cut_assignment(rng, sample))
                 )
             for inst in instances:
                 out = solve_in_process(inst)
@@ -490,10 +486,10 @@ class TestCrossModel:
         sample = Sample.build(2, [AB, A], [B, (1, 1)])
         cuts = {AB: 1, A: 1, B: 0, (1, 1): 2}
         for build in (
-            lambda: encode_direct(sample, 2),
-            lambda: encode_prefix(sample, 2),
-            lambda: encode_suffix(sample, 2),
-            lambda: encode_hybrid(sample, 2, cuts),
+            lambda: encode(ModelKind.DIRECT, sample, 2),
+            lambda: encode(ModelKind.PREFIX, sample, 2),
+            lambda: encode(ModelKind.SUFFIX, sample, 2),
+            lambda: encode(ModelKind.HYBRID, sample, 2, cuts),
         ):
             assert dimacs_text(build()) == dimacs_text(build())
 
@@ -561,12 +557,12 @@ def test_pinned_dimacs_and_family_stats(case):
     args, k = case
     sample = random_sample(*args)
     builds = {
-        "dm": lambda: encode_direct(sample, k),
-        "pm": lambda: encode_prefix(sample, k),
-        "sm": lambda: encode_suffix(sample, k),
-        "hm-prefix": lambda: encode_hybrid(sample, k, all_prefix_cuts(sample)),
-        "hm-suffix": lambda: encode_hybrid(sample, k, all_suffix_cuts(sample)),
-        "hm-ils": lambda: encode_hybrid(
+        "dm": lambda: encode(ModelKind.DIRECT, sample, k),
+        "pm": lambda: encode(ModelKind.PREFIX, sample, k),
+        "sm": lambda: encode(ModelKind.SUFFIX, sample, k),
+        "hm-prefix": lambda: encode(ModelKind.HYBRID, sample, k, all_prefix_cuts(sample)),
+        "hm-suffix": lambda: encode(ModelKind.HYBRID, sample, k, all_suffix_cuts(sample)),
+        "hm-ils": lambda: encode(ModelKind.HYBRID, 
             sample, k, ils_optimize(sample, k, IlsParams(rng_seed=1)).cuts
         ),
     }
@@ -626,7 +622,8 @@ def test_pinned_size_estimates(case):
 class TestDefineChecks:
     @pytest.mark.parametrize("lits", [(1, 0), (1, 99)])
     def test_bad_conjunct_raises_and_stores_nothing(self, lits):
-        inst, y = CnfInstance(1), 1
+        inst, y, batch = CnfInstance(1), 1, ([], [])
+        _define(inst, batch, [y], [(0, lits)], _PREFIX_FAMILIES)
         with pytest.raises(CnfError):
-            _define(inst, [y], [(0, lits)], _PREFIX_FAMILIES)
+            inst.add_clauses(*batch)
         assert inst.clauses == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nfasat.cdcl import CdclSolver
 from nfasat.cnf import CnfInstance, dimacs_text, final_var, trans_var
 from nfasat.cli import random_sample
-from nfasat.encoders import ModelKind, encode, encode_prefix
+from nfasat.encoders import ModelKind, encode
 from nfasat.nfa import Nfa, accepts, verify
 from nfasat.sample import Sample
 from nfasat.solver import (
@@ -79,7 +79,7 @@ class TestExternal:
         assert out.assignment == {1: True}
 
     def test_counters_match_a_full_search(self):
-        inst = encode_prefix(Sample.build(2, [(0, 1), (1, 1)], [(1,), (0,)]), 2)
+        inst = encode(ModelKind.PREFIX, Sample.build(2, [(0, 1), (1, 1)], [(1,), (0,)]), 2)
         solver = CdclSolver(inst.var_count, inst.clauses)
         _, _, decisions = solver.solve()
         external = solve_external(inst, BUNDLED_SOLVER, timeout_seconds=60)
@@ -136,13 +136,13 @@ class TestExternal:
 
     def test_agrees_with_in_process_on_encodings(self):
         sample = Sample.build(2, [(0, 1), (0,)], [(1,), (1, 1)])
-        inst = encode_prefix(sample, 2)
+        inst = encode(ModelKind.PREFIX, sample, 2)
         external = solve_external(inst, BUNDLED_SOLVER, timeout_seconds=60)
         assert external.status == solve_in_process(inst).status
 
     def test_verdict_stable_under_clause_shuffle(self):
         sample = Sample.build(2, [(0, 1)], [(1, 0)])
-        base = encode_prefix(sample, 2)
+        base = encode(ModelKind.PREFIX, sample, 2)
         reference = solve_in_process(base).status
         rng = random.Random(0)
         for _ in range(5):
@@ -208,7 +208,7 @@ class TestDecode:
             pos = set(words[:2])
             neg = set(words[2:]) - pos
             sample = Sample.build(2, pos, neg)
-            inst = encode_prefix(sample, 3)
+            inst = encode(ModelKind.PREFIX, sample, 3)
             out = solve_in_process(inst)
             if out.status == "SAT":
                 nfa = decode_nfa(out.assignment, inst, 3, 2)
