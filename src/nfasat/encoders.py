@@ -54,7 +54,7 @@ The finals and transitions are the instance's fixed layout, variables
 1..m (``cnf``); every encoder records m as the instance's
 ``decision_block``.  The encoders index them through the tables
 ``_base_instance`` reads from the layout, and keep the reach variables of
-each closure word in a dict keyed by the word.
+each closure word in a table keyed by its id in ``Sample.index``.
 
 Why m decides the instance.  Take a point where unit propagation is at a
 fixpoint without conflict and every final and transition variable is set;
@@ -92,9 +92,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import neg
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .cnf import CnfInstance, final_var, trans_var
 from .sample import (
@@ -105,7 +105,6 @@ from .sample import (
     all_suffix_cuts,
     check_state_count,
     validate_cuts,
-    word_key,
 )
 
 DEFAULT_LITERAL_BUDGET = 50_000_000
@@ -243,100 +242,86 @@ def _marks(sample: Sample) -> list[tuple[Word, int]]:
 
 def _part_uses(
     sample: Sample, cuts: SplitAssignment
-) -> tuple[list[tuple[Word, int]], dict[Word, int], dict[Word, int]]:
-    """The sample's marks, then the polarity bits of the prefix closure of the
-    words' heads and the suffix closure of their tails, after checking the cuts."""
+) -> tuple[list[tuple[Word, int]], list[int], list[int]]:
+    """The sample's marks, then the polarity bits per prefix id of the words'
+    heads and per suffix id of their tails, after checking the cuts; an id
+    with no bits is not in the closure."""
     validate_cuts(sample, cuts)
+    index = sample.index
     marks = _marks(sample)
-    heads = [(w[: cuts[w]], bits) for w, bits in marks]
-    tails = [(w[cuts[w] :], bits) for w, bits in marks]
-    return (
-        marks,
-        _closure_uses(heads, lambda word: word[:-1]),
-        _closure_uses(tails, lambda word: word[1:]),
-    )
-
-
-def _closure_uses(
-    marked: Iterable[tuple[Word, int]], parent: Callable[[Word], Word]
-) -> dict[Word, int]:
-    """Polarity bits of every non-empty word of a closure; the keys are the closure.
-
-    Each marked word passes its bits on to parent(word), the word its chain
-    defines it from, down to the one-letter words.  A word that already has
-    the bits has passed them on before, so the walk stops there.
-    """
-    uses: dict[Word, int] = {}
-    for word, bits in marked:
-        while word and bits & ~uses.get(word, 0):
-            uses[word] = uses.get(word, 0) | bits
-            word = parent(word)
-    return uses
+    prefix_uses = [0] * len(index.prefixes)
+    suffix_uses = [0] * len(index.suffixes)
+    for word, bits in marks:
+        cut = cuts[word]
+        for p in index.heads[word][:cut]:
+            prefix_uses[p] |= bits
+        for s in index.tails[word][cut:]:
+            suffix_uses[s] |= bits
+    return marks, prefix_uses, suffix_uses
 
 
 def _emit_prefix_chain(
-    inst: CnfInstance, uses: dict[Word, int], trans: list[Table], k: int
-) -> dict[Word, list[int]]:
-    """Define reach-from-start variables for every word of a prefix closure.
+    inst: CnfInstance, sample: Sample, uses: list[int], trans: list[Table], k: int
+) -> dict[int, list[int]]:
+    """Define reach-from-start variables for every prefix of the closure, in id order.
 
-    uses: the closure with its polarity bits.  Returns per prefix the
-    variables "a run for it reaches state i from state 1", at index i - 1.
+    uses: the polarity bits per prefix id, 0 off the closure.  Returns per
+    prefix id the variables "a run for it reaches state i from state 1", at
+    index i - 1.
     """
+    index = sample.index
     states = range(k)
-    reach: dict[Word, list[int]] = {}
+    reach: dict[int, list[int]] = {}
     batch: Batch = ([], [])
-    for word in sorted(uses, key=word_key):
+    for p in compress(range(len(uses)), uses):
+        word = index.prefixes[p]
         if len(word) == 1:
-            reach[word] = trans[word[0]][0]
+            reach[p] = trans[word[0]][0]
             continue
         first = inst.fresh_aux("prefix_path", k)
-        outputs = reach[word] = list(range(first, first + k))
-        parent = reach[word[:-1]]
+        outputs = reach[p] = list(range(first, first + k))
+        parent = reach[index.parent[p]]
         step = trans[word[-1]]
         terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, uses[word])
+        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, uses[p])
     inst.add_clauses(*batch)
     return reach
 
 
-def _suffix_all_start_words(suffix_set: Iterable[Word], linked: set[Word]) -> set[Word]:
-    """Suffixes whose runs must exist from every start state.
-
-    A suffix referenced inside a longer suffix's definition, or linked behind
-    a non-empty prefix part, can begin anywhere; everything else only ever
-    runs from the initial state and is pruned to start state 1.
-    """
-    # the closure is suffix-closed, so each w[1:] covers every deeper tail
-    return linked | {w[1:] for w in suffix_set if len(w) > 1}
-
-
 def _emit_suffix_chain(
     inst: CnfInstance,
-    uses: dict[Word, int],
-    linked: set[Word],
+    sample: Sample,
+    uses: list[int],
+    linked: set[int],
     trans: list[Table],
     k: int,
-) -> dict[Word, Table]:
-    """Define segment-run variables for every word of a suffix closure.
+) -> dict[int, Table]:
+    """Define segment-run variables for every suffix of the closure, in id order.
 
-    uses: the closure with its polarity bits.  linked: the suffix parts that
-    follow a non-empty prefix part.  Returns per suffix the variables "a run
-    for it leads from state i to state j", at [i - 1][j - 1]; a suffix
-    pruned to start state 1 has that row only.
+    uses: the polarity bits per suffix id, 0 off the closure.  linked: the
+    ids of the suffix parts that follow a non-empty prefix part.  Returns
+    per suffix id the variables "a run for it leads from state i to state
+    j", at [i - 1][j - 1].  A suffix linked behind a prefix part, or the
+    rest of a longer one, can begin anywhere; any other only ever runs from
+    state 1 and keeps that row only.
     """
+    index = sample.index
     states = range(k)
-    all_start_words = _suffix_all_start_words(uses, linked)
-    reach: dict[Word, Table] = {}
+    used = list(compress(range(len(uses)), uses))
+    # the closure is suffix-closed, so each rest covers every deeper tail
+    all_starts = linked | {index.rest[s] for s in used}
+    reach: dict[int, Table] = {}
     batch: Batch = ([], [])
-    for word in sorted(uses, key=word_key):
+    for s in used:
+        word = index.suffixes[s]
         if len(word) == 1:
-            reach[word] = trans[word[0]]
+            reach[s] = trans[word[0]]
             continue
-        starts = states if word in all_start_words else range(1)
+        starts = states if s in all_starts else range(1)
         first = inst.fresh_aux("suffix_path", len(starts) * k)
         outputs = list(range(first, first + len(starts) * k))
-        reach[word] = [outputs[i * k : i * k + k] for i in starts]
-        rests = reach[word[1:]]
+        reach[s] = [outputs[i * k : i * k + k] for i in starts]
+        rests = reach[index.rest[s]]
         steps = trans[word[0]]
         terms = [
             (i * k + j, (rests[mid][j], steps[i][mid]))
@@ -344,7 +329,7 @@ def _emit_suffix_chain(
             for mid in states
             for j in states
         ]
-        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, uses[word])
+        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, uses[s])
     inst.add_clauses(*batch)
     return reach
 
@@ -403,21 +388,21 @@ def _encode_hybrid(
     literals = _hybrid_estimate(sample, k, cuts, marks, prefix_uses, suffix_uses).total_literals()
     _check_budget(literals, literal_budget)
     inst, finals, trans = _base_instance(sample, k)
-    linked = {w[cut:] for w, cut in cuts.items() if 0 < cut < len(w)}
-    prefix_reach = _emit_prefix_chain(inst, prefix_uses, trans, k)
-    suffix_rows = _emit_suffix_chain(inst, suffix_uses, linked, trans, k)
+    heads, tails = sample.index.heads, sample.index.tails
+    linked = {tails[w][cut] for w, cut in cuts.items() if 0 < cut < len(w)}
+    prefix_reach = _emit_prefix_chain(inst, sample, prefix_uses, trans, k)
+    suffix_rows = _emit_suffix_chain(inst, sample, suffix_uses, linked, trans, k)
 
     states = range(k)
     batch: Batch = ([], [])
     for word, bits in marks:  # the OR of runs into a final state, asserted by the label
         cut = cuts[word]
-        head, tail = word[:cut], word[cut:]
-        if not head or not tail:  # cut 0 or |word|: the pure suffix or prefix form
-            reach = prefix_reach[word] if head else suffix_rows[word][0]
+        if cut in (0, len(word)):  # the pure suffix or prefix form
+            reach = prefix_reach[heads[word][-1]] if cut else suffix_rows[tails[word][0]][0]
             terms = [(None, lits) for lits in zip(reach, finals)]
             families = _ACCEPT_FAMILIES
-        else:  # linked at the cut state
-            rows = zip(prefix_reach[head], suffix_rows[tail])  # per cut state
+        else:  # linked at the cut state; a row per cut state
+            rows = zip(prefix_reach[heads[word][cut - 1]], suffix_rows[tails[word][cut]])
             terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
             families = _LINK_FAMILIES
         _define(inst, batch, None, terms, families, bits)
@@ -434,10 +419,19 @@ def encode(
     literal_budget: int = DEFAULT_LITERAL_BUDGET,
 ) -> CnfInstance:
     """The sample's instance at k states under kind; hm encodes the given cuts."""
-    check_state_count(k)
+    _check_request(kind, k, cuts)
+    # unused symbols' transitions have no clauses, so the literal count misses a huge layout
+    _check_budget(k + sample.alphabet_size * k * k, literal_budget, "layout variables")
     if kind == ModelKind.DIRECT:
         return _encode_direct(sample, k, literal_budget)
     return _encode_hybrid(sample, k, _hybrid_cuts(kind, sample, cuts), literal_budget)
+
+
+def _check_request(kind: ModelKind, k: int, cuts: SplitAssignment | None) -> None:
+    """At least one state, and a split assignment only with the hybrid model."""
+    check_state_count(k)
+    if cuts is not None and kind != ModelKind.HYBRID:
+        raise ValueError(f"only the hybrid model takes a split assignment, not {ModelKind(kind).value}")
 
 
 def _hybrid_cuts(
@@ -456,11 +450,10 @@ def _hybrid_cuts(
     return cuts
 
 
-def _check_budget(projected_literals: int, literal_budget: int) -> None:
-    if projected_literals > literal_budget:
+def _check_budget(projected: int, literal_budget: int, what: str = "literals") -> None:
+    if projected > literal_budget:
         raise BudgetExceededError(
-            f"instance too large: about {projected_literals} literals exceeds "
-            f"the budget of {literal_budget}"
+            f"instance too large: about {projected} {what} exceeds the budget of {literal_budget}"
         )
 
 
@@ -491,7 +484,7 @@ class SizeEstimate:
 def estimate_size(
     kind: ModelKind, sample: Sample, k: int, cuts: SplitAssignment | None = None
 ) -> SizeEstimate:
-    check_state_count(k)
+    _check_request(kind, k, cuts)
     if kind == ModelKind.DIRECT:  # every word of a polarity as long as its longest
         estimate = _base_estimate(sample, k)
         for words, bits in ((sample.positives, _POSITIVE), (sample.negatives, _NEGATIVE)):
@@ -540,15 +533,16 @@ def _add_definitions(
 
 def _hybrid_estimate(
     sample: Sample, k: int, cuts: SplitAssignment, marks: list[tuple[Word, int]],
-    prefix_uses: dict[Word, int], suffix_uses: dict[Word, int],
+    prefix_uses: list[int], suffix_uses: list[int],
 ) -> SizeEstimate:
     """Bounds for validated cuts: each verdict, link and chain definition by
     its polarity class.  One-letter words are transitions, and every suffix
     counts all k start states."""
     linked = Counter(bits for word, bits in marks if 0 < cuts[word] < len(word))
     verdicts = Counter(bits for _, bits in marks) - linked
-    pre = Counter(bits for word, bits in prefix_uses.items() if len(word) >= 2)
-    suf = Counter(bits for word, bits in suffix_uses.items() if len(word) >= 2)
+    index = sample.index  # a part of length >= 2 has a parent or rest id
+    pre = Counter(bits for bits, parent in zip(prefix_uses, index.parent) if bits and parent >= 0)
+    suf = Counter(bits for bits, rest in zip(suffix_uses, index.rest) if bits and rest >= 0)
     estimate = _base_estimate(sample, k)
     estimate.variable_bounds.update(prefix_path=pre.total() * k, suffix_path=suf.total() * k * k)
     _add_definitions(estimate, _ACCEPT_FAMILIES, verdicts, k)

@@ -10,6 +10,7 @@ a suffix part for the hybrid encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -72,11 +73,13 @@ class Sample:
     def sorted_negatives(self) -> list[Word]:
         return sorted(self.negatives, key=word_key)
 
-    def sorted_words(self) -> list[Word]:
-        return sorted(set(self.words()), key=word_key)
-
     def sorted_nonempty_words(self) -> list[Word]:
-        return [w for w in self.sorted_words() if w]
+        return sorted({w for w in self.words() if w}, key=word_key)
+
+    @cached_property
+    def index(self) -> SampleIndex:
+        """The index of the non-empty words, built on first use."""
+        return SampleIndex(self.sorted_nonempty_words())
 
     def total_symbol_count(self) -> int:
         return sum(len(w) for w in set(self.words()))
@@ -86,6 +89,28 @@ class Sample:
         if overlap:
             shown = ", ".join(word_to_text(w, self.alphabet_size) or "<empty>" for w in sorted(overlap, key=word_key))
             raise SampleError(f"words listed as both positive and negative: {shown}")
+
+
+class SampleIndex:
+    """Dense ids of the distinct non-empty prefixes and, apart, suffixes of words.
+
+    words: non-empty, in ``word_key`` order, and the ids follow that order.
+    heads[w][i] is the id of w[:i+1], tails[w][i] the id of w[i:]; parent[p]
+    is the id of prefix p less its last letter, rest[s] that of suffix s
+    less its first, -1 for a one-letter part.
+    """
+
+    def __init__(self, words: list[Word]) -> None:
+        self.words = words
+        # sorted order, then a stable sort by length: word_key order
+        self.prefixes = sorted(sorted({w[:i] for w in words for i in range(1, len(w) + 1)}), key=len)
+        self.suffixes = sorted(sorted({w[i:] for w in words for i in range(len(w))}), key=len)
+        prefix_id = {p: i for i, p in enumerate(self.prefixes)}
+        suffix_id = {s: i for i, s in enumerate(self.suffixes)}
+        self.heads = {w: [prefix_id[w[:i]] for i in range(1, len(w) + 1)] for w in words}
+        self.tails = {w: [suffix_id[w[i:]] for i in range(len(w))] for w in words}
+        self.parent = [prefix_id.get(p[:-1], -1) for p in self.prefixes]
+        self.rest = [suffix_id.get(s[1:], -1) for s in self.suffixes]
 
 
 def check_state_count(k: int) -> None:

@@ -15,14 +15,13 @@ The ILS starts from the best of its seeded random cuts, the all-prefix cuts
 and the all-suffix cuts, so it never ends worse than either corner: from a
 random start alone it often ends above them (README, ROADMAP item 2).
 
-Both score through one split index built per call (``_split_index``): every
-distinct non-empty prefix and suffix of the sample's words gets a dense
-integer id, its prefix-trie or suffix-trie node, and each word keeps the ids
-of its prefixes by length and of its suffixes by start.  The ILS and
+Both score through the sample's index (``Sample.index``): the ids of each
+word's prefixes by length and of its suffixes by start.  The ILS and
 ``fitness`` count, per id, how many words contribute it (``_SplitScore``).
 The GA turns each word's ids into one cumulative int bitmask per cut, so an
-individual's score is an OR over its words' masks and two popcounts.  No
-process-global word cache is touched.
+individual's score is an OR over its words' masks and two popcounts.  Bits
+are given out in first use along the words, not by id: a word's longest
+parts have high ids, so masks by id would OR at full width from the start.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import or_
-from typing import IO
+from typing import IO, Iterable
 
 from .sample import (
     Sample,
@@ -109,28 +108,7 @@ def fitness(sample: Sample, k: int, cuts: SplitAssignment) -> int:
     """Distinct prefixes of the prefix parts plus k times distinct suffixes."""
     check_state_count(k)
     validate_cuts(sample, cuts)
-    return _SplitScore(sample.sorted_nonempty_words(), cuts, k).fitness()
-
-
-def _trie_ids(word: Word, nodes: dict[tuple[int, int], int]) -> list[int]:
-    """Trie node id of each non-empty prefix of word, adding missing nodes."""
-    node, ids = -1, []
-    for symbol in word:
-        node = nodes.setdefault((node, symbol), len(nodes))
-        ids.append(node)
-    return ids
-
-
-def _split_index(words: list[Word]) -> tuple[list[list[int]], list[list[int]]]:
-    """Per word, the ids of its non-empty prefixes (by length) and suffixes (by start).
-
-    Ids are dense from 0 and local to one call; equal parts of different
-    words share an id.
-    """
-    pref_nodes: dict[tuple[int, int], int] = {}
-    suf_nodes: dict[tuple[int, int], int] = {}
-    pref_ids = [_trie_ids(w, pref_nodes) for w in words]
-    return pref_ids, [_trie_ids(w[::-1], suf_nodes)[::-1] for w in words]
+    return _SplitScore(sample, cuts, k).fitness()
 
 
 def word_weights(sample: Sample) -> dict[Word, float]:
@@ -165,19 +143,15 @@ class _SplitScore:
     costs O(|w|).
     """
 
-    def __init__(self, words: list[Word], cuts: SplitAssignment, k: int) -> None:
+    def __init__(self, sample: Sample, cuts: SplitAssignment, k: int) -> None:
+        index = sample.index
         self.k = k
         self.cuts = dict(cuts)
-        pref_ids, suf_ids = _split_index(words)
-        self.head_runs = dict(zip(words, pref_ids))
-        self.tail_runs = dict(zip(words, suf_ids))
-        # ids are dense from 0, so the largest id + 1 counts the distinct parts
-        self.prefix_ids = max(map(max, pref_ids), default=-1) + 1
-        self.suffix_ids = max(map(max, suf_ids), default=-1) + 1
-        self._pref_count = [0] * self.prefix_ids
-        self._suf_count = [0] * self.suffix_ids
+        self.head_runs, self.tail_runs = index.heads, index.tails
+        self._pref_count = [0] * len(index.prefixes)
+        self._suf_count = [0] * len(index.suffixes)
         self.distinct_pref = self.distinct_suf = 0
-        for w in words:
+        for w in index.words:
             self._shift(w, self.cuts[w], 1)
 
     def _shift(self, word: Word, cut: int, step: int) -> None:
@@ -231,12 +205,12 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
     start = time.perf_counter()
 
     drawn = {w: rng.randint(0, len(w)) for w in words}
-    score = _SplitScore(words, drawn, k)
-    # all-prefix cuts make every prefix id a prefix part, all-suffix cuts every suffix id
+    score = _SplitScore(sample, drawn, k)
+    # all-prefix cuts make every prefix a prefix part, all-suffix cuts every suffix a suffix part
     best_fit, best_cuts = min(
         (score.fitness(), drawn),
-        (score.prefix_ids, all_prefix_cuts(sample)),
-        (k * score.suffix_ids, all_suffix_cuts(sample)),
+        (len(sample.index.prefixes), all_prefix_cuts(sample)),
+        (k * len(sample.index.suffixes), all_suffix_cuts(sample)),
         key=lambda candidate: candidate[0],
     )
     if best_cuts is not drawn:
@@ -270,6 +244,12 @@ def _uniform_crossover(rng: random.Random, first: list[int], second: list[int]) 
     return [a if coin() < 0.5 else b for a, b in zip(first, second)]
 
 
+def _first_use_masks(runs: Iterable[list[int]]) -> list[list[int]]:
+    """Cumulative bitmasks along each run of ids; an id's bit is its rank in first use."""
+    bit: dict[int, int] = {}
+    return [list(accumulate((1 << bit.setdefault(i, len(bit)) for i in ids), or_, initial=0)) for ids in runs]
+
+
 def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     """Steady-state GA: truncation parents, uniform crossover, uniform re-draw."""
     check_state_count(k)
@@ -280,10 +260,9 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
     lengths = [len(w) for w in words]
-    pref_ids, suf_ids = _split_index(words)
     # pmask[t][c]: bits of word t's prefixes below cut c; smask[t][c]: of its suffixes from c
-    pmask = [list(accumulate((1 << p for p in ids), or_, initial=0)) for ids in pref_ids]
-    smask = [list(accumulate((1 << s for s in ids[::-1]), or_, initial=0))[::-1] for ids in suf_ids]
+    pmask = _first_use_masks(sample.index.heads[w] for w in words)
+    smask = [masks[::-1] for masks in _first_use_masks(sample.index.tails[w][::-1] for w in words)]
 
     def score(ind: list[int]) -> int:
         p = s = 0

@@ -7,6 +7,8 @@ import random
 import shlex
 import sys
 
+from hypothesis import strategies as st
+
 from nfasat.cnf import CnfInstance
 from nfasat.sample import Sample, word_key
 
@@ -41,6 +43,17 @@ def random_tiny_sample(rng: random.Random, n: int = 2, max_len: int = 3, max_eac
     chosen = rng.sample(words, min(count, len(words)))
     split = rng.randint(0, len(chosen))
     return Sample.build(n, chosen[:split], chosen[split:])
+
+
+@st.composite
+def samples_with_cuts(draw, max_len: int = 6, max_words: int = 10) -> tuple[Sample, dict]:
+    """A sample over 1 to 3 symbols, and a split assignment of its non-empty words."""
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), max_size=max_len).map(tuple)
+    words = draw(st.lists(word, unique=True, max_size=max_words))
+    split = draw(st.integers(0, len(words)))
+    sample = Sample.build(n, words[:split], words[split:])
+    return sample, {w: draw(st.integers(0, len(w))) for w in sample.sorted_nonempty_words()}
 
 
 def random_cut_assignment(rng: random.Random, sample: Sample) -> dict:

@@ -276,7 +276,7 @@ def test_criterion_5_optimizer_behavior():
         # The strict branch failed; that is acceptable only when the all-prefix
         # corner is a verified local optimum of the optimizer's move structure.
         words = sample.sorted_nonempty_words()
-        score = _SplitScore(words, all_prefix_cuts(sample), k)
+        score = _SplitScore(sample, all_prefix_cuts(sample), k)
         improving = 0
         for word in words:
             before = score.fitness()

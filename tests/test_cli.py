@@ -18,6 +18,7 @@ from nfasat.cli import (
     resolve_cuts,
     run_bench,
 )
+from nfasat import encoders, sample as sample_module
 from nfasat.cnf import dimacs_text
 from nfasat.dimacs_solver import main as dimacs_solver_main
 from nfasat.encoders import ModelKind
@@ -234,6 +235,34 @@ class TestInferCommand:
         for model in ModelKind:
             report, nfa = infer(sample, model, 2)
             assert report.status == "UNSAT" and nfa is None
+
+    def test_alphabet_beyond_the_budget_is_one_error_line(self, tmp_path, monkeypatch):
+        def build(*_):
+            raise AssertionError("the layout's tables were built")
+
+        monkeypatch.setattr(encoders, "_base_instance", build)
+        path = tmp_path / "wide.txt"
+        path.write_text("n=100000000\nab+\nb-\n")
+        with pytest.raises(SystemExit) as err:
+            main(["infer", str(path), "--model", "pm", "--k", "2"])
+        message = str(err.value)
+        assert message.startswith("nfasat: error: instance too large") and "\n" not in message
+        assert "layout variables" in message
+
+    def test_sweep_builds_one_sample_index(self, monkeypatch):
+        built = []
+
+        class CountedIndex(sample_module.SampleIndex):
+            def __init__(self, words):
+                built.append(words)
+                super().__init__(words)
+
+        monkeypatch.setattr(sample_module, "SampleIndex", CountedIndex)
+        a3 = (0, 0, 0)  # a unary sample whose minimal NFA counts modulo 3
+        sample = Sample.build(1, [(), a3, a3 * 2], [A, A * 2, A * 4, A * 5])
+        report, nfa = infer(sample, ModelKind.HYBRID, 1, "ils", k_max=3)
+        assert report.k == 3 and nfa is not None  # ILS and encode at k = 1, 2 and 3
+        assert len(built) == 1
 
     def test_matches_oracle_over_k_sweep(self):
         sample = Sample.build(2, [AB, (1, 1)], [A, B])

@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
+from nfasat import encoders
 from nfasat.cli import random_sample
 from nfasat.cnf import CnfError, CnfInstance, dimacs_text, final_var, trans_var
 from nfasat.encoders import (
@@ -14,6 +16,7 @@ from nfasat.encoders import (
     BudgetExceededError,
     _define,
     _direct_families,
+    _part_uses,
     ModelKind,
     encode,
     estimate_size,
@@ -21,9 +24,9 @@ from nfasat.encoders import (
 from nfasat.nfa import Nfa, accepts, verify
 from nfasat.sample import Sample, SampleError, all_prefix_cuts, all_suffix_cuts
 from nfasat.solver import decode_nfa, solve_in_process
-from nfasat.splitopt import IlsParams, ils_optimize
+from nfasat.splitopt import IlsParams, fitness, ils_optimize
 
-from _helpers import instance_sat_by_enumeration, random_cut_assignment, random_tiny_sample
+from _helpers import instance_sat_by_enumeration, random_cut_assignment, random_tiny_sample, samples_with_cuts
 from oracle import oracle_exists
 
 A, B = (0,), (1,)
@@ -206,6 +209,21 @@ class TestHybrid:
     def test_requires_cuts(self):
         with pytest.raises(ValueError):
             encode(ModelKind.HYBRID, Sample.build(1, [A], []), 1)
+
+    @pytest.mark.parametrize("kind", [ModelKind.DIRECT, ModelKind.PREFIX, ModelKind.SUFFIX])
+    @pytest.mark.parametrize("size", [encode, estimate_size])
+    def test_cuts_with_another_model_raise(self, kind, size):
+        sample = Sample.build(2, [AB], [B])
+        with pytest.raises(ValueError, match=f"only the hybrid model takes a split assignment, not {kind.value}"):
+            size(kind, sample, 2, {AB: 0, B: 1})
+
+    @given(samples_with_cuts())
+    def test_proxy_counts_the_encoder_closures(self, drawn):
+        """The paper's fitness counts the prefix and suffix closures that the encoder defines."""
+        sample, cuts = drawn
+        _, prefix_uses, suffix_uses = _part_uses(sample, cuts)
+        for k in (1, 3):
+            assert fitness(sample, k, cuts) == sum(map(bool, prefix_uses)) + k * sum(map(bool, suffix_uses))
 
     def test_word_in_both_polarities_unsat(self):
         sample = Sample.build(2, [AB], [AB])
@@ -421,6 +439,18 @@ def test_state_count_below_one_raises(kind, size):
     sample = Sample.build(2, [AB], [B])
     with pytest.raises(SampleError, match="state count k must be >= 1, got 0"):
         size(kind, sample, 0, all_prefix_cuts(sample))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_budget_refuses_a_layout_before_building_it(monkeypatch, kind):
+    def build(*_):
+        raise AssertionError("the layout's tables were built")
+
+    monkeypatch.setattr(encoders, "_base_instance", build)
+    sample = Sample.build(10**8, [AB], [B])  # 2 + 10**8 * 4 layout variables at k = 2
+    cuts = {AB: 1, B: 0} if kind == ModelKind.HYBRID else None
+    with pytest.raises(BudgetExceededError, match="400000002 layout variables"):
+        encode(kind, sample, 2, cuts)
 
 
 def test_every_family_is_named_by_a_family_table():

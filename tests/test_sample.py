@@ -8,9 +8,11 @@ from nfasat.sample import (
     parse_sample,
     validate_cuts,
     word_from_text,
+    word_key,
     word_to_text,
 )
 
+from _helpers import samples_with_cuts
 from oracle import prefixes, suffixes
 
 A, B = (0,), (1,)
@@ -173,3 +175,29 @@ class TestSample:
     def test_total_symbol_count(self):
         sample = Sample.build(2, [AB, A], [B])
         assert sample.total_symbol_count() == 4
+
+
+class TestSampleIndex:
+    @given(samples_with_cuts())
+    def test_ids_are_dense_in_word_key_order_and_match_slicing(self, drawn):
+        sample, _ = drawn
+        index = sample.index
+        words = sample.sorted_nonempty_words()
+        assert index.words == words
+        assert index.prefixes == sorted({w[:i] for w in words for i in range(1, len(w) + 1)}, key=word_key)
+        assert index.suffixes == sorted({w[i:] for w in words for i in range(len(w))}, key=word_key)
+        for w in words:
+            assert [index.prefixes[p] for p in index.heads[w]] == [w[: i + 1] for i in range(len(w))]
+            assert [index.suffixes[s] for s in index.tails[w]] == [w[i:] for i in range(len(w))]
+        for p, prefix in enumerate(index.prefixes):
+            parent = index.parent[p]
+            assert (index.prefixes[parent] if parent >= 0 else ()) == prefix[:-1]
+        for s, suffix in enumerate(index.suffixes):
+            rest = index.rest[s]
+            assert (index.suffixes[rest] if rest >= 0 else ()) == suffix[1:]
+
+    def test_built_once_per_sample(self):
+        sample = Sample.build(2, [AB, ABB], [B, ()])
+        assert sample.index is sample.index
+        assert Sample.build(2, [AB, ABB], [B, ()]).index is not sample.index
+        assert sample == Sample.build(2, [AB, ABB], [B, ()])  # the index is not a field

@@ -108,7 +108,7 @@ class TestSplitScore:
             return
         k = rng.randint(1, 4)
         cuts = {w: rng.randint(0, len(w)) for w in words}
-        score = _SplitScore(words, cuts, k)
+        score = _SplitScore(sample, cuts, k)
         assert score.fitness() == fitness(sample, k, cuts)
         for _ in range(5):
             word = rng.choice(words)
@@ -125,7 +125,7 @@ class TestSplitScore:
             return
         k = rng.randint(1, 4)
         cuts = {w: rng.randint(0, len(w)) for w in words}
-        score = _SplitScore(words, cuts, k)
+        score = _SplitScore(sample, cuts, k)
         word = rng.choice(words)
         best_cut, best_fit = score.rescore_word(word)
         for candidate in range(len(word) + 1):
@@ -284,7 +284,7 @@ class TestFitnessOracle:
             return
         cuts = {w: rng.randint(0, len(w)) for w in words}
         assert fitness(sample, k, cuts) == _set_fitness(cuts, k)
-        score = _SplitScore(words, cuts, k)
+        score = _SplitScore(sample, cuts, k)
         assert score.fitness() == _set_fitness(cuts, k)
         for _ in range(6):
             _, fit = score.rescore_word(rng.choice(words))
