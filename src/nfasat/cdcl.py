@@ -20,8 +20,8 @@ lists:
   decision boundary kept in ``trail_lim``.
 - Loading pauses the cyclic garbage collector, as every object it makes
   stays alive, and then restores the caller's collector state.  It checks
-  literal ranges and repeated variables, except with ``checked=True``,
-  which only ``solve_in_process`` passes, for a clause store's clauses.
+  literal ranges unless ``checked=True``; as MiniSat's, it is the one place
+  that merges repeated literals and drops tautologies, for every caller.
 
 Search is first-UIP clause learning with non-chronological backjumping,
 local learnt-clause minimization, VSIDS-style activity and phase saving.  The
@@ -105,7 +105,7 @@ class CdclSolver:
         A clause with distinct variables (all the encoders emit) passes one
         set test; only the others take the dedupe and tautology path.  Long
         clauses are copied, so the caller's sequences are never mutated.
-        checked skips the range and set tests, which the caller vouches for.
+        checked skips the range check, which the caller vouches for.
         """
         if not checked:
             clauses = clauses if isinstance(clauses, list) else list(clauses)
@@ -120,13 +120,13 @@ class CdclSolver:
             size = len(raw)
             if size == 2:
                 a, b = raw
-                if checked or (a != b and a != -b):
+                if a != b and a != -b:
                     implied = bins[a] = bins[a] or []
                     implied.append(b)
                     implied = bins[b] = bins[b] or []
                     implied.append(a)
                     continue
-            elif size > 2 and (checked or len(set(map(abs, raw))) == size):
+            elif size > 2 and len(set(map(abs, raw))) == size:
                 lits = list(raw)
                 a, b = lits[0], lits[1]
                 watching = watches[a] = watches[a] or []

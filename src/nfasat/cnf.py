@@ -1,4 +1,4 @@
-"""CNF construction substrate: variables, clause store, DIMACS output.
+"""CNF construction substrate: variables, a range-checked clause store, DIMACS output.
 
 Solver variables are dense 1-based indices.  An instance for k states over
 n symbols starts with its fixed layout: final i is variable i, and the
@@ -19,7 +19,7 @@ batch clears it to 0, as a clause over the layout can tell states apart.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, Iterable
 
 
@@ -47,7 +47,7 @@ class CnfInstance:
     instances built by hand.  decision_block is m while setting 1..m
     decides the instance and states 2..k are interchangeable, else 0: an
     encoder sets it, and every batch of ``add_clauses``, the only writer of
-    clauses, clears it.  ``solve_in_process`` relies on that writer's
+    clauses, clears it.  ``solve_in_process`` relies on that writer's range
     checks; treat the instance as immutable once built.
     """
 
@@ -85,25 +85,21 @@ class CnfInstance:
     def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
         """Store clauses, the i-th under the i-th family, after checking the batch.
 
-        Fewer families than clauses, literal 0, a variable beyond var_count,
-        or one variable twice in a clause raises CnfError and stores
-        nothing; the checks make no flat copy of the batch.  Every batch,
-        an empty one too, clears the decision block.
+        Fewer families than clauses, literal 0 or a variable beyond
+        var_count raises CnfError and stores nothing; the checks make no
+        flat copy of the batch.  A repeated variable is stored as given, as
+        DIMACS allows.  Every batch, an empty one too, clears the decision block.
         """
         self.decision_block = 0
         batch = Counter(zip(families, map(len, clauses)))
         if batch.total() != len(clauses):
             raise CnfError(f"the families ran out after {batch.total()} of {len(clauses)} clauses")
-        literal_count = sum(arity * count for (_, arity), count in batch.items())
-        if literal_count:
+        if any(clauses):
             top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
             if top > self.var_count:
                 raise CnfError(f"a literal references variable {top} beyond the {self.var_count} allocated")
             if not all(map(all, clauses)):
                 raise CnfError("literal 0 is not allowed")
-            if sum(map(len, map(set, map(map, repeat(abs), clauses)))) != literal_count:
-                clause = next(c for c in clauses if len(set(map(abs, c))) < len(c))
-                raise CnfError(f"clause {clause} names a variable twice")
         self.clauses += clauses
         self._tally.update(batch)
 
@@ -122,7 +118,7 @@ class CnfInstance:
         return len(self.clauses)
 
     def literal_count(self) -> int:
-        return sum(len(c) for c in self.clauses)
+        return sum(arity * count for (_, arity), count in self._tally.items())
 
     def family_clause_counts(self) -> dict[str, int]:
         return {family: sum(hist.values()) for family, hist in self.family_hist.items()}

@@ -226,7 +226,7 @@ def _define(
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
-    """The negated literals of a conjunction, each once; a conjunct can repeat."""
+    """The negated literals of a conjunction, each once, so the DIMACS repeats none."""
     if len(lits) == 2:
         a, b = lits
         return (-a,) if a == b else (-a, -b)

@@ -117,18 +117,17 @@ def _check_timeout(timeout_seconds: float | None) -> None:
 
 
 def _solve_clauses(
-    var_count: int, clauses: Iterable, timeout_seconds: float | None, decided_by: int = 0,
-    solver_vars: int = 0, checked: bool = False,
+    var_count: int, clauses: Iterable, timeout_seconds: float | None, decided_by: int = 0, solver_vars: int = 0
 ) -> SolveOutcome:
     """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
 
     decided_by is the solver's stop rule (0 searches until every variable
     is set); solver_vars, if above var_count, also counts the clauses' own
-    variables above it; only ``solve_in_process`` passes ``checked``.
+    variables above it.  The caller vouches for every literal's range.
     """
     start = time.perf_counter()
     deadline = start + timeout_seconds if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses, checked=checked)
+    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses, checked=True)
     status, model, decisions = solver.solve(deadline, decided_by)
     elapsed = time.perf_counter() - start
     assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
@@ -145,7 +144,8 @@ def solve_dimacs_file(
     A None timeout means no limit (``{timeout}`` in solver_cmd then raises
     ValueError), and a negative or nan one raises ValueError; past
     ``_LONGEST_WAIT_SECONDS`` (inf too) a process runs unlimited, with the
-    value in ``{timeout}``.  In-process, a bad file raises OSError or CnfError.
+    value in ``{timeout}``.  In-process, a bad file raises OSError or CnfError,
+    and a SAT assignment stops at the largest variable the clauses name.
     """
     _check_timeout(timeout_seconds)
     if solver_cmd is None:
@@ -153,7 +153,9 @@ def solve_dimacs_file(
             text = Path(cnf_path).read_text()
         except UnicodeDecodeError as err:
             raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
-        return _solve_clauses(*parse_dimacs(text), timeout_seconds)
+        clauses = parse_dimacs(text)[1]
+        top = max(map(abs, chain.from_iterable(clauses)), default=0)
+        return _solve_clauses(top, clauses, timeout_seconds)
     argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
     if timeout_seconds is not None and timeout_seconds > _LONGEST_WAIT_SECONDS:
         timeout_seconds = None
@@ -243,16 +245,16 @@ def solve_in_process(
     but not the search path, so a SAT answer may be a different consistent
     NFA; neither they nor their variables reach the instance or the
     assignment.  Without a decision block there are neither, and the search
-    returns a complete model.  The solver files both unchecked:
-    ``add_clauses``, the only writer of ``instance.clauses``, checked them,
-    and ``lex_leader`` builds its own in range and without repeats.  A
-    negative or nan timeout raises ValueError.
+    returns a complete model.  The solver loads both without a range
+    check: ``add_clauses``, the only writer of ``instance.clauses``, checked
+    their ranges, and ``lex_leader`` builds its own in range.  A negative or
+    nan timeout raises ValueError.
     """
     _check_timeout(timeout_seconds)
     solver_vars, predicate = lex_leader(instance)
     return _solve_clauses(
         instance.var_count, chain(instance.clauses, predicate), timeout_seconds,
-        instance.decision_block, solver_vars, checked=True,
+        instance.decision_block, solver_vars,
     )
 
 

@@ -1,6 +1,7 @@
 """Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load
-alone, with the load's own checks and with ``checked=True`` (how
-``solve_in_process`` loads a clause store's clauses).
+alone, with the load's own range check and with ``checked=True`` (how
+``solve_in_process`` loads a clause store's clauses and ``nfasat solve`` a
+parsed file's).
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.

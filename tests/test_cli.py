@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -920,6 +921,19 @@ class TestDimacsSolverCli:
         cnf.write_text("p cnf 1 1\n1 0\n")
         assert dimacs_solver_main([str(cnf), "--timeout", "0"]) == 0
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    def test_a_wide_header_does_not_size_the_solver(self, tmp_path, capsys):
+        # the solver is sized by the largest variable the clauses name
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 100000 1\n1 0\n")
+        tracemalloc.start()
+        try:
+            code = dimacs_solver_main([str(cnf)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 10 and peak < 1_000_000
+        assert capsys.readouterr().out.splitlines()[-1] == "v 1 0"
 
     def test_not_utf8_is_one_line_error(self, tmp_path, capsys):
         cnf = tmp_path / "utf16.cnf"

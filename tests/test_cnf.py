@@ -162,8 +162,6 @@ def _two_vars() -> CnfInstance:
     [
         [(1, 2), (0, 2)],  # literal 0
         [(1, 2), (-3,)],  # variable beyond var_count
-        [(1, 2), (2, -2)],  # clashing pair
-        [(1, 2), (1, 1)],  # repeated variable
     ],
 )
 def test_bulk_store_rejects_bad_batch_and_stores_nothing(batch):

@@ -2,7 +2,9 @@ import math
 import random
 import shlex
 import sys
+import tempfile
 from itertools import repeat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from nfasat.solver import (
 )
 from nfasat.splitopt import IlsParams, ils_optimize
 
-from _helpers import BUNDLED_SOLVER
+from _helpers import BUNDLED_SOLVER, brute_force_sat
 from oracle import oracle_exists
 
 
@@ -402,3 +404,33 @@ def test_in_process_route_searches_as_the_checking_route_does(case):
             assert out.assignment == {v: model[v] for v in range(1, inst.var_count + 1)}, kind
         else:
             assert out.assignment is None, kind
+
+
+@st.composite
+def _clause_lists(draw):
+    """Up to 8 variables and clauses over them, repeated and clashing literals allowed."""
+    var_count = draw(st.integers(1, 8))
+    literal = st.integers(-var_count, var_count).filter(bool)
+    return var_count, draw(st.lists(st.lists(literal, max_size=4).map(tuple), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clause_lists())
+def test_store_keeps_repeats_and_the_routes_agree(case):
+    """The store keeps a clause as given; the loader merges repeats and drops
+    tautologies, for the store's clauses and a parsed file's alike."""
+    var_count, clauses = case
+    inst = CnfInstance()
+    inst.fresh_aux("other", var_count)
+    inst.add_clauses(list(clauses), repeat("other"))
+    assert inst.clauses == clauses
+    in_process = solve_in_process(inst)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.cnf"
+        path.write_text(dimacs_text(inst))
+        from_file = solve_dimacs_file(path, None, None)
+    expected = "SAT" if brute_force_sat(var_count, clauses) else "UNSAT"
+    assert in_process.status == from_file.status == expected
+    for out in (in_process, from_file):
+        if expected == "SAT":
+            assert all(any(out.assignment[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
