@@ -393,6 +393,10 @@ def run_bench(
     rows: list[RunReport] = []
     for name, sample in samples:
         k = k_of(name)
+        if solver_cmd is None:  # built before the models, so that none of their t_s pays for it
+            start = time.perf_counter()
+            bound = len(sample.fooling_set)
+            log(f"# fooling set {name}: {bound} pairs in {time.perf_counter() - start:.3f}s")
         for label in models:
             model, cuts_source = _bench_model_parts(label)
             series = runs if label in STOCHASTIC_MODELS else 1

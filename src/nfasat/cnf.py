@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .sample import Sample
 
 
 def final_var(i: int) -> tuple:
@@ -47,7 +50,9 @@ class CnfInstance:
     instances built by hand.  decision_block is m while setting 1..m
     decides the instance and states 2..k are interchangeable, else 0: an
     encoder sets it, and every batch of ``add_clauses``, the only writer of
-    clauses, clears it.  ``solve_in_process`` relies on that writer's range
+    clauses, clears it.  sample is the sample an encoder encoded, None for
+    an instance built by hand; later clauses only remove models, so no
+    batch clears it.  ``solve_in_process`` relies on that writer's range
     checks; treat the instance as immutable once built.
     """
 
@@ -57,6 +62,7 @@ class CnfInstance:
         self.layout_size = self.var_count = k + n * k * k
         self.clauses: list[tuple[int, ...]] = []
         self.decision_block = 0
+        self.sample: Sample | None = None
         # unary + drops the families a small layout leaves at zero
         self.var_family_counts: Counter[str] = +Counter(final=k, transition=self.var_count - k)
         self._tally: Counter[tuple[str, int]] = Counter()
@@ -154,20 +160,33 @@ def dimacs_text(instance: CnfInstance) -> str:
     return buf.getvalue()
 
 
-def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Read DIMACS CNF text into (var_count, clauses), a block of whole lines at a time.
+def _blocks(source: str | IO[str]) -> Iterator[str]:
+    """Blocks of whole lines, each but the last longer than _READ_BLOCK
+    characters: slices of a string, or reads of a stream."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _READ_BLOCK) + 1 or len(source)
+            yield source[start:end]
+            start = end
+    else:
+        while block := source.read(_READ_BLOCK) + source.readline():
+            yield block
+
+
+def parse_dimacs(source: str | IO[str]) -> tuple[int, list[tuple[int, ...]]]:
+    """Read DIMACS CNF text, or an open text stream, into (var_count, clauses),
+    a block of whole lines at a time.
 
     Only a block with a comment, a header or a bad token goes line by line,
     and a clause may span blocks.  Raises CnfError for a missing or malformed
     header, a non-integer token, an unterminated last clause, or a literal
     whose variable exceeds the header's variable count.
     """
-    var_count, top, start = None, 0, 0
+    var_count, top = None, 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    while start < len(text):
-        end = text.find("\n", start + _READ_BLOCK) + 1 or len(text)
-        block, start = text[start:end], end
+    for block in _blocks(source):
         try:
             lits = list(map(int, block.split()))
         except ValueError:  # a comment, a header or a bad token: go line by line

@@ -139,6 +139,7 @@ def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list
     the transition variables per symbol (trans[a][i - 1][j - 1]).
     """
     inst = CnfInstance(k, sample.alphabet_size)
+    inst.sample = sample
     states = range(1, k + 1)
     finals = [inst.lookup(final_var(i)) for i in states]
     trans = [

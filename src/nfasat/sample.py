@@ -5,6 +5,14 @@ size); the empty tuple is the empty word.  A sample holds the alphabet size
 together with the positive and negative word sets.  Split assignments map
 each non-empty word to a cut index that decomposes it into a prefix part and
 a suffix part for the hybrid encoding.
+
+A sample builds two things on first use and keeps them: ``index`` numbers
+its prefixes and suffixes for the optimizers and the encoders, and
+``fooling_set`` bounds the state count of a consistent NFA from below
+(``solver`` says why, and checks the set before it trusts it).  The set is
+a maximum clique, by branch and bound, of the graph on the splits of the
+positive words that joins two splits when a cross word is negative; past
+its caps, the largest clique found, which is still a fooling set.
 """
 
 from __future__ import annotations
@@ -81,6 +89,32 @@ class Sample:
         """The index of the non-empty words, built on first use."""
         return SampleIndex(self.sorted_nonempty_words())
 
+    @cached_property
+    def fooling_set(self) -> tuple[tuple[Word, Word], ...]:
+        """The largest fooling set found among the splits (x, y) of the positive
+        words, built on first use: every two pairs have a negative cross word.
+        The graph's vertices are the first _CLIQUE_VERTICES splits, shortest
+        words first."""
+        splits = [(w[:i], w[i:]) for w in self.sorted_positives() for i in range(len(w) + 1)]
+        del splits[_CLIQUE_VERTICES:]
+        heads: dict[Word, int] = {}  # the splits per head x, and per tail y, as bitsets
+        tails: dict[Word, int] = {}
+        for bit, (x, y) in enumerate(splits):
+            heads[x] = heads.get(x, 0) | 1 << bit
+            tails[y] = tails.get(y, 0) | 1 << bit
+        adjacent = [0] * len(splits)
+        for word in self.negatives:  # x·y negative joins every split headed x to every one tailed y
+            for i in range(len(word) + 1):
+                xs, ys = heads.get(word[:i], 0), tails.get(word[i:], 0)
+                if xs and ys:
+                    for v in _bits(xs):
+                        adjacent[v] |= ys
+                    for v in _bits(ys):
+                        adjacent[v] |= xs
+        for v in range(len(splits)):  # x·y both positive and negative: no self loop
+            adjacent[v] &= ~(1 << v)
+        return tuple(splits[v] for v in _max_clique(adjacent))
+
     def total_symbol_count(self) -> int:
         return sum(len(w) for w in set(self.words()))
 
@@ -111,6 +145,59 @@ class SampleIndex:
         self.tails = {w: [suffix_id[w[i:]] for i in range(len(w))] for w in words}
         self.parent = [prefix_id.get(p[:-1], -1) for p in self.prefixes]
         self.rest = [suffix_id.get(s[1:], -1) for s in self.suffixes]
+
+
+# Any clique is a fooling set, so both caps keep the bound sound: a fooling-set
+# graph has at most _CLIQUE_VERTICES vertices (2 MB of bitsets), and past
+# _CLIQUE_NODES branch-and-bound nodes the best clique found so far stands.
+# Measured on a 2-core Xeon, Python 3.11: the benchmark corpora finish in at
+# most 147 nodes; random_sample(2, 600, 24, 0.5, seed) for seeds 7-9 (4,096
+# vertices after the cut) finish in 644-1,514 nodes, 0.55-0.78 s, against
+# 34.8 s for infer's pm solve at k = 6, the bound, of seed 7.
+_CLIQUE_VERTICES, _CLIQUE_NODES = 4_096, 2_000
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _max_clique(adjacent: list[int]) -> list[int]:
+    """A maximum clique of the graph with neighbour bitsets adjacent[v], by
+    branch and bound with a greedy-colouring bound (Tomita & Seki, DMTCS
+    2003), or the largest found in _CLIQUE_NODES nodes."""
+    best: list[int] = []
+    clique: list[int] = []
+    nodes = 0
+
+    def expand(candidates: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        order: list[tuple[int, int]] = []  # (vertex, its colour), colours rising
+        uncoloured, colour = candidates, 0
+        while uncoloured:  # each colour class is independent: one more vertex at most
+            colour += 1
+            free = uncoloured
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= ~adjacent[v] & ~(1 << v)
+                uncoloured &= ~(1 << v)
+                order.append((v, colour))
+        for v, colour in reversed(order):
+            if len(clique) + colour <= len(best) or nodes > _CLIQUE_NODES:
+                return
+            clique.append(v)
+            if candidates & adjacent[v]:
+                expand(candidates & adjacent[v])
+            elif len(clique) > len(best):
+                best = clique[:]
+            clique.pop()
+            candidates &= ~(1 << v)
+
+    expand((1 << len(adjacent)) - 1)
+    return best
 
 
 def check_state_count(k: int) -> None:

@@ -4,6 +4,19 @@ The bundled CDCL solver always runs in-process, on an encoded instance
 (``solve_in_process``) or on a DIMACS file (``solve_dimacs_file`` without a
 command).  A solver process starts only for a command template the caller
 names; its competition-format output is parsed, search counters included.
+
+An encoded instance may be settled without a search.  A fooling set of m
+pairs (x_i, y_i), each x_i·y_i a positive word and, for i != j, x_i·y_j or
+x_j·y_i a negative one, proves that a consistent NFA has at least m states
+(Birget, IPL 1992; Glaister & Shallit, IPL 1996): the states that accepting
+runs of x_i·y_i reach after x_i all differ, since two runs meeting in one
+state would accept both cross words.  So when the sample's
+``Sample.fooling_set`` has more than k pairs and ``is_fooling_set`` checks
+them against the sample, the instance at k states is UNSAT, and clauses
+added after encoding only remove models.  ``solve_in_process`` answers
+that with zero counters and the pairs as its certificate.  The DIMACS and
+external routes always search: they are how a user checks the bundled
+solver, and a DIMACS file carries no sample.
 """
 
 from __future__ import annotations
@@ -15,13 +28,14 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import cdcl
 from .cnf import CnfError, CnfInstance, final_var, trans_var, parse_dimacs, write_dimacs
 from .nfa import Nfa
+from .sample import Sample, Word
 
 SAT = cdcl.SAT
 UNSAT = cdcl.UNSAT
@@ -41,7 +55,10 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveOutcome:
-    """A solver's verdict; a counter is None when a solver process does not print it."""
+    """A solver's verdict; a counter is None when a solver process does not print it.
+
+    certificate is the fooling set that settled an UNSAT without a search.
+    """
 
     status: str
     assignment: dict[int, bool] | None
@@ -49,6 +66,7 @@ class SolveOutcome:
     solve_seconds: float
     conflicts: int | None = None
     propagations: int | None = None
+    certificate: tuple[tuple[Word, Word], ...] | None = None
 
 
 def _child_env() -> dict[str, str]:
@@ -117,15 +135,17 @@ def _check_timeout(timeout_seconds: float | None) -> None:
 
 
 def _solve_clauses(
-    var_count: int, clauses: Iterable, timeout_seconds: float | None, decided_by: int = 0, solver_vars: int = 0
+    var_count: int, clauses: Iterable, timeout_seconds: float | None, start: float,
+    decided_by: int = 0, solver_vars: int = 0,
 ) -> SolveOutcome:
     """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
 
-    decided_by is the solver's stop rule (0 searches until every variable
-    is set); solver_vars, if above var_count, also counts the clauses' own
-    variables above it.  The caller vouches for every literal's range.
+    start is the perf_counter time the solve began, for its time and
+    deadline.  decided_by is the solver's stop rule (0 searches until every
+    variable is set); solver_vars, if above var_count, also counts the
+    clauses' own variables above it.  The caller vouches for every literal's
+    range.
     """
-    start = time.perf_counter()
     deadline = start + timeout_seconds if timeout_seconds is not None else None
     solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses, checked=True)
     status, model, decisions = solver.solve(deadline, decided_by)
@@ -150,12 +170,12 @@ def solve_dimacs_file(
     _check_timeout(timeout_seconds)
     if solver_cmd is None:
         try:
-            text = Path(cnf_path).read_text()
+            with open(cnf_path) as stream:
+                clauses = parse_dimacs(stream)[1]
         except UnicodeDecodeError as err:
             raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
-        clauses = parse_dimacs(text)[1]
         top = max(map(abs, chain.from_iterable(clauses)), default=0)
-        return _solve_clauses(top, clauses, timeout_seconds)
+        return _solve_clauses(top, clauses, timeout_seconds, time.perf_counter())
     argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
     if timeout_seconds is not None and timeout_seconds > _LONGEST_WAIT_SECONDS:
         timeout_seconds = None
@@ -236,6 +256,16 @@ def solve_in_process(
 ) -> SolveOutcome:
     """Solve with the bundled CDCL core without leaving the process.
 
+    First, for an encoded instance, comes the sample's fooling set: with
+    more than k pairs that pass ``is_fooling_set``, it proves UNSAT (see
+    the module docstring) and no solver is built.  That outcome has 0
+    decisions, conflicts and propagations and the pairs as its certificate.
+    Building the set counts in solve_seconds, with or without a search, and
+    happens once per sample.  A set that fails the check is not trusted,
+    and one ready only at the deadline is not used: the solver then
+    searches, or answers as its deadline rule says, so a timeout of 0 is
+    UNKNOWN unless the clauses are UNSAT at load.
+
     The search stops once the instance's decision block (its finals and
     transitions) is set and propagation is at a conflict-free fixpoint.  So
     a SAT assignment is exact only on finals and transitions, which are all
@@ -251,10 +281,26 @@ def solve_in_process(
     nan timeout raises ValueError.
     """
     _check_timeout(timeout_seconds)
+    start = time.perf_counter()
+    sample = instance.sample
+    if sample is not None and len(sample.fooling_set) > instance.k and is_fooling_set(sample, sample.fooling_set):
+        elapsed = time.perf_counter() - start
+        if timeout_seconds is None or elapsed < timeout_seconds:
+            return SolveOutcome(UNSAT, None, 0, elapsed, 0, 0, sample.fooling_set)
     solver_vars, predicate = lex_leader(instance)
     return _solve_clauses(
-        instance.var_count, chain(instance.clauses, predicate), timeout_seconds,
+        instance.var_count, chain(instance.clauses, predicate), timeout_seconds, start,
         instance.decision_block, solver_vars,
+    )
+
+
+def is_fooling_set(sample: Sample, pairs: Sequence[tuple[Word, Word]]) -> bool:
+    """Each pair splits a positive word, and each two have a negative cross word.
+
+    O(m^2) lookups in the sample, apart from the search that found the pairs.
+    """
+    return all(x + y in sample.positives for x, y in pairs) and all(
+        x + v in sample.negatives or u + y in sample.negatives for (x, y), (u, v) in combinations(pairs, 2)
     )
 
 

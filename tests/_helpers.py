@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nfasat.cnf import CnfInstance
 from nfasat.sample import Sample, word_key
+from nfasat.solver import SolveOutcome, solve_in_process
 
 # the bundled solver run as a process, as a user's --solver template names it
 BUNDLED_SOLVER = f"{shlex.quote(sys.executable)} -m nfasat.dimacs_solver {{cnf}} --timeout {{timeout}}"
@@ -30,6 +31,16 @@ def brute_force_sat(var_count: int, clauses: list[tuple[int, ...]]) -> bool:
 
 def instance_sat_by_enumeration(inst: CnfInstance) -> bool:
     return brute_force_sat(inst.var_count, inst.clauses)
+
+
+def search_in_process(inst: CnfInstance) -> SolveOutcome:
+    """solve_in_process with the instance's sample detached, so that the
+    verdict comes from a search of the clauses, never from a fooling set."""
+    sample, inst.sample = inst.sample, None
+    try:
+        return solve_in_process(inst)
+    finally:
+        inst.sample = sample
 
 
 def random_tiny_sample(rng: random.Random, n: int = 2, max_len: int = 3, max_each: int = 2) -> Sample:

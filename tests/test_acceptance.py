@@ -4,7 +4,9 @@ The heavyweight piece is an exhaustive sweep over every two-symbol sample
 with words of length at most three and up to two words per polarity, at
 k in {1, 2, 3}: all four encodings (five random splits for the hybrid) must
 agree with the brute-force oracle on every single case, and every model must
-decode to a verified automaton.
+decode to a verified automaton.  The encodings are searched, never settled by
+the sample's fooling set; the set is checked on its own: it must never
+outnumber k where the oracle finds a k-state NFA.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from nfasat.encoders import (
 )
 from nfasat.nfa import verify
 from nfasat.sample import Sample, all_prefix_cuts, parse_sample
-from nfasat.solver import decode_nfa, solve_external, solve_in_process
+from nfasat.solver import decode_nfa, solve_external
 from nfasat.splitopt import (
     GaParams,
     IlsParams,
@@ -40,7 +42,7 @@ from nfasat.splitopt import (
     word_weights,
 )
 
-from _helpers import BUNDLED_SOLVER
+from _helpers import BUNDLED_SOLVER, search_in_process
 from oracle import oracle_exists
 
 MAX_SWEEP_SECONDS = 900.0  # hard budget for the oracle sweep
@@ -98,8 +100,10 @@ def sweep() -> SweepOutcome:
                 rng = random.Random(case_index * 5 + split_index)
                 cuts = {w: rng.randint(0, len(w)) for w in nonempty}
                 instances.append((f"hm{split_index}", encode(ModelKind.HYBRID, sample, k, cuts)))
+            if len(sample.fooling_set) > k and truth:  # the set would settle k as UNSAT
+                outcome.mismatches.append(f"fooling set k={k} pos={pos} neg={neg}: {sample.fooling_set}")
             for label, inst in instances:
-                result = solve_in_process(inst)
+                result = search_in_process(inst)
                 outcome.solves += 1
                 verdict = result.status == "SAT"
                 if verdict != truth:
@@ -308,12 +312,12 @@ def test_criterion_6_degenerate_split_isomorphism():
         sample = Sample.build(2, set(words[:split]), set(words[split:]) - set(words[:split]))
         k = rng.randint(1, 3)
         nonempty = sample.sorted_nonempty_words()
-        pm_status = solve_in_process(encode(ModelKind.PREFIX, sample, k)).status
-        hm_prefix = solve_in_process(
+        pm_status = search_in_process(encode(ModelKind.PREFIX, sample, k)).status
+        hm_prefix = search_in_process(
             encode(ModelKind.HYBRID, sample, k, {w: len(w) for w in nonempty})
         ).status
-        sm_status = solve_in_process(encode(ModelKind.SUFFIX, sample, k)).status
-        hm_suffix = solve_in_process(
+        sm_status = search_in_process(encode(ModelKind.SUFFIX, sample, k)).status
+        hm_suffix = search_in_process(
             encode(ModelKind.HYBRID, sample, k, {w: 0 for w in nonempty})
         ).status
         assert hm_prefix == pm_status

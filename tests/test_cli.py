@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,7 +22,7 @@ from nfasat.cli import (
     run_bench,
 )
 from nfasat import encoders, sample as sample_module
-from nfasat.cnf import dimacs_text
+from nfasat.cnf import dimacs_text, write_dimacs
 from nfasat.dimacs_solver import main as dimacs_solver_main
 from nfasat.encoders import ModelKind
 from nfasat.nfa import verify
@@ -264,6 +266,25 @@ class TestInferCommand:
         report, nfa = infer(sample, ModelKind.HYBRID, 1, "ils", k_max=3)
         assert report.k == 3 and nfa is not None  # ILS and encode at k = 1, 2 and 3
         assert len(built) == 1
+
+    def test_only_solving_builds_the_fooling_set_once_per_sweep(self, monkeypatch):
+        built = []
+
+        def counted(adjacent):
+            built.append(len(adjacent))
+            return max_clique(adjacent)
+
+        max_clique = sample_module._max_clique
+        monkeypatch.setattr(sample_module, "_max_clique", counted)
+        a3 = (0, 0, 0)  # a unary sample whose minimal NFA counts modulo 3
+        sample = Sample.build(1, [(), a3, a3 * 2], [A, A * 2, A * 4, A * 5])
+        for model in ModelKind:
+            instance, _, _ = generate_instance(sample, model, 2, "ils")
+            write_dimacs(instance, io.StringIO())
+        assert "fooling_set" not in sample.__dict__ and built == []
+        report, nfa = infer(sample, ModelKind.PREFIX, 1, k_max=3)
+        assert report.k == 3 and nfa is not None  # k = 1 and 2 settled by the set's 3 pairs
+        assert len(sample.fooling_set) == 3 and len(built) == 1
 
     def test_matches_oracle_over_k_sweep(self):
         sample = Sample.build(2, [AB, (1, 1)], [A, B])
@@ -642,6 +663,25 @@ class TestBench:
         _, report, _ = generate_instance(sample, ModelKind.HYBRID, 2, "ils", 0, ils_params=capped)
         _, default, _ = generate_instance(sample, ModelKind.HYBRID, 2, "ils", 0)
         assert int(row["vars"]) == report.vars != default.vars
+
+    def test_the_fooling_set_is_built_before_the_models_and_timed_apart(self, monkeypatch):
+        built = []
+
+        def slow(adjacent):
+            built.append(len(adjacent))
+            time.sleep(0.2)
+            return max_clique(adjacent)
+
+        max_clique = sample_module._max_clique
+        monkeypatch.setattr(sample_module, "_max_clique", slow)
+        a3 = (0, 0, 0)  # a unary sample whose minimal NFA counts modulo 3
+        sample = Sample.build(1, [(), a3, a3 * 2], [A, A * 2, A * 4, A * 5])
+        lines = []
+        rows = run_bench([("x", sample)], ["pm", "sm"], lambda _: 2, 1, None, 60, 10**8, 0, log=lines.append)
+        assert lines[0].startswith("# fooling set x: 3 pairs in ") and len(built) == 1
+        plain = [r for r in rows if r.instance != "CUMULATIVE"]
+        assert [(r.status, r.decisions) for r in plain] == [("UNSAT", 0)] * 2
+        assert all(r.t_s_seconds < 0.2 for r in plain)  # the 0.2 s build is in no model's row
 
     def test_deterministic_model_identical_across_runs(self):
         sample = Sample.build(2, [AB], [B])

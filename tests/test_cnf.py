@@ -336,6 +336,24 @@ def test_parse_dimacs_carries_one_clause_over_many_blocks():
     assert parse_dimacs(text) == parse_dimacs_by_token(text) == (9, [(1, -2, 3) * 30000, (-9,)])
 
 
+@pytest.mark.parametrize("block", [1, 6, 25])
+def test_parse_dimacs_reads_a_stream_as_it_reads_text(block):
+    rng = random.Random(block)
+    lines, tokens = ["c generated", "p cnf 9 300"], []
+    for _ in range(300):
+        tokens += [str(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(rng.randint(0, 4))] + ["0"]
+    while tokens:
+        cut = rng.randint(1, 5)
+        lines.append(" ".join(tokens[:cut]))
+        del tokens[:cut]
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(cnf, "_READ_BLOCK", block):
+        blocks = list(cnf._blocks(StringIO(text)))
+        assert blocks == list(cnf._blocks(text)) and "".join(blocks) == text
+        assert any(b.split()[-1] != "0" for b in blocks[2:-1])  # a clause spans blocks
+        assert parse_dimacs(StringIO(text)) == parse_dimacs(text) == parse_dimacs_by_token(text)
+
+
 def test_parse_dimacs_rejects_a_header_count_that_int_cannot_read():
     with pytest.raises(CnfError, match="bad DIMACS header"):
         parse_dimacs("p cnf \u00b2 1\n1 0\n")

@@ -23,10 +23,16 @@ from nfasat.encoders import (
 )
 from nfasat.nfa import Nfa, accepts, verify
 from nfasat.sample import Sample, SampleError, all_prefix_cuts, all_suffix_cuts
-from nfasat.solver import decode_nfa, solve_in_process
+from nfasat.solver import decode_nfa
 from nfasat.splitopt import IlsParams, fitness, ils_optimize
 
-from _helpers import instance_sat_by_enumeration, random_cut_assignment, random_tiny_sample, samples_with_cuts
+from _helpers import (
+    instance_sat_by_enumeration,
+    random_cut_assignment,
+    random_tiny_sample,
+    samples_with_cuts,
+    search_in_process,
+)
 from oracle import oracle_exists
 
 A, B = (0,), (1,)
@@ -34,7 +40,7 @@ AB = (0, 1)
 
 
 def solve_status(inst) -> str:
-    return solve_in_process(inst).status
+    return search_in_process(inst).status
 
 
 class TestDirect:
@@ -101,7 +107,7 @@ class TestPrefix:
     def test_example_sat_and_decodes_correctly(self):
         sample = Sample.build(2, [AB], [B])
         inst = encode(ModelKind.PREFIX, sample, 2)
-        out = solve_in_process(inst)
+        out = search_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 2, 2)
         assert accepts(nfa, AB) and not accepts(nfa, B)
@@ -151,7 +157,7 @@ class TestSuffix:
     def test_one_state_decode(self):
         sample = Sample.build(2, [A], [B])
         inst = encode(ModelKind.SUFFIX, sample, 1)
-        out = solve_in_process(inst)
+        out = search_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 1, 2)
         assert nfa.finals == frozenset({1})
@@ -199,7 +205,7 @@ class TestHybrid:
         sample = Sample.build(2, [AB], [B])
         cuts = {AB: 1, B: 0}
         inst = encode(ModelKind.HYBRID, sample, 2, cuts)
-        out = solve_in_process(inst)
+        out = search_in_process(inst)
         assert out.status == "SAT"
         nfa = decode_nfa(out.assignment, inst, 2, 2)
         assert accepts(nfa, AB) and not accepts(nfa, B)
@@ -506,7 +512,7 @@ class TestCrossModel:
                     encode(ModelKind.HYBRID, sample, k, random_cut_assignment(rng, sample))
                 )
             for inst in instances:
-                out = solve_in_process(inst)
+                out = search_in_process(inst)
                 assert (out.status == "SAT") == truth
                 if out.status == "SAT":
                     nfa = decode_nfa(out.assignment, inst, k, sample.alphabet_size)

@@ -3,7 +3,7 @@ import random
 import shlex
 import sys
 import tempfile
-from itertools import repeat
+from itertools import combinations, repeat
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from nfasat.sample import Sample
 from nfasat.solver import (
     SolverError,
     decode_nfa,
+    is_fooling_set,
     lex_leader,
     solve_dimacs_file,
     solve_external,
@@ -26,7 +27,7 @@ from nfasat.solver import (
 )
 from nfasat.splitopt import IlsParams, ils_optimize
 
-from _helpers import BUNDLED_SOLVER, brute_force_sat
+from _helpers import BUNDLED_SOLVER, brute_force_sat, search_in_process
 from oracle import oracle_exists
 
 
@@ -389,21 +390,95 @@ def _any_size_samples(draw):
 @given(_any_size_samples())
 def test_in_process_route_searches_as_the_checking_route_does(case):
     """solve_in_process files the store's clauses and the predicate unchecked;
-    the search is the one a checked load of the same clauses takes."""
+    the search is the one a checked load of the same clauses takes.  Where
+    the sample's fooling set settles k, that search is UNSAT too, the
+    in-process route does not search, and it searches as the checking route
+    does once the sample is detached."""
     sample, k, seed = case
     cuts = ils_optimize(sample, k, IlsParams(rng_seed=seed)).cuts
+    settled = len(sample.fooling_set) > k
     for kind in ModelKind:
         inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
         solver_vars, predicate = lex_leader(inst)
         checking = CdclSolver(solver_vars, inst.clauses + predicate)
         status, model, decisions = checking.solve(decided_by=inst.decision_block)
         out = solve_in_process(inst)
+        if settled:
+            assert status == "UNSAT", kind
+            assert (out.status, out.decisions, out.conflicts, out.propagations) == ("UNSAT", 0, 0, 0), kind
+            assert out.certificate == sample.fooling_set, kind
+            out = search_in_process(inst)
         found = (out.status, out.decisions, out.conflicts, out.propagations)
         assert found == (status, decisions, checking.conflicts, checking.propagations), kind
+        assert out.certificate is None, kind
         if status == "SAT":
             assert out.assignment == {v: model[v] for v in range(1, inst.var_count + 1)}, kind
         else:
             assert out.assignment is None, kind
+
+
+def _fools(sample: Sample, pairs) -> bool:
+    """The fooling-set conditions, pair by pair, apart from ``is_fooling_set``."""
+    return all(x + y in sample.positives for x, y in pairs) and all(
+        pairs[i][0] + pairs[j][1] in sample.negatives or pairs[j][0] + pairs[i][1] in sample.negatives
+        for i in range(len(pairs))
+        for j in range(i)
+    )
+
+
+def _largest_fooling_set_size(sample: Sample) -> int:
+    """Brute force over every subset of the positive words' splits."""
+    splits = [(w[:i], w[i:]) for w in sample.positives for i in range(len(w) + 1)]
+    return next(
+        size
+        for size in range(len(splits), -1, -1)
+        if any(_fools(sample, pairs) for pairs in combinations(splits, size))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sized_samples(_ORACLE_SIZES + [(1, 4)]))
+def test_a_fooling_set_larger_than_k_proves_unsat(case):
+    """Whenever the fooling set outnumbers k, no k-state NFA is consistent
+    (the oracle), every model's full search is UNSAT, and the pairs pass
+    both checks; on at most 12 splits no larger fooling set exists."""
+    sample, k, cuts = case
+    pairs = sample.fooling_set
+    assert is_fooling_set(sample, pairs) and _fools(sample, pairs)
+    if sum(len(w) + 1 for w in sample.positives) <= 12:
+        assert len(pairs) == _largest_fooling_set_size(sample)
+    if len(pairs) <= k:
+        return
+    assert not oracle_exists(sample, k)[0]
+    for kind in ModelKind:
+        inst = encode(kind, sample, k, cuts if kind == ModelKind.HYBRID else None)
+        assert CdclSolver(inst.var_count, inst.clauses).solve()[0] == "UNSAT", kind
+        out = solve_in_process(inst)
+        assert (out.status, out.decisions, out.certificate) == ("UNSAT", 0, pairs), kind
+
+
+def test_a_corrupted_fooling_set_is_rejected_and_the_solver_searches():
+    sample = random_sample(2, 30, 8, 0.5, seed=7)
+    pairs, k = sample.fooling_set, 2
+    assert len(pairs) == 3 and is_fooling_set(sample, pairs)
+    negative = min(sample.negatives)
+    corrupted = {
+        "a pair splits a negative word": ((negative, ()), *pairs[1:]),
+        "a cross word is positive": (pairs[0], *pairs[:2]),  # a pair twice: x·y is positive
+    }
+    for why, bad in corrupted.items():
+        assert not is_fooling_set(sample, bad), why
+        for kind in (ModelKind.PREFIX, ModelKind.SUFFIX):
+            inst = encode(kind, sample, k)
+            solver_vars, predicate = lex_leader(inst)
+            checking = CdclSolver(solver_vars, inst.clauses + predicate)
+            status, _, decisions = checking.solve(decided_by=inst.decision_block)
+            sample.__dict__["fooling_set"] = bad  # what the cached property would return
+            out = solve_in_process(inst)
+            del sample.__dict__["fooling_set"]
+            assert status == out.status == "UNSAT", why
+            assert (out.decisions, out.certificate) == (decisions, None), why
+            assert solve_in_process(inst).certificate == pairs, why
 
 
 @st.composite
