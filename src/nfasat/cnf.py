@@ -8,7 +8,8 @@ m = k + n*k^2.  Only they are decoded back into automaton components;
 ``lookup`` maps their names to the layout.  Every other variable, reach
 variables included, is allocated after them as an anonymous contiguous
 range known only by its stats family; the encoders keep those indices in
-their own tables.
+their own tables.  Each clause's stats family is a one-byte code, kept in
+one bytes object per batch; the family and arity counts are made when read.
 
 An encoder records one guarantee as the instance's decision block m:
 setting variables 1..m decides the instance by unit propagation, and
@@ -18,8 +19,9 @@ batch clears it to 0, as a clause over the layout can tell states apart.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
+from collections import Counter, defaultdict
+from io import StringIO
+from itertools import chain, count, islice
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -41,8 +43,8 @@ class CnfError(ValueError):
 
 
 class CnfInstance:
-    """A clause store over the layout of k states and n symbols, with a
-    (family, arity) clause tally.
+    """A clause store over the layout of k states and n symbols, with each
+    clause's stats family as a one-byte code; the counts are made when read.
 
     The finals and transitions are variables 1..layout_size, under the
     stats families "final" and "transition"; every other variable is an
@@ -65,7 +67,8 @@ class CnfInstance:
         self.sample: Sample | None = None
         # unary + drops the families a small layout leaves at zero
         self.var_family_counts: Counter[str] = +Counter(final=k, transition=self.var_count - k)
-        self._tally: Counter[tuple[str, int]] = Counter()
+        # the codes, one bytes per batch (a bytearray grown per batch fragments the heap); name -> code
+        self._codes, self._family_codes = list[bytes](), defaultdict(count().__next__)  # a factory with no cycle
 
     # -- variables ---------------------------------------------------------
 
@@ -89,45 +92,50 @@ class CnfInstance:
     # -- clauses -----------------------------------------------------------
 
     def add_clauses(self, clauses: list[tuple[int, ...]], families: Iterable[str]) -> None:
-        """Store clauses, the i-th under the i-th family, after checking the batch.
+        """Store clauses, the i-th under the i-th family's code, after checking the batch.
 
-        Fewer families than clauses, literal 0 or a variable beyond
-        var_count raises CnfError and stores nothing; the checks make no
-        flat copy of the batch.  A repeated variable is stored as given, as
-        DIMACS allows.  Every batch, an empty one too, clears the decision block.
+        Fewer families than clauses, a 257th family name, literal 0 or a
+        variable beyond var_count raises CnfError and stores nothing; the checks
+        make no flat copy of the batch.  A repeated variable is stored as given,
+        as DIMACS allows.  Every batch, an empty one too, clears the decision block.
         """
         self.decision_block = 0
-        batch = Counter(zip(families, map(len, clauses)))
-        if batch.total() != len(clauses):
-            raise CnfError(f"the families ran out after {batch.total()} of {len(clauses)} clauses")
-        if any(clauses):
-            top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
-            if top > self.var_count:
-                raise CnfError(f"a literal references variable {top} beyond the {self.var_count} allocated")
-            if not all(map(all, clauses)):
-                raise CnfError("literal 0 is not allowed")
+        names, known = self._family_codes, len(self._family_codes)  # a new name takes the next code
+        try:
+            codes = bytes(map(names.__getitem__, islice(families, len(clauses))))
+            if len(codes) != len(clauses):
+                raise CnfError(f"the families ran out after {len(codes)} of {len(clauses)} clauses")
+            if any(clauses):
+                top = max(max(chain.from_iterable(clauses)), -min(chain.from_iterable(clauses)))
+                if top > self.var_count:
+                    raise CnfError(f"a literal references variable {top} beyond the {self.var_count} allocated")
+                if not all(map(all, clauses)):
+                    raise CnfError("literal 0 is not allowed")
+        except ValueError as err:  # one of those, or bytes() past code 255: the batch's new names go
+            self._family_codes = defaultdict(count(known).__next__, islice(names.items(), known))
+            raise err if isinstance(err, CnfError) else CnfError("a store holds at most 256 family names") from None
         self.clauses += clauses
-        self._tally.update(batch)
+        self._codes.append(codes)
 
     @property
     def arity_hist(self) -> Counter[int]:
-        return sum(self.family_hist.values(), Counter())
+        return Counter(map(len, self.clauses))
 
     @property
     def family_hist(self) -> dict[str, Counter[int]]:
-        hist: dict[str, Counter[int]] = {}
-        for (family, arity), count in self._tally.items():
-            hist.setdefault(family, Counter())[arity] = count
-        return hist
+        hists: list[Counter[int]] = [Counter() for _ in self._family_codes]  # by code
+        for (code, arity), number in Counter(zip(chain.from_iterable(self._codes), map(len, self.clauses))).items():
+            hists[code][arity] = number
+        return dict(zip(self._family_codes, hists))
 
     def clause_count(self) -> int:
         return len(self.clauses)
 
     def literal_count(self) -> int:
-        return sum(arity * count for (_, arity), count in self._tally.items())
+        return sum(map(len, self.clauses))
 
     def family_clause_counts(self) -> dict[str, int]:
-        return {family: sum(hist.values()) for family, hist in self.family_hist.items()}
+        return {name: sum(chunk.count(code) for chunk in self._codes) for name, code in self._family_codes.items()}
 
     def stats_dict(self) -> dict:
         return {
@@ -153,8 +161,6 @@ def write_dimacs(instance: CnfInstance, sink: IO[str]) -> None:
 
 
 def dimacs_text(instance: CnfInstance) -> str:
-    from io import StringIO
-
     buf = StringIO()
     write_dimacs(instance, buf)
     return buf.getvalue()

@@ -10,9 +10,9 @@ A sample builds two things on first use and keeps them: ``index`` numbers
 its prefixes and suffixes for the optimizers and the encoders, and
 ``fooling_set`` bounds the state count of a consistent NFA from below
 (``solver`` says why, and checks the set before it trusts it).  The set is
-a maximum clique, by branch and bound, of the graph on the splits of the
-positive words that joins two splits when a cross word is negative; past
-its caps, the largest clique found, which is still a fooling set.
+a maximum clique, by branch and bound, of a graph on the index ids of the
+splits of the positive words that joins two splits when a cross word is
+negative; past its caps, the largest clique found, still a fooling set.
 """
 
 from __future__ import annotations
@@ -91,29 +91,10 @@ class Sample:
 
     @cached_property
     def fooling_set(self) -> tuple[tuple[Word, Word], ...]:
-        """The largest fooling set found among the splits (x, y) of the positive
-        words, built on first use: every two pairs have a negative cross word.
-        The graph's vertices are the first _CLIQUE_VERTICES splits, shortest
-        words first."""
-        splits = [(w[:i], w[i:]) for w in self.sorted_positives() for i in range(len(w) + 1)]
-        del splits[_CLIQUE_VERTICES:]
-        heads: dict[Word, int] = {}  # the splits per head x, and per tail y, as bitsets
-        tails: dict[Word, int] = {}
-        for bit, (x, y) in enumerate(splits):
-            heads[x] = heads.get(x, 0) | 1 << bit
-            tails[y] = tails.get(y, 0) | 1 << bit
-        adjacent = [0] * len(splits)
-        for word in self.negatives:  # x·y negative joins every split headed x to every one tailed y
-            for i in range(len(word) + 1):
-                xs, ys = heads.get(word[:i], 0), tails.get(word[i:], 0)
-                if xs and ys:
-                    for v in _bits(xs):
-                        adjacent[v] |= ys
-                    for v in _bits(ys):
-                        adjacent[v] |= xs
-        for v in range(len(splits)):  # x·y both positive and negative: no self loop
-            adjacent[v] &= ~(1 << v)
-        return tuple(splits[v] for v in _max_clique(adjacent))
+        """The largest fooling set found in ``_fooling_graph``, built on first use:
+        splits (x, y) of positive words, every two with a negative cross word."""
+        splits, adjacent = _fooling_graph(self)
+        return tuple((w[:i], w[i:]) for w, i, _, _ in map(splits.__getitem__, _max_clique(adjacent)))
 
     def total_symbol_count(self) -> int:
         return sum(len(w) for w in set(self.words()))
@@ -157,11 +138,27 @@ class SampleIndex:
 _CLIQUE_VERTICES, _CLIQUE_NODES = 4_096, 2_000
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _fooling_graph(sample: Sample) -> tuple[list[tuple[Word, int, int, int]], list[int]]:
+    """The vertices (w, i, x, y) of the fooling-set graph, the first _CLIQUE_VERTICES
+    splits of the positive words w at i, shortest words first, and their neighbour
+    bitsets.  x and y are the ``index`` ids of w[:i] and w[i:], ε with its own id.
+    A negative x·y puts the splits tailed y in by_head[x] and those headed x in
+    by_tail[y]; a split's neighbours are the union of its two, less itself."""
+    index = sample.index
+    eps_x, eps_y = len(index.prefixes), len(index.suffixes)
+    ids = {w: list(zip([eps_x, *index.heads.get(w, ())], [*index.tails.get(w, ()), eps_y])) for w in sample.words()}
+    splits = [(w, i, x, y) for w in sample.sorted_positives() for i, (x, y) in enumerate(ids[w])][:_CLIQUE_VERTICES]
+    headed, tailed = [0] * (eps_x + 1), [0] * (eps_y + 1)  # the splits per head, and per tail, as bitsets
+    for v, (_, _, x, y) in enumerate(splits):
+        headed[x] |= 1 << v
+        tailed[y] |= 1 << v
+    by_head, by_tail = [0] * (eps_x + 1), [0] * (eps_y + 1)
+    for w in sample.negatives:
+        for x, y in ids[w]:
+            if headed[x] and tailed[y]:
+                by_head[x] |= tailed[y]
+                by_tail[y] |= headed[x]
+    return splits, [(by_head[x] | by_tail[y]) & ~(1 << v) for v, (_, _, x, y) in enumerate(splits)]
 
 
 def _max_clique(adjacent: list[int]) -> list[int]:
@@ -362,11 +359,8 @@ def format_sample(sample: Sample, fmt: str = "plain") -> str:
                 lines.append(word_to_text(word, n) + lone + sign)
         return "\n".join(lines) + "\n"
     if fmt == "abbadingo":
-        words = sample.sorted_positives() + sample.sorted_negatives()
-        lines = [f"{len(words)} {sample.alphabet_size}"]
-        for word in sample.sorted_positives():
-            lines.append(" ".join(["1", str(len(word))] + [str(s) for s in word]))
-        for word in sample.sorted_negatives():
-            lines.append(" ".join(["0", str(len(word))] + [str(s) for s in word]))
+        labelled = [("1", w) for w in sample.sorted_positives()] + [("0", w) for w in sample.sorted_negatives()]
+        lines = [f"{len(labelled)} {sample.alphabet_size}"]
+        lines += [" ".join([label, str(len(w)), *map(str, w)]) for label, w in labelled]
         return "\n".join(lines) + "\n"
     raise SampleError(f"unknown sample format {fmt!r} (expected one of {FORMATS})")

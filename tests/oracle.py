@@ -9,15 +9,18 @@ prefixes and suffixes count closures by brute force, independent of the
 split index that the optimizers score with.  parse_dimacs_by_token and
 write_dimacs_by_clause are DIMACS reading and writing one token and one
 clause at a time, the reference for the block-wise ``nfasat.cnf`` routines.
+fooling_graph_by_words builds the fooling-set graph from word slices keyed
+by word, the reference for the id-built ``nfasat.sample._fooling_graph``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from nfasat import sample as sample_module
 from nfasat.cnf import CnfError, CnfInstance
 from nfasat.nfa import Nfa
 from nfasat.sample import Sample, Word, word_key
@@ -265,3 +268,36 @@ def parse_dimacs_by_token(text: str) -> tuple[int, list[tuple[int, ...]]]:
             f"variable {top} in clause {number} exceeds the header's {var_count} variables"
         )
     return var_count, clauses
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def fooling_graph_by_words(sample: Sample) -> tuple[list[tuple[Word, Word]], list[int]]:
+    """The splits (x, y) that are the fooling-set graph's vertices, and their
+    neighbour bitsets, from word slices: the first
+    ``nfasat.sample._CLIQUE_VERTICES`` splits of the positive words, shortest
+    words first, and an edge where a cross word is negative."""
+    splits = [(w[:i], w[i:]) for w in sample.sorted_positives() for i in range(len(w) + 1)]
+    del splits[sample_module._CLIQUE_VERTICES :]
+    heads: dict[Word, int] = {}  # the splits per head x, and per tail y, as bitsets
+    tails: dict[Word, int] = {}
+    for bit, (x, y) in enumerate(splits):
+        heads[x] = heads.get(x, 0) | 1 << bit
+        tails[y] = tails.get(y, 0) | 1 << bit
+    adjacent = [0] * len(splits)
+    for word in sample.negatives:  # x·y negative joins every split headed x to every one tailed y
+        for i in range(len(word) + 1):
+            xs, ys = heads.get(word[:i], 0), tails.get(word[i:], 0)
+            if xs and ys:
+                for v in _bits(xs):
+                    adjacent[v] |= ys
+                for v in _bits(ys):
+                    adjacent[v] |= xs
+    for v in range(len(splits)):  # x·y both positive and negative: no self loop
+        adjacent[v] &= ~(1 << v)
+    return splits, adjacent

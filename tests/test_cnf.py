@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+from collections import Counter
 from io import StringIO
 from itertools import repeat
 from unittest import mock
@@ -188,6 +190,82 @@ def test_bulk_store_rejects_a_batch_that_runs_out_of_families_and_stores_nothing
     inst.add_clauses([(1, 2), (2, 3), (1, 3)], repeat("a"))  # an endless family is enough
     assert inst.stats_dict()["clauses"] == sum(inst.arity_hist.values()) == 3
     assert inst.family_clause_counts() == {"a": 3}
+
+
+_REJECTED = [  # batches that raise CnfError, each under a family name no other batch uses
+    ([(1, 0)], ["rejected"]),  # literal 0
+    ([(5,)], ["rejected"]),  # a variable beyond var_count
+    ([(1,), (2,)], ["rejected"]),  # the families run out
+]
+
+
+_CLAUSE_WITH_FAMILY = st.tuples(st.lists(st.integers(-4, 4).filter(bool), max_size=4).map(tuple), st.sampled_from("abcd"))
+
+
+@given(
+    st.lists(st.lists(_CLAUSE_WITH_FAMILY, max_size=6), min_size=1, max_size=5),
+    st.integers(0, 5),
+    st.sampled_from(_REJECTED),
+    st.booleans(),
+)
+def test_counts_read_from_the_codes_equal_a_recount_of_the_stored_batches(batches, where, rejected, endless):
+    inst = CnfInstance()
+    inst.fresh_aux("other", 4)
+    stored: list[tuple[tuple[int, ...], str]] = []
+    at = where % (len(batches) + 1)
+    for batch in batches[:at] + [rejected] + batches[at:]:
+        if batch is rejected:
+            with pytest.raises(CnfError):
+                inst.add_clauses(*rejected)
+            continue
+        clauses, families = [c for c, _ in batch], [f for _, f in batch]
+        if endless and len(set(families)) == 1:
+            inst.add_clauses(clauses, repeat(families[0]))
+        else:
+            inst.add_clauses(clauses, families)
+        stored += batch
+    family_hist: dict[str, Counter] = {}
+    for clause, family in stored:
+        family_hist.setdefault(family, Counter())[len(clause)] += 1
+    arity_hist = Counter(len(clause) for clause, _ in stored)
+    assert inst.clauses == [clause for clause, _ in stored]
+    assert inst.family_hist == family_hist and list(inst.family_hist) == list(family_hist)
+    assert inst.arity_hist == arity_hist
+    assert inst.literal_count() == sum(len(clause) for clause, _ in stored)
+    assert inst.family_clause_counts() == {family: sum(hist.values()) for family, hist in family_hist.items()}
+    assert inst.stats_dict() == {
+        "vars": 4,
+        "clauses": len(stored),
+        "arity_histogram": {str(a): count for a, count in sorted(arity_hist.items())},
+        "family_clause_counts": {family: sum(family_hist[family].values()) for family in sorted(family_hist)},
+        "var_family_counts": {"other": 4},
+    }
+
+
+def test_a_batch_past_256_family_names_raises_once_and_stores_nothing():
+    inst = CnfInstance()
+    inst.fresh_aux("other", 1)
+    inst.add_clauses([(1,)] * 200, [f"f{i}" for i in range(200)])
+    with pytest.raises(CnfError, match="at most 256"):
+        inst.add_clauses([(-1,)] * 57, [f"g{i}" for i in range(57)])  # the 257th name
+    assert inst.clause_count() == 200 and list(inst.family_clause_counts()) == [f"f{i}" for i in range(200)]
+    inst.add_clauses([(-1,)] * 56, [f"g{i}" for i in range(56)])  # the rejected names left no code behind
+    counts = inst.family_clause_counts()
+    assert len(counts) == 256 and set(counts.values()) == {1}
+    assert inst.family_hist["f0"] == {1: 1} and inst.family_hist["g55"] == {1: 1}  # no code wrapped round
+    with pytest.raises(CnfError, match="at most 256"):
+        inst.add_clauses([(1,)], ["h"])
+    assert inst.clause_count() == 256 and "h" not in inst.family_hist
+
+
+def test_a_dropped_store_is_freed_without_the_cycle_collector():
+    gc.collect()
+    inst = CnfInstance()
+    inst.fresh_aux("other", 2)
+    inst.add_clauses([(1, 2), (-1,)], ["a", "b"])
+    inst.add_clauses([(2,)], repeat("c"))
+    del inst
+    assert gc.collect() == 0  # the family table made no reference cycle
 
 
 def test_auxiliary_ranges_are_anonymous_and_named_by_family():

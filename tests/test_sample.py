@@ -1,9 +1,15 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from nfasat import sample as sample_module
+from nfasat.cli import random_sample
 from nfasat.sample import (
     Sample,
     SampleError,
+    _fooling_graph,
+    _max_clique,
     format_sample,
     parse_sample,
     validate_cuts,
@@ -11,9 +17,10 @@ from nfasat.sample import (
     word_key,
     word_to_text,
 )
+from nfasat.solver import is_fooling_set
 
 from _helpers import samples_with_cuts
-from oracle import prefixes, suffixes
+from oracle import fooling_graph_by_words, prefixes, suffixes
 
 A, B = (0,), (1,)
 AB = (0, 1)
@@ -201,3 +208,55 @@ class TestSampleIndex:
         assert sample.index is sample.index
         assert Sample.build(2, [AB, ABB], [B, ()]).index is not sample.index
         assert sample == Sample.build(2, [AB, ABB], [B, ()])  # the index is not a field
+
+
+@st.composite
+def overlapping_samples(draw) -> Sample:
+    """A sample over 1 to 3 symbols whose positive and negative sets may share
+    words, the empty word included, so a split can be its own cross word."""
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    return Sample.build(n, draw(st.lists(word, max_size=8)), draw(st.lists(word, max_size=8)))
+
+
+class TestFoolingSet:
+    # sha256 of repr(fooling_set), taken when the graph was built from word slices
+    @pytest.mark.parametrize(
+        "args, empty_word, digest",
+        [
+            ((2, 50, 7, 0.5, 3), "+", "ea1e48b2f9a73eb418b219fdd596c09a8cfc6f10566599ded824364ce7cd579e"),
+            ((2, 40, 5, 0.5, 11), "+", "82b1078a61e9ab411d1798f25c1f8a749b54be213fe3fa5e00755d9168fb3f03"),
+            ((2, 30, 5, 0.3, 7), "-", "ed6d92380db3367c93fd74d4ef45fc02c2ebbff47aaacee710c28202ae150255"),
+            ((2, 40, 6, 0.5, 7), "-", "511b64dcbdb568c150d9bdeda2bc1532fd43a3654eb70cddfd65e10456e34329"),
+        ],
+    )
+    def test_certificate_is_pinned(self, args, empty_word, digest):
+        *shape, seed = args
+        sample = random_sample(*shape, seed=seed)
+        assert (() in sample.positives, () in sample.negatives) == (empty_word == "+", empty_word == "-")
+        assert is_fooling_set(sample, sample.fooling_set)
+        assert hashlib.sha256(repr(sample.fooling_set).encode()).hexdigest() == digest
+
+    @given(overlapping_samples())
+    def test_index_built_graph_equals_the_word_sliced_one(self, sample):
+        splits, adjacent = _fooling_graph(sample)
+        expected_splits, expected_adjacent = fooling_graph_by_words(sample)
+        assert [(w[:i], w[i:]) for w, i, _, _ in splits] == expected_splits
+        assert adjacent == expected_adjacent
+        index = sample.index
+        for w, i, x, y in splits:  # ε is the id past the last on each side
+            assert (index.prefixes + [()])[x] == w[:i] and (index.suffixes + [()])[y] == w[i:]
+        assert sample.fooling_set == tuple(expected_splits[v] for v in _max_clique(expected_adjacent))
+
+    def test_the_vertex_cut_keeps_the_graphs_equal(self, monkeypatch):
+        monkeypatch.setattr(sample_module, "_CLIQUE_VERTICES", 9)
+        sample = random_sample(2, 50, 7, 0.5, seed=3)
+        assert sum(len(w) + 1 for w in sample.positives) > 9
+        splits, adjacent = _fooling_graph(sample)
+        expected_splits, expected_adjacent = fooling_graph_by_words(sample)
+        assert len(splits) == len(expected_splits) == 9
+        assert [(w[:i], w[i:]) for w, i, _, _ in splits] == expected_splits
+        assert adjacent == expected_adjacent
+        pairs = sample.fooling_set
+        assert pairs == tuple(expected_splits[v] for v in _max_clique(expected_adjacent))
+        assert set(pairs) <= set(expected_splits) and is_fooling_set(sample, pairs)
