@@ -17,7 +17,7 @@ lists:
 - Decisions come from a lazy binary heap of (-activity, var) entries with an
   in-heap flag, which picks the unassigned variable of highest activity,
   lowest index on ties.  Assignments are undone by truncating the trail at a
-  decision boundary kept in ``trail_lim``.
+  decision boundary kept in ``trail_lim``; propagation resumes at ``qhead``.
 - Loading pauses the cyclic garbage collector, as every object it makes
   stays alive, and then restores the caller's collector state.  It checks
   literal ranges unless ``checked=True``; as MiniSat's, it is the one place
@@ -30,13 +30,13 @@ always take the identical search path, which keeps run reports reproducible.
 
 Stop rule.  ``solve(decided_by=m)`` returns SAT at the first decision point
 (propagation at fixpoint, no conflict) where variables 1..m are all
-assigned, and reads every still unassigned variable as false.  That is
-sound only for a formula in which any such fixpoint extends to a model and
-the caller reads no variable above m; the encoders' instances are built
-that way (``CnfInstance.decision_block``), and stay so with the lex-leader
-clauses that ``solve_in_process`` adds (``solver.lex_leader`` says why).
-The default m = 0 searches until every variable is assigned and returns a
-full model.
+assigned, reading every unassigned variable as false.  It tests 1..m only
+when the variable picked next lies above m, as a pick inside shows them
+unset.  That is sound only for a formula in which any such fixpoint extends
+to a model and the caller reads no variable above m; the encoders'
+instances are built that way (``CnfInstance.decision_block``), and stay so
+with the lex-leader clauses that ``solve_in_process`` adds
+(``solver.lex_leader`` says why).  m = 0 (the default) finds a full model.
 
 Built for the instances this package generates; for heavy lifting point the
 solver bridge at an external solver instead.
@@ -47,7 +47,7 @@ from __future__ import annotations
 import gc
 import time
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 SAT = "SAT"
@@ -183,9 +183,9 @@ class CdclSolver:
         dl = len(self.trail_lim)
         start = qhead = self.qhead
         conflict = None
-        for true_lit in islice(trail, qhead, None):  # also visits what is appended
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
             qhead += 1
-            false_lit = -true_lit
             for q in bins[false_lit]:
                 value = val[q]
                 if value == 0:
@@ -433,9 +433,8 @@ class CdclSolver:
                 self._record(learnt)
                 self.var_inc /= _ACTIVITY_DECAY
             else:
-                decided = decided_by and 0 not in self.val[1 : decided_by + 1]
-                var = 0 if decided else self._pick_variable()
-                if var == 0:
+                var = self._pick_variable()
+                if var == 0 or decided_by and var > decided_by and 0 not in self.val[1 : decided_by + 1]:
                     model = [value == 1 for value in self.val[: self.var_count + 1]]
                     return SAT, model, self.decisions
                 self.decisions += 1

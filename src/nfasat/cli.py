@@ -659,9 +659,11 @@ def _run(argv: list[str] | None = None) -> int:
         models = [m.strip() for m in args.models.split(",") if m.strip()]
         if not models:
             raise ConfigError(f"--models {args.models!r} names no model")
-        for label in models:
+        for i, label in enumerate(models):
             if label not in BENCH_MODELS:
                 parser.error(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
+            if label in models[:i]:
+                raise ConfigError(f"--models {args.models!r} names {label!r} twice")
         if args.k_map is not None:
             k_table = _read_json_object(args.k_map, "k map")
             for name, _ in samples:

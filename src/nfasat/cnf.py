@@ -189,6 +189,12 @@ def parse_dimacs(source: str | IO[str]) -> tuple[int, list[tuple[int, ...]]]:
     header, a non-integer token, an unterminated last clause, or a literal
     whose variable exceeds the header's variable count.
     """
+    var_count, _, clauses = _read_dimacs(source)
+    return var_count, clauses
+
+
+def _read_dimacs(source: str | IO[str]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """``parse_dimacs``, with the largest variable the clauses name (0 if none)."""
     var_count, top = None, 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
@@ -227,4 +233,4 @@ def parse_dimacs(source: str | IO[str]) -> tuple[int, list[tuple[int, ...]]]:
         raise CnfError(
             f"variable {top} in clause {number} exceeds the header's {var_count} variables"
         )
-    return var_count, clauses
+    return var_count, top, clauses

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import cdcl
-from .cnf import CnfError, CnfInstance, final_var, trans_var, parse_dimacs, write_dimacs
+from .cnf import CnfError, CnfInstance, _read_dimacs, final_var, trans_var, write_dimacs
 from .nfa import Nfa
 from .sample import Sample, Word
 
@@ -171,10 +171,9 @@ def solve_dimacs_file(
     if solver_cmd is None:
         try:
             with open(cnf_path) as stream:
-                clauses = parse_dimacs(stream)[1]
+                _, top, clauses = _read_dimacs(stream)
         except UnicodeDecodeError as err:
             raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
-        top = max(map(abs, chain.from_iterable(clauses)), default=0)
         return _solve_clauses(top, clauses, timeout_seconds, time.perf_counter())
     argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
     if timeout_seconds is not None and timeout_seconds > _LONGEST_WAIT_SECONDS:

@@ -162,13 +162,6 @@ class _SplitScore:
     def fitness(self) -> int:
         return self.distinct_pref + self.k * self.distinct_suf
 
-    def recut(self, cuts: SplitAssignment) -> None:
-        """Move every word to its cut in cuts."""
-        for word, cut in cuts.items():
-            self._shift(word, self.cuts[word], -1)
-            self._shift(word, cut, 1)
-        self.cuts = dict(cuts)
-
     def rescore_word(self, word: Word) -> tuple[int, int]:
         """Move word to its best cut (smallest index on ties).
 
@@ -214,7 +207,7 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
         key=lambda candidate: candidate[0],
     )
     if best_cuts is not drawn:
-        score.recut(best_cuts)
+        score = _SplitScore(sample, best_cuts, k)
     initial_fit = best_fit
     trace = [TracePoint(0, best_fit, 0.0)]
 

@@ -5,12 +5,16 @@ parsed file's).
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
+A wide-layout SAT solve (two words over 10,000 symbols at k=2) shows a
+return to per-decision rescans, which make its time quadratic in the layout.
 Compare runs with ``pytest tests/test_cdcl_bench.py --benchmark-only``.
 """
 
-from nfasat.cdcl import UNSAT, CdclSolver
+from nfasat.cdcl import SAT, UNSAT, CdclSolver
 from nfasat.cli import random_sample
 from nfasat.encoders import ModelKind, encode
+from nfasat.sample import Sample
+from nfasat.solver import solve_in_process
 
 
 def test_cdcl_load_and_solve(benchmark):
@@ -41,3 +45,9 @@ def test_cdcl_load_of_checked_clauses(benchmark):
 
     solver = benchmark.pedantic(load, rounds=3, iterations=1)
     assert solver.decisions == 0 and not solver.unsat_at_load
+
+
+def test_cdcl_wide_layout_solve(benchmark):
+    instance = encode(ModelKind.PREFIX, Sample.build(10_000, [(0, 1)], [(1, 0)]), 2)
+    outcome = benchmark.pedantic(solve_in_process, args=(instance,), rounds=3, iterations=1)
+    assert outcome.status == SAT

@@ -787,8 +787,9 @@ class TestBench:
              "--glob '/abs*.txt' must be a non-empty relative pattern"),
             (["--k", "2", "--models", ","], "--models ',' names no model"),
             (["--k", "2", "--models", ""], "--models '' names no model"),
+            (["--k", "2", "--models", "hm-ils, pm,hm-ils"], "--models 'hm-ils, pm,hm-ils' names 'hm-ils' twice"),
         ],
-        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob", "comma-models", "empty-models"],
+        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob", "comma-models", "empty-models", "repeated-model"],
     )
     def test_bad_bound_is_one_line_error(self, tmp_path, flags, expected):
         sdir = tmp_path / "samples"
