@@ -151,13 +151,13 @@ _WRITE_BLOCK, _READ_BLOCK = 4096, 1 << 16  # clauses per write, characters per r
 
 
 def write_dimacs(instance: CnfInstance, sink: IO[str]) -> None:
-    """Emit DIMACS CNF: header, then one zero-terminated clause (a tuple) per line."""
+    """Emit DIMACS CNF: header, then one zero-terminated clause (a tuple) per line, a block per ``%``."""
     clauses = instance.clauses
     sink.write(f"p cnf {instance.var_count} {len(clauses)}\n")
     formats = {arity: "%d " * arity + "0\n" for arity in set(map(len, clauses))}
     for start in range(0, len(clauses), _WRITE_BLOCK):
         block = clauses[start : start + _WRITE_BLOCK]
-        sink.write("".join(map(str.__mod__, map(formats.__getitem__, map(len, block)), block)))
+        sink.write("".join(map(formats.__getitem__, map(len, block))) % tuple(chain.from_iterable(block)))
 
 
 def dimacs_text(instance: CnfInstance) -> str:

@@ -8,8 +8,8 @@ does not track the instance size (ROADMAP item 2).
 
 Two seeded optimizers search the cut space (one cut in 0..|w| per word):
 an iterated local search that re-cuts one roulette-picked word per step to
-its best position, and a steady-state genetic algorithm with per-word
-uniform crossover and uniform re-draw mutation.
+its best position, and a steady-state GA: per-word uniform crossover by
+random bytes, and uniform re-draw mutation of genes found by geometric gaps.
 
 The ILS starts from the best of its seeded random cuts, the all-prefix cuts
 and the all-suffix cuts, so it never ends worse than either corner: from a
@@ -18,9 +18,9 @@ random start alone it often ends above them (README, ROADMAP item 2).
 Both score through the sample's index (``Sample.index``): the ids of each
 word's prefixes by length and of its suffixes by start.  The ILS and
 ``fitness`` count, per id, how many words contribute it (``_SplitScore``).
-The GA turns each word's ids into one cumulative int bitmask per cut, so an
-individual's score is an OR over its words' masks and two popcounts.  Bits
-are given out in first use along the words, not by id: a word's longest
+The GA turns each word's ids into one cumulative int bitmask per cut, prefix
+bits below suffix bits, so a score is one OR per word and two popcounts.
+Bits are given out in first use along the words, not by id: a word's longest
 parts have high ids, so masks by id would OR at full width from the start.
 """
 
@@ -31,9 +31,10 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from itertools import accumulate
-from operator import or_
-from typing import IO, Iterable
+from operator import getitem, or_
+from typing import IO, Callable, Iterable, Iterator
 
 from .sample import (
     Sample,
@@ -232,19 +233,33 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
 
 
 def _uniform_crossover(rng: random.Random, first: list[int], second: list[int]) -> list[int]:
-    """Per-word coin flip between the two parents' cuts."""
-    coin = rng.random
-    return [a if coin() < 0.5 else b for a, b in zip(first, second)]
+    """Per-word fair coin between the parents' cuts, as before: the low bit of one ``randbytes`` byte each."""
+    return list(map(getitem, zip(second, first), rng.randbytes(len(first)).translate(bytes(range(2)) * 128)))
 
 
-def _first_use_masks(runs: Iterable[list[int]]) -> list[list[int]]:
+def _first_use_masks(runs: Iterable[list[int]]) -> Iterator[list[int]]:
     """Cumulative bitmasks along each run of ids; an id's bit is its rank in first use."""
     bit: dict[int, int] = {}
-    return [list(accumulate((1 << bit.setdefault(i, len(bit)) for i in ids), or_, initial=0)) for ids in runs]
+    return (list(accumulate((1 << bit.setdefault(i, len(bit)) for i in ids), or_, initial=0)) for ids in runs)
+
+
+def _ga_scorer(sample: Sample, words: list[Word], k: int) -> Callable[[list[int]], int]:
+    """``fitness`` of an individual (a cut per word) by one OR of per-cut masks per word."""
+    width = len(sample.index.prefixes)  # every prefix is some word's, so its bit lies below width
+    heads = _first_use_masks(sample.index.heads[w] for w in words)
+    tails = _first_use_masks(sample.index.tails[w][::-1] for w in words)
+    masks = [[p | s << width for p, s in zip(pm, reversed(sm))] for pm, sm in zip(heads, tails)]
+
+    def score(ind: list[int]) -> int:
+        acc = reduce(or_, map(getitem, masks, ind), 0)
+        return acc.bit_count() + (k - 1) * (acc >> width).bit_count()  # prefixes + k * suffixes
+
+    return score
 
 
 def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
-    """Steady-state GA: truncation parents, uniform crossover, uniform re-draw."""
+    """Steady-state GA: truncation parents, uniform crossover, uniform re-draw of each gene
+    with probability p_mut as before, but one draw per mutated gene (the geometric gap to it)."""
     check_state_count(k)
     params.validate()
     words = sample.sorted_nonempty_words()
@@ -253,16 +268,7 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
     lengths = [len(w) for w in words]
-    # pmask[t][c]: bits of word t's prefixes below cut c; smask[t][c]: of its suffixes from c
-    pmask = _first_use_masks(sample.index.heads[w] for w in words)
-    smask = [masks[::-1] for masks in _first_use_masks(sample.index.tails[w][::-1] for w in words)]
-
-    def score(ind: list[int]) -> int:
-        p = s = 0
-        for pm, sm, cut in zip(pmask, smask, ind):
-            p |= pm[cut]
-            s |= sm[cut]
-        return p.bit_count() + k * s.bit_count()
+    score = _ga_scorer(sample, words, k)
 
     size = params.population_size
     population = [[rng.randint(0, length) for length in lengths] for _ in range(size)]
@@ -272,15 +278,12 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
         return fits[i], population[i]
 
     idx = min(range(size), key=rank)
-    best = list(population[idx])
-    best_fit = fits[idx]
-    initial_fit = best_fit
+    best, best_fit, initial_fit = list(population[idx]), fits[idx], fits[idx]
     trace = [TracePoint(0, best_fit, 0.0)]
 
     parent_count = min(size, max(2, math.ceil(params.p_parents * size)))
-    draw, p_mut = rng.random, params.p_mut
-    generation = 0
-    stagnant = 0
+    draw, genes, log_keep = rng.random, size * len(words), math.log1p(-params.p_mut)  # < 0 for p_mut > 0
+    generation = stagnant = 0
     while generation < params.max_gen and stagnant < params.max_gen_without_improv:
         generation += 1
         order = sorted(range(size), key=rank)
@@ -289,20 +292,17 @@ def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
         for _ in range(size - parent_count):
             first = rng.randrange(parent_count)
             second = rng.randrange(parent_count - 1)
-            if second >= first:
-                second += 1
+            second += second >= first
             children.append(_uniform_crossover(rng, parents[first], parents[second]))
         population = parents + children
-        for ind in population:
-            for t, length in enumerate(lengths):
-                if draw() < p_mut:
-                    ind[t] = rng.randint(0, length)
+        gene = -1  # floor(log(1 - U) / log(1 - p_mut)) genes pass unmutated; an endless gap is capped
+        while (gene := gene + 1 + int(min(math.log(1.0 - draw()) / log_keep, genes))) < genes:
+            i, t = divmod(gene, len(words))
+            population[i][t] = rng.randint(0, lengths[t])
         fits = [score(ind) for ind in population]
         idx = min(range(size), key=rank)
         if fits[idx] < best_fit:
-            best_fit = fits[idx]
-            best = list(population[idx])
-            stagnant = 0
+            best, best_fit, stagnant = list(population[idx]), fits[idx], 0
         else:
             stagnant += 1
         trace.append(TracePoint(generation, best_fit, time.perf_counter() - start))

@@ -6,9 +6,10 @@ fixed order and is the ground truth the SAT encodings are tested against; it
 never touches the encoder or solver code paths.  accepts_by_path_search is a
 depth-first membership routine, deliberately independent of nfasat.nfa.accepts.
 prefixes and suffixes count closures by brute force, independent of the
-split index that the optimizers score with.  parse_dimacs_by_token and
-write_dimacs_by_clause are DIMACS reading and writing one token and one
-clause at a time, the reference for the block-wise ``nfasat.cnf`` routines.
+split index that the optimizers score with.  parse_dimacs_by_token,
+write_dimacs_by_clause and write_dimacs_by_format are DIMACS reading and
+writing one token and one clause at a time, the reference for the
+block-wise ``nfasat.cnf`` routines.
 fooling_graph_by_words builds the fooling-set graph from word slices keyed
 by word, the reference for the id-built ``nfasat.sample._fooling_graph``.
 """
@@ -227,6 +228,14 @@ def write_dimacs_by_clause(instance: CnfInstance, sink: IO[str]) -> None:
             sink.write(" 0\n")
         else:
             sink.write("0\n")
+
+
+def write_dimacs_by_format(instance: CnfInstance, sink: IO[str]) -> None:
+    """Header, then each clause by its own ``%`` call on its arity's format."""
+    clauses = instance.clauses
+    sink.write(f"p cnf {instance.var_count} {len(clauses)}\n")
+    formats = {arity: "%d " * arity + "0\n" for arity in set(map(len, clauses))}
+    sink.write("".join(map(str.__mod__, map(formats.__getitem__, map(len, clauses)), clauses)))
 
 
 def parse_dimacs_by_token(text: str) -> tuple[int, list[tuple[int, ...]]]:

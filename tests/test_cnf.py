@@ -23,7 +23,7 @@ from nfasat.nfa import Nfa
 from nfasat.sample import Sample
 from nfasat.solver import decode_nfa, lex_leader, solve_in_process
 
-from oracle import parse_dimacs_by_token, write_dimacs_by_clause
+from oracle import parse_dimacs_by_token, write_dimacs_by_clause, write_dimacs_by_format
 
 
 def _in_layout(name: tuple, k: int, n: int) -> bool:
@@ -446,6 +446,23 @@ def test_write_dimacs_matches_per_clause_writer(clause_lists, block):
     inst.add_clauses(list(map(tuple, clause_lists)), repeat("other"))
     expected = StringIO()
     write_dimacs_by_clause(inst, expected)
+    with mock.patch.object(cnf, "_WRITE_BLOCK", block):
+        assert dimacs_text(inst) == expected.getvalue()
+
+
+@given(
+    st.lists(st.lists(st.integers(-21, 21).filter(bool), max_size=6, unique_by=abs), max_size=40),
+    st.integers(-21, 21).filter(bool),
+    st.sampled_from([1, 2, 3, 4096]),
+    st.randoms(use_true_random=False),
+)
+def test_write_dimacs_by_block_matches_one_format_call_per_clause(clause_lists, unit, block, rng):
+    clauses = [*map(tuple, clause_lists), (), (unit,)]  # mixed arities, an empty and a unit clause among them
+    rng.shuffle(clauses)
+    inst = CnfInstance(3, 2)  # 21 variables, so literals of one and two digits
+    inst.add_clauses(clauses, repeat("other"))
+    expected = StringIO()
+    write_dimacs_by_format(inst, expected)
     with mock.patch.object(cnf, "_WRITE_BLOCK", block):
         assert dimacs_text(inst) == expected.getvalue()
 

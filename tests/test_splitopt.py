@@ -1,10 +1,13 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfasat import splitopt
 from nfasat.cli import random_sample
 from nfasat.cnf import dimacs_text
 from nfasat.encoders import ModelKind, encode
@@ -12,7 +15,9 @@ from nfasat.sample import Sample, SampleError, all_prefix_cuts, all_suffix_cuts
 from nfasat.splitopt import (
     GaParams,
     IlsParams,
+    _ga_scorer,
     _SplitScore,
+    _uniform_crossover,
     fitness,
     ga_optimize,
     ils_optimize,
@@ -20,7 +25,7 @@ from nfasat.splitopt import (
     word_weights,
 )
 
-from _helpers import random_tiny_sample
+from _helpers import random_tiny_sample, samples_with_cuts
 from oracle import prefixes, suffixes
 
 A, B = (0,), (1,)
@@ -231,20 +236,58 @@ class TestGa:
             GaParams(population_size=1).validate()
 
     def test_crossover_of_identical_parents_is_identity(self):
-        from nfasat.splitopt import _uniform_crossover
-
         rng = random.Random(0)
         individual = [2, 0, 5, 1]
         for _ in range(20):
             assert _uniform_crossover(rng, individual, list(individual)) == individual
 
     def test_crossover_inherits_per_word(self):
-        from nfasat.splitopt import _uniform_crossover
-
         rng = random.Random(1)
         pa, pb = [0, 0, 0, 0], [9, 9, 9, 9]
         child = _uniform_crossover(rng, pa, pb)
         assert all(c in (0, 9) for c in child)
+
+    def test_crossover_takes_each_gene_from_first_by_a_fair_coin(self):
+        rng = random.Random(12)
+        first, second = list(range(0, 300, 2)), list(range(1, 300, 2))
+        children = [_uniform_crossover(rng, first, second) for _ in range(100)]  # 15,000 genes
+        genes = [(c, a, b) for child in children for c, a, b in zip(child, first, second)]
+        assert all(c in (a, b) for c, a, b in genes)
+        assert 0.47 <= sum(c == a for c, a, _ in genes) / len(genes) <= 0.53
+
+    @given(samples_with_cuts(), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_score_is_the_paper_fitness(self, sample_and_cuts, k):
+        sample, cuts = sample_and_cuts
+        words = sample.sorted_nonempty_words()
+        assert _ga_scorer(sample, words, k)([cuts[w] for w in words]) == fitness(sample, k, cuts)
+
+    @pytest.mark.parametrize("p_mut", [0.05, 0.3])
+    def test_mutation_redraws_genes_at_rate_p_mut(self, p_mut):
+        # every randint after the initial population re-draws one mutated gene
+        class CountingRandom(random.Random):
+            randints = 0
+
+            def randint(self, a, b):
+                CountingRandom.randints += 1
+                return super().randint(a, b)
+
+        sample = random_sample(2, 40, 8, 0.5, seed=3)
+        params = GaParams(population_size=20, max_gen=200, max_gen_without_improv=200, p_mut=p_mut, rng_seed=5)
+        with mock.patch.object(splitopt, "random", SimpleNamespace(Random=CountingRandom)):
+            result = ga_optimize(sample, 3, params)
+        genes = params.population_size * len(sample.sorted_nonempty_words())
+        assert len(result.trace) == 201
+        rate = (CountingRandom.randints - genes) / (200 * genes)
+        assert abs(rate - p_mut) <= 0.1 * p_mut
+
+    @pytest.mark.parametrize("p_mut", [5e-324, 1e-17, 0.999])
+    def test_extreme_mutation_rates_run_to_completion(self, p_mut):
+        sample = random_sample(2, 40, 8, 0.5, seed=3)
+        params = GaParams(population_size=10, max_gen=30, max_gen_without_improv=30, p_mut=p_mut, rng_seed=2)
+        result = ga_optimize(sample, 3, params)
+        assert len(result.trace) == 31
+        assert result.best_fitness == fitness(sample, 3, result.cuts)
 
 
 class TestFitnessProxy:
@@ -321,8 +364,8 @@ def _digest(obj) -> str:
 PINNED_TRAJECTORIES = {
     ((2, 40, 8, 0.5, 3), 3, 1, (("population_size", 20), ("max_gen", 40))): {
         "ils": (80, 80, 101, "52cc6d11f1603947", "c9dda9c514780d13"),
-        "ga": (67, 106, 41, "c81b36664ef396e4", "a5404f338560b104"),
-        "hm-ga": "0801cfcf6d15cf7b5d5912c43a276e9ca1cb1229214ea082a6ace029cc739dde",
+        "ga": (63, 106, 41, "fff6bbe2cc33e2cc", "2105c94d202338ba"),
+        "hm-ga": "a60d949d0192689adb96cc59e5bfea057a8d4f5d5b44a17eb746b65741b3ca38",
     },
     (
         (3, 60, 10, 0.5, 7),
@@ -332,14 +375,14 @@ PINNED_TRAJECTORIES = {
          ("p_mut", 0.1), ("p_parents", 0.2)),
     ): {
         "ils": (220, 220, 101, "d98e7ade21ebed93", "17aaef3ff88086fb"),
-        "ga": (237, 346, 47, "d638aeb7d9af7f10", "430c1b3e9c19081e"),
-        "hm-ga": "91eacaa92edd52122b1fc45bee6ae5673fe0a978a3547fbeb0c69e4a4f5f6492",
+        "ga": (243, 346, 81, "264a79b5c251e1e7", "3c63d916386785e7"),
+        "hm-ga": "34e8fa8f82e78c4aeadc74ebe75151976a991ddbe762ad40ca048d0b58caf145",
     },
     # the seeded draw beats both corners at k = 1, and the search then improves on it
     ((2, 40, 8, 0.5, 3), 1, 5, (("population_size", 20), ("max_gen", 40))): {
         "ils": (39, 65, 229, "58e87cdcaf9eb8de", "53779e49ee3c44cc"),
-        "ga": (42, 62, 41, "04ec2355cc52c41f", "b1c58a38b0cf5acf"),
-        "hm-ga": "84be84ccd7b2a26b48109cdac874ef4ad4b9b91bc5d783649b673b9fd78e400c",
+        "ga": (38, 62, 41, "99a5789e302acf71", "a2e29a8f75014274"),
+        "hm-ga": "217bc56cbe051750f1a188f07f669c348f3b785d3f83b68db0bedc7bfac9318a",
     },
 }
 
