@@ -654,16 +654,16 @@ def _run(argv: list[str] | None = None) -> int:
         except (ValueError, NotImplementedError) as err:  # empty or absolute pattern
             raise ConfigError(f"--glob {args.glob!r} must be a non-empty relative pattern") from err
         if not sample_paths:
-            parser.error(f"no samples matching {args.glob!r} in {args.sample_dir}")
-        samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]
+            raise ConfigError(f"no samples matching {args.glob!r} in {args.sample_dir}")
         models = [m.strip() for m in args.models.split(",") if m.strip()]
         if not models:
             raise ConfigError(f"--models {args.models!r} names no model")
         for i, label in enumerate(models):
             if label not in BENCH_MODELS:
-                parser.error(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
+                raise ConfigError(f"unknown bench model {label!r}; choose from {BENCH_MODELS}")
             if label in models[:i]:
                 raise ConfigError(f"--models {args.models!r} names {label!r} twice")
+        samples = [(p.stem, load_sample(str(p), args.format)) for p in sample_paths]
         if args.k_map is not None:
             k_table = _read_json_object(args.k_map, "k map")
             for name, _ in samples:

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .cnf import CnfError
-from .solver import SAT, UNSAT, solve_dimacs_file
+from .solver import COUNTERS, SAT, UNSAT, solve_dimacs_file
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,9 +36,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     print("c nfasat bundled CDCL solver")
-    print(f"c decisions {outcome.decisions}")
-    print(f"c conflicts {outcome.conflicts}")
-    print(f"c propagations {outcome.propagations}")
+    for name in COUNTERS:
+        print(f"c {name} {getattr(outcome, name)}")
     if outcome.status == SAT:
         print("s SATISFIABLE")
         assert outcome.assignment is not None

@@ -113,6 +113,10 @@ class SampleIndex:
     heads[w][i] is the id of w[:i+1], tails[w][i] the id of w[i:]; parent[p]
     is the id of prefix p less its last letter, rest[s] that of suffix s
     less its first, -1 for a one-letter part.
+
+    masks[i][c], built on first use, is the parts of words[i] cut at c as one
+    bitset: bit p per prefix id p of w[:c], bit len(prefixes) + s per suffix
+    id s of w[c:].  The split optimizers score cuts by ORing these.
     """
 
     def __init__(self, words: list[Word]) -> None:
@@ -126,6 +130,16 @@ class SampleIndex:
         self.tails = {w: [suffix_id[w[i:]] for i in range(len(w))] for w in words}
         self.parent = [prefix_id.get(p[:-1], -1) for p in self.prefixes]
         self.rest = [suffix_id.get(s[1:], -1) for s in self.suffixes]
+
+    @cached_property
+    def masks(self) -> list[list[int]]:
+        width = len(self.prefixes)
+        head, tail = [0] * (width + 1), [0] * (len(self.suffixes) + 1)  # closures by id; [-1] stays 0
+        for p, parent in enumerate(self.parent):  # a part's parent (or rest) is shorter: its id is lower
+            head[p] = head[parent] | 1 << p
+        for s, rest in enumerate(self.rest):
+            tail[s] = tail[rest] | 1 << (width + s)
+        return [[head[p] | tail[s] for p, s in zip([-1, *self.heads[w]], [*self.tails[w], -1])] for w in self.words]
 
 
 # Any clique is a fooling set, so both caps keep the bound sound: a fooling-set

@@ -46,7 +46,7 @@ DEFAULT_TIMEOUT_SECONDS = 600.0
 _LONGEST_WAIT_SECONDS = 2_147_483.0
 COUNTERS = ("decisions", "conflicts", "propagations")
 # "c decisions 17" as nfasat-solve prints it, "decisions : 17" as MiniSat does
-COUNTER_PATTERN = re.compile(r"(decisions|conflicts|propagations)\s*[:=]?\s*(\d+)", re.IGNORECASE)
+COUNTER_PATTERN = re.compile(rf"({'|'.join(COUNTERS)})\s*[:=]?\s*(\d+)", re.IGNORECASE)
 
 
 class SolverError(RuntimeError):

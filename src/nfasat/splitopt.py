@@ -15,13 +15,10 @@ The ILS starts from the best of its seeded random cuts, the all-prefix cuts
 and the all-suffix cuts, so it never ends worse than either corner: from a
 random start alone it often ends above them (README, ROADMAP item 2).
 
-Both score through the sample's index (``Sample.index``): the ids of each
-word's prefixes by length and of its suffixes by start.  The ILS and
-``fitness`` count, per id, how many words contribute it (``_SplitScore``).
-The GA turns each word's ids into one cumulative int bitmask per cut, prefix
-bits below suffix bits, so a score is one OR per word and two popcounts.
-Bits are given out in first use along the words, not by id: a word's longest
-parts have high ids, so masks by id would OR at full width from the start.
+Both score through the sample's index: ``SampleIndex.masks`` holds, per word
+and cut, its prefix and suffix parts as one bitset, prefix ids below suffix
+ids, so a score is one OR per word and two popcounts (``_score``).  The ILS
+and ``fitness`` go through ``_SplitScore``, the GA through ``_ga_scorer``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import accumulate
 from operator import getitem, or_
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable
 
 from .sample import (
     Sample,
@@ -125,43 +122,30 @@ def word_weights(sample: Sample) -> dict[Word, float]:
     return {w: even_share + 0.25 * len(w) / total_len for w in words}
 
 
-def _add_counts(counts: list[int], ids: list[int], step: int) -> int:
-    """Add step (1 or -1) to counts[i] per id; return the change in ids present."""
-    edge = 1 if step < 0 else 0  # an id appears or vanishes when its count was this
-    crossed = 0
-    for i in ids:
-        c = counts[i]
-        counts[i] = c + step
-        crossed += c == edge
-    return step * crossed
+def _score(acc: int, width: int, k: int) -> int:
+    """Distinct prefixes plus k times distinct suffixes of an OR of masks."""
+    return acc.bit_count() + (k - 1) * (acc >> width).bit_count()
 
 
 class _SplitScore:
     """Incremental fitness bookkeeping over per-word cut moves.
 
-    Keeps, per prefix and suffix id, how many words contribute it, so that
-    removing one word's contribution and scanning all its candidate cuts
-    costs O(|w|).
+    Keeps each word's chosen mask as a leaf of a binary tree of ORs, so the
+    OR of the other words' masks is the siblings' on the leaf's way up: a
+    move costs log W ORs, one OR and two popcounts per candidate cut.
     """
 
     def __init__(self, sample: Sample, cuts: SplitAssignment, k: int) -> None:
-        index = sample.index
-        self.k = k
-        self.cuts = dict(cuts)
-        self.head_runs, self.tail_runs = index.heads, index.tails
-        self._pref_count = [0] * len(index.prefixes)
-        self._suf_count = [0] * len(index.suffixes)
-        self.distinct_pref = self.distinct_suf = 0
-        for w in index.words:
-            self._shift(w, self.cuts[w], 1)
-
-    def _shift(self, word: Word, cut: int, step: int) -> None:
-        """Add (step 1) or take back (step -1) one word's parts at a cut."""
-        self.distinct_pref += _add_counts(self._pref_count, self.head_runs[word][:cut], step)
-        self.distinct_suf += _add_counts(self._suf_count, self.tail_runs[word][cut:], step)
+        index, size = sample.index, len(sample.index.words)
+        self.k, self.width, self.cuts = k, len(index.prefixes), dict(cuts)
+        self._rows = {w: (size + i, masks) for i, (w, masks) in enumerate(zip(index.words, index.masks))}
+        # node size + i holds word i's chosen mask, node n < size the OR of nodes 2n and 2n + 1
+        tree = self._tree = [0] * size + [masks[self.cuts[w]] for w, masks in zip(index.words, index.masks)]
+        for n in range(size - 1, 0, -1):
+            tree[n] = tree[2 * n] | tree[2 * n + 1]
 
     def fitness(self) -> int:
-        return self.distinct_pref + self.k * self.distinct_suf
+        return _score(self._tree[1] if self._rows else 0, self.width, self.k)  # the root ORs every leaf
 
     def rescore_word(self, word: Word) -> tuple[int, int]:
         """Move word to its best cut (smallest index on ties).
@@ -169,19 +153,19 @@ class _SplitScore:
         Returns (cut, resulting fitness).  Never worse than the current cut,
         which is among the candidates.
         """
-        self._shift(word, self.cuts[word], -1)
-        pref_count, suf_count, k = self._pref_count, self._suf_count, self.k
-        tails = self.tail_runs[word]
-        # cost of cut c: the parts it adds that no other word has, suffixes times k
-        cost = k * [suf_count[s] for s in tails].count(0)
-        best_cut, best_cost = 0, cost
-        for cut, (p, s) in enumerate(zip(self.head_runs[word], tails), 1):
-            cost += (pref_count[p] == 0) - k * (suf_count[s] == 0)
-            if cost < best_cost:
-                best_cut, best_cost = cut, cost
-        self._shift(word, best_cut, 1)
-        self.cuts[word] = best_cut
-        return best_cut, self.fitness()
+        tree, (leaf, masks) = self._tree, self._rows[word]
+        others, n = 0, leaf
+        while n > 1:
+            others, n = others | tree[n ^ 1], n >> 1
+        width, k = self.width, self.k
+        costs = [_score(others | mask, width, k) for mask in masks]
+        best_fit = min(costs)
+        best_cut = costs.index(best_fit)
+        if best_cut != self.cuts[word]:
+            self.cuts[word], tree[leaf] = best_cut, masks[best_cut]
+            while leaf > 1:
+                tree[leaf >> 1], leaf = tree[leaf] | tree[leaf ^ 1], leaf >> 1
+        return best_cut, best_fit
 
 
 def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
@@ -192,7 +176,7 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
     """
     check_state_count(k)
     params.validate()
-    words = sample.sorted_nonempty_words()
+    words = sample.index.words
     if not words:
         raise SampleError("sample has no non-empty words to split")
     rng = random.Random(params.rng_seed)
@@ -233,42 +217,32 @@ def ils_optimize(sample: Sample, k: int, params: IlsParams) -> OptResult:
 
 
 def _uniform_crossover(rng: random.Random, first: list[int], second: list[int]) -> list[int]:
-    """Per-word fair coin between the parents' cuts, as before: the low bit of one ``randbytes`` byte each."""
+    """Per-word fair coin between the parents' cuts: the low bit of one ``randbytes`` byte each."""
     return list(map(getitem, zip(second, first), rng.randbytes(len(first)).translate(bytes(range(2)) * 128)))
 
 
-def _first_use_masks(runs: Iterable[list[int]]) -> Iterator[list[int]]:
-    """Cumulative bitmasks along each run of ids; an id's bit is its rank in first use."""
-    bit: dict[int, int] = {}
-    return (list(accumulate((1 << bit.setdefault(i, len(bit)) for i in ids), or_, initial=0)) for ids in runs)
-
-
-def _ga_scorer(sample: Sample, words: list[Word], k: int) -> Callable[[list[int]], int]:
-    """``fitness`` of an individual (a cut per word) by one OR of per-cut masks per word."""
-    width = len(sample.index.prefixes)  # every prefix is some word's, so its bit lies below width
-    heads = _first_use_masks(sample.index.heads[w] for w in words)
-    tails = _first_use_masks(sample.index.tails[w][::-1] for w in words)
-    masks = [[p | s << width for p, s in zip(pm, reversed(sm))] for pm, sm in zip(heads, tails)]
+def _ga_scorer(sample: Sample, k: int) -> Callable[[list[int]], int]:
+    """``fitness`` of an individual, a cut per word of ``sample.index.words``: one OR of its masks."""
+    masks, width = sample.index.masks, len(sample.index.prefixes)
 
     def score(ind: list[int]) -> int:
-        acc = reduce(or_, map(getitem, masks, ind), 0)
-        return acc.bit_count() + (k - 1) * (acc >> width).bit_count()  # prefixes + k * suffixes
+        return _score(reduce(or_, map(getitem, masks, ind), 0), width, k)
 
     return score
 
 
 def ga_optimize(sample: Sample, k: int, params: GaParams) -> OptResult:
     """Steady-state GA: truncation parents, uniform crossover, uniform re-draw of each gene
-    with probability p_mut as before, but one draw per mutated gene (the geometric gap to it)."""
+    with probability p_mut, one draw per mutated gene (the geometric gap to it)."""
     check_state_count(k)
     params.validate()
-    words = sample.sorted_nonempty_words()
+    words = sample.index.words
     if not words:
         raise SampleError("sample has no non-empty words to split")
     rng = random.Random(params.rng_seed)
     start = time.perf_counter()
     lengths = [len(w) for w in words]
-    score = _ga_scorer(sample, words, k)
+    score = _ga_scorer(sample, k)
 
     size = params.population_size
     population = [[rng.randint(0, length) for length in lengths] for _ in range(size)]

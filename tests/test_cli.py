@@ -788,17 +788,23 @@ class TestBench:
             (["--k", "2", "--models", ","], "--models ',' names no model"),
             (["--k", "2", "--models", ""], "--models '' names no model"),
             (["--k", "2", "--models", "hm-ils, pm,hm-ils"], "--models 'hm-ils, pm,hm-ils' names 'hm-ils' twice"),
+            # the glob also matches bad.sample, so the label is checked before any sample is read
+            (["--k", "2", "--models", "pm,xx", "--glob", "*"],
+             "unknown bench model 'xx'; choose from ('dm', 'pm', 'sm', 'hm-prefix', 'hm-suffix', 'hm-ils', 'hm-ga')"),
+            (["--k", "2", "--glob", "*.none"], "no samples matching '*.none' in {sdir}"),
         ],
-        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob", "comma-models", "empty-models", "repeated-model"],
+        ids=["zero-runs", "zero-k", "empty-glob", "absolute-glob", "comma-models", "empty-models", "repeated-model",
+             "unknown-model", "no-match-glob"],
     )
     def test_bad_bound_is_one_line_error(self, tmp_path, flags, expected):
         sdir = tmp_path / "samples"
         sdir.mkdir()
         (sdir / "a.txt").write_text("n=2\nab+\nb-\n")
+        (sdir / "bad.sample").write_text("not a sample\n")
         out_csv = tmp_path / "bench.csv"
         with pytest.raises(SystemExit) as err:
             main(["bench", str(sdir), "--models", "hm-ils", *flags, "--out-csv", str(out_csv)])
-        assert str(err.value) == f"nfasat: error: {expected}"
+        assert str(err.value) == f"nfasat: error: {expected.format(sdir=sdir)}"
         assert not out_csv.exists()
 
     def test_k_with_k_map_is_a_usage_error(self, tmp_path, capsys):

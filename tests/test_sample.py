@@ -202,6 +202,12 @@ class TestSampleIndex:
         for s, suffix in enumerate(index.suffixes):
             rest = index.rest[s]
             assert (index.suffixes[rest] if rest >= 0 else ()) == suffix[1:]
+        width = len(index.prefixes)
+        assert index.masks == [
+            [sum(1 << b for b in {*index.heads[w][:c], *(width + s for s in index.tails[w][c:])})
+             for c in range(len(w) + 1)]
+            for w in words
+        ]
 
     def test_built_once_per_sample(self):
         sample = Sample.build(2, [AB, ABB], [B, ()])

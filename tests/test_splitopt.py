@@ -260,7 +260,7 @@ class TestGa:
     def test_score_is_the_paper_fitness(self, sample_and_cuts, k):
         sample, cuts = sample_and_cuts
         words = sample.sorted_nonempty_words()
-        assert _ga_scorer(sample, words, k)([cuts[w] for w in words]) == fitness(sample, k, cuts)
+        assert _ga_scorer(sample, k)([cuts[w] for w in words]) == fitness(sample, k, cuts)
 
     @pytest.mark.parametrize("p_mut", [0.05, 0.3])
     def test_mutation_redraws_genes_at_rate_p_mut(self, p_mut):
