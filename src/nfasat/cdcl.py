@@ -18,10 +18,14 @@ lists:
   in-heap flag, which picks the unassigned variable of highest activity,
   lowest index on ties.  Assignments are undone by truncating the trail at a
   decision boundary kept in ``trail_lim``; propagation resumes at ``qhead``.
-- Loading pauses the cyclic garbage collector, as every object it makes
-  stays alive, and then restores the caller's collector state.  It checks
-  literal ranges unless ``checked=True``; as MiniSat's, it is the one place
-  that merges repeated literals and drops tautologies, for every caller.
+- Loading walks the clauses flat, one list of literals and one arity per
+  clause, by index; ``CdclSolver.from_flat`` takes them so, as a
+  ``CnfInstance`` stores them, and the constructor flattens a list of
+  clauses first.  It pauses the cyclic garbage collector, as every object
+  it makes stays alive, and then restores the caller's collector state.  It
+  checks literal ranges unless ``checked=True``; as MiniSat's, it is the
+  one place that merges repeated literals and drops tautologies, for every
+  caller.
 
 Search is first-UIP clause learning with non-chronological backjumping,
 local learnt-clause minimization, VSIDS-style activity and phase saving.  The
@@ -59,6 +63,12 @@ _ACTIVITY_DECAY = 0.95
 _DEADLINE_CHECK_PERIOD = 256
 
 
+def flat(clauses: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The literals of clauses in one list, and the arity of each clause."""
+    clauses = clauses if isinstance(clauses, list) else list(clauses)
+    return list(chain.from_iterable(clauses)), list(map(len, clauses))
+
+
 def _extend(table: list, lit: int, items: tuple) -> None:
     """Append items to table[lit], creating the list on first use."""
     entries = table[lit] = table[lit] or []
@@ -67,6 +77,18 @@ def _extend(table: list, lit: int, items: tuple) -> None:
 
 class CdclSolver:
     def __init__(self, var_count: int, clauses: Iterable[Sequence[int]], *, checked: bool = False) -> None:
+        self._start(var_count, *flat(clauses), checked)
+
+    @classmethod
+    def from_flat(
+        cls, var_count: int, literals: list[int], arities: Sequence[int], *, checked: bool = False
+    ) -> CdclSolver:
+        """A solver over clauses given flat: clause i is the next arities[i] literals."""
+        solver = cls.__new__(cls)
+        solver._start(var_count, literals, arities, checked)
+        return solver
+
+    def _start(self, var_count: int, literals: list[int], arities: Sequence[int], checked: bool) -> None:
         n = var_count
         size = 2 * n + 1
         self.var_count = n
@@ -92,49 +114,54 @@ class CdclSolver:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self._load(clauses, checked)
+            self._load(literals, arities, checked)
         finally:
             if collecting:
                 gc.enable()
 
     # -- loading -----------------------------------------------------------
 
-    def _load(self, clauses: Iterable[Sequence[int]], checked: bool) -> None:
-        """Check literal ranges, then file each clause by size.
+    def _load(self, literals: list[int], arities: Sequence[int], checked: bool) -> None:
+        """Check literal ranges, then file each clause by size, walking the literals by index.
 
         A clause with distinct variables (all the encoders emit) passes one
-        set test; only the others take the dedupe and tautology path.  Long
-        clauses are copied, so the caller's sequences are never mutated.
+        set test; only the others take the dedupe and tautology path.  A long
+        clause is a fresh slice, so the caller's list is never mutated.
         checked skips the range check, which the caller vouches for.
         """
         if not checked:
-            clauses = clauses if isinstance(clauses, list) else list(clauses)
             n = self.var_count
-            literals = set(chain.from_iterable(clauses))
+            if sum(arities) != len(literals):
+                raise ValueError(f"the arities sum to {sum(arities)}, not to the {len(literals)} literals")
             if literals and (0 in literals or max(literals) > n or min(literals) < -n):
-                bad = next(lit for lit in sorted(literals) if lit == 0 or abs(lit) > n)
+                bad = next(lit for lit in sorted(set(literals)) if lit == 0 or abs(lit) > n)
                 raise ValueError(f"literal {bad} out of range for {n} variables")
         bins = self.bins
         watches = self.watches
-        for raw in clauses:
-            size = len(raw)
+        at = 0
+        for size in arities:
             if size == 2:
-                a, b = raw
+                a = literals[at]
+                b = literals[at + 1]
+                at += 2
                 if a != b and a != -b:
                     implied = bins[a] = bins[a] or []
                     implied.append(b)
                     implied = bins[b] = bins[b] or []
                     implied.append(a)
                     continue
-            elif size > 2 and len(set(map(abs, raw))) == size:
-                lits = list(raw)
+                self._add_unusual((a, b))
+                continue
+            lits = literals[at : at + size]
+            at += size
+            if size > 2 and len(set(map(abs, lits))) == size:
                 a, b = lits[0], lits[1]
                 watching = watches[a] = watches[a] or []
                 watching += (lits, b)
                 watching = watches[b] = watches[b] or []
                 watching += (lits, a)
                 continue
-            self._add_unusual(raw)
+            self._add_unusual(lits)
 
     def _add_unusual(self, raw: Sequence[int]) -> None:
         """Units, empty clauses, and clauses with repeated or clashing variables."""

@@ -43,7 +43,23 @@ suffix part both take the word's mark.  Per definition:
 
 The size bounds count these clauses from the same family tables
 (``_add_definitions``).  Each chain, and each pass of verdicts and links, is
-one checked batch.  Sound and complete: only final and transition
+one checked batch of flat literals (``CnfInstance.add_flat``).
+
+Templates.  The hybrid's definitions come in few shapes, so within one
+encode call ``_define`` runs once per shape, on slot numbers 1..N standing
+for a definition's variables (outputs, the rows and tables it reads, then
+its aux variables).  Each definition of the shape then fills the slots
+with its own variables by one getter over [0, *vars, *negated vars
+reversed], where slot -s picks the negation of slot s.  A shape is its
+form (prefix or suffix chain, verdict, link), its polarity bits, for a
+suffix whether it keeps every start row, and aliasing: in a two-letter
+word aa, the prefix chain's parent row, the suffix chain's rest table and,
+cut at 1, the link's head row are the step's own transitions, so two
+conjuncts of a term name one variable, which ``_negated`` names once.
+Without the alias in the key, their DIMACS would repeat it.  dm calls
+``_define`` on its real variables.
+
+Sound and complete: only final and transition
 variables are decoded, the surviving clauses still force every accepted
 word to have an accepting run and every rejected word to have none, and any
 NFA consistent with the sample extends to a model by setting each reach and
@@ -92,9 +108,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, product, repeat
-from operator import neg
-from typing import Sequence
+from functools import cache, partial
+from itertools import accumulate, chain, compress, product, repeat
+from operator import itemgetter, neg
+from typing import Callable, Sequence
 
 from .cnf import CnfInstance, final_var, trans_var
 from .sample import (
@@ -126,24 +143,21 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-Table = list[list[int]]  # [start state - 1][end state - 1]
+Batch = tuple[list[int], list[int], list[str]]  # flat literals, the arity and the family of each clause
 
 
-Batch = tuple[list[tuple[int, ...]], list[str]]  # clauses, and the family of each
-
-
-def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list[Table]]:
+def _base_instance(sample: Sample, k: int) -> tuple[CnfInstance, list[int], list[list[int]]]:
     """Finals, transitions, and the empty-word unit clauses.
 
     Returns the instance, the final variable per state (finals[i - 1]) and
-    the transition variables per symbol (trans[a][i - 1][j - 1]).
+    the transition variables per symbol, flat (trans[a][(i - 1) * k + j - 1]).
     """
     inst = CnfInstance(k, sample.alphabet_size)
     inst.sample = sample
     states = range(1, k + 1)
     finals = [inst.lookup(final_var(i)) for i in states]
     trans = [
-        [[inst.lookup(trans_var(a, i, j)) for j in states] for i in states]
+        [inst.lookup(trans_var(a, i, j)) for i in states for j in states]
         for a in range(sample.alphabet_size)
     ]
     units = [(finals[0],)] * (() in sample.positives) + [(-finals[0],)] * (() in sample.negatives)
@@ -182,56 +196,135 @@ def _define(
 ) -> None:
     """Define each output as the OR of its AND terms, in the module docstring's order.
 
-    The aux variables come from inst; the clauses and their families go on
-    the caller's batch, for one ``inst.add_clauses(*batch)``.  A term is
-    (output index, conjunct literals), all terms with as many conjuncts.
-    families: aux variable family, one binary family per conjunct, then the
-    reverse, choice and output families.  uses: the polarity bits of the
-    outputs.  With outputs None the OR itself is asserted, true for a
-    positive use (one choice clause over the aux variables) and false for a
-    negative one: one [-lits...] clause per term under the reverse family
-    (``reject_bin``, ``link_reject_ternary`` or ``direct_reject``).  The aux
-    variables are one index range.  A one-letter word's reach variables are
-    transition variables, so a conjunct can repeat; a reverse clause names
-    it once.
+    The aux variables come from inst; the flat literals, arities and
+    families go on the caller's batch, for one ``inst.add_flat(*batch)``.  A
+    term is (output index, conjunct literals), all terms with as many
+    conjuncts.  families: aux variable family, one binary family per
+    conjunct, then the reverse, choice and output families.  uses: the
+    polarity bits of the outputs.  With outputs None the OR itself is
+    asserted, true for a positive use (one choice clause over the aux
+    variables) and false for a negative one: one [-lits...] clause per term
+    under the reverse family (``reject_bin``, ``link_reject_ternary`` or
+    ``direct_reject``).  The aux variables are one index range.  A
+    one-letter word's reach variables are transition variables, so a
+    conjunct can repeat; a reverse clause names it once.
     """
     aux_family, bin_families, reverse_family, choice_family, out_family = families
-    clauses, clause_families = batch
+    literals, arities, clause_families = batch
     if uses == _NEGATIVE:
         if outputs is None:
-            clauses += [_negated(lits) for _, lits in terms]
+            clauses = [_negated(conjuncts) for _, conjuncts in terms]
         else:
-            clauses += [(outputs[out], *_negated(lits)) for out, lits in terms]
+            clauses = [(outputs[out], *_negated(conjuncts)) for out, conjuncts in terms]
         clause_families += [reverse_family] * len(terms)
-        return
-    both = uses == _BOTH
-    first = inst.fresh_aux(aux_family, len(terms))
-    aux = range(first, first + len(terms))
-    for x, (_, lits) in zip(aux, terms):
-        clauses += zip(repeat(-x), lits)
-        if both:
-            clauses.append((x, *_negated(lits)))
-    clause_families += ([*bin_families, reverse_family] if both else bin_families) * len(terms)
-    if outputs is None:
-        clauses.append(tuple(aux))
-        clause_families.append(choice_family)
-        return
-    choices = [[-y] for y in outputs]
-    for x, (out, _) in zip(aux, terms):
-        choices[out].append(x)
-    clauses += map(tuple, choices)
-    clause_families += [choice_family] * len(outputs)
-    if both:
-        clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
-        clause_families += [out_family] * len(terms)
+    else:
+        both = uses == _BOTH
+        first = inst.fresh_aux(aux_family, len(terms))
+        aux = range(first, first + len(terms))
+        clauses = []
+        for x, (_, conjuncts) in zip(aux, terms):
+            clauses += zip(repeat(-x), conjuncts)
+            if both:
+                clauses.append((x, *_negated(conjuncts)))
+        clause_families += ([*bin_families, reverse_family] if both else bin_families) * len(terms)
+        if outputs is None:
+            clauses.append(tuple(aux))
+            clause_families.append(choice_family)
+        else:
+            choices = [[-y] for y in outputs]
+            for x, (out, _) in zip(aux, terms):
+                choices[out].append(x)
+            clauses += map(tuple, choices)
+            clause_families += [choice_family] * len(outputs)
+            if both:
+                clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
+                clause_families += [out_family] * len(terms)
+    literals += chain.from_iterable(clauses)
+    arities += map(len, clauses)
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
     """The negated literals of a conjunction, each once, so the DIMACS repeats none."""
-    if len(lits) == 2:
-        a, b = lits
-        return (-a,) if a == b else (-a, -b)
     return tuple(map(neg, dict.fromkeys(lits)))
+
+
+# A definition shape's clauses over slot numbers: a getter of the flat
+# literals from [0, *vars, *negated vars reversed], the arities and families
+# of its clauses, its aux family and its aux variable count.
+Template = tuple[Callable[[list[int]], tuple[int, ...]], list[int], list[str], str, int]
+
+
+def _slots(*sizes: int) -> list[list[int]]:
+    """Consecutive runs of slot numbers from 1, one of each size."""
+    ends = list(accumulate(sizes, initial=1))
+    return [list(range(start, end)) for start, end in zip(ends, ends[1:])]
+
+
+def _template(
+    slot_count: int, outputs: list[int] | None, terms: list[tuple[int | None, Sequence[int]]],
+    families: Families, uses: int,
+) -> Template:
+    """``_define`` run once on slots 1..slot_count; its aux variables take the slots after."""
+    scratch = CnfInstance()
+    scratch.fresh_aux(families[0], slot_count)
+    batch: Batch = ([], [], [])
+    _define(scratch, batch, outputs, terms, families, uses)
+    literals, arities, clause_families = batch
+    return itemgetter(*literals), arities, clause_families, families[0], scratch.var_count - slot_count
+
+
+def _emit(inst: CnfInstance, batch: Batch, template: Template, slots: list[int]) -> None:
+    """One definition of a template's shape over its variables in slot
+    order; its aux variables are appended to slots."""
+    pick, arities, families, aux_family, aux = template
+    if aux:
+        first = inst.fresh_aux(aux_family, aux)
+        slots += range(first, first + aux)
+    literals, clause_arities, clause_families = batch
+    literals += pick([0, *slots, *map(neg, reversed(slots))])
+    clause_arities += arities
+    clause_families += families
+
+
+def _prefix_template(k: int, uses: int, alias: bool) -> Template:
+    """A prefix from its parent's reach row and its last letter's transitions."""
+    outputs, parent, step = _slots(k, k, k * k)
+    if alias:  # aa: the parent's row is the step's row of state 1
+        parent = step[:k]
+    terms = [(i, (parent[j], step[j * k + i])) for j in range(k) for i in range(k)]
+    return _template(2 * k + k * k, outputs, terms, _PREFIX_FAMILIES, uses)
+
+
+def _suffix_template(k: int, uses: int, all_starts: bool, alias: bool) -> Template:
+    """A suffix from its first letter's transitions and its rest's table."""
+    starts = k if all_starts else 1
+    outputs, rests, steps = _slots(starts * k, k * k, k * k)
+    if alias:  # aa: the rest's table is the step's own
+        rests = steps
+    states = range(k)
+    terms = [
+        (i * k + j, (rests[mid * k + j], steps[i * k + mid]))
+        for i in range(starts)
+        for mid in states
+        for j in states
+    ]
+    return _template(starts * k + 2 * k * k, outputs, terms, _SUFFIX_FAMILIES, uses)
+
+
+def _verdict_template(k: int, bits: int) -> Template:
+    """A word's one part: a run from state 1 into a final state."""
+    reach, finals = _slots(k, k)
+    return _template(2 * k, None, [(None, lits) for lits in zip(reach, finals)], _ACCEPT_FAMILIES, bits)
+
+
+def _link_template(k: int, bits: int, alias: bool) -> Template:
+    """A word cut inside: its head's reach row linked to its tail's table at the cut state."""
+    heads, rows, finals = _slots(k, k * k, k)
+    if alias:  # aa cut at 1: the head's row is the tail's row of state 1
+        heads = rows[:k]
+    states = range(k)
+    terms = [(None, (heads[mid], rows[mid * k + end], finals[end])) for mid in states for end in states]
+    return _template(2 * k + k * k, None, terms, _LINK_FAMILIES, bits)
 
 
 def _marks(sample: Sample) -> list[tuple[Word, int]]:
@@ -261,8 +354,13 @@ def _part_uses(
     return marks, prefix_uses, suffix_uses
 
 
+def _doubled(word: Word) -> bool:
+    """A two-letter word aa: its definitions alias (module docstring)."""
+    return len(word) == 2 and word[0] == word[1]
+
+
 def _emit_prefix_chain(
-    inst: CnfInstance, sample: Sample, uses: list[int], trans: list[Table], k: int
+    inst: CnfInstance, sample: Sample, uses: list[int], trans: list[list[int]], k: int
 ) -> dict[int, list[int]]:
     """Define reach-from-start variables for every prefix of the closure, in id order.
 
@@ -271,21 +369,19 @@ def _emit_prefix_chain(
     index i - 1.
     """
     index = sample.index
-    states = range(k)
+    templates = cache(partial(_prefix_template, k))
     reach: dict[int, list[int]] = {}
-    batch: Batch = ([], [])
+    batch: Batch = ([], [], [])
     for p in compress(range(len(uses)), uses):
         word = index.prefixes[p]
         if len(word) == 1:
-            reach[p] = trans[word[0]][0]
+            reach[p] = trans[word[0]][:k]
             continue
         first = inst.fresh_aux("prefix_path", k)
         outputs = reach[p] = list(range(first, first + k))
-        parent = reach[index.parent[p]]
-        step = trans[word[-1]]
-        terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, uses[p])
-    inst.add_clauses(*batch)
+        template = templates(uses[p], _doubled(word))
+        _emit(inst, batch, template, [*outputs, *reach[index.parent[p]], *trans[word[-1]]])
+    inst.add_flat(*batch)
     return reach
 
 
@@ -294,44 +390,37 @@ def _emit_suffix_chain(
     sample: Sample,
     uses: list[int],
     linked: set[int],
-    trans: list[Table],
+    trans: list[list[int]],
     k: int,
-) -> dict[int, Table]:
+) -> dict[int, list[int]]:
     """Define segment-run variables for every suffix of the closure, in id order.
 
     uses: the polarity bits per suffix id, 0 off the closure.  linked: the
     ids of the suffix parts that follow a non-empty prefix part.  Returns
     per suffix id the variables "a run for it leads from state i to state
-    j", at [i - 1][j - 1].  A suffix linked behind a prefix part, or the
-    rest of a longer one, can begin anywhere; any other only ever runs from
-    state 1 and keeps that row only.
+    j", at (i - 1) * k + j - 1.  A suffix linked behind a prefix part, or
+    the rest of a longer one, can begin anywhere; any other only ever runs
+    from state 1 and keeps that row only.
     """
     index = sample.index
-    states = range(k)
     used = list(compress(range(len(uses)), uses))
     # the closure is suffix-closed, so each rest covers every deeper tail
     all_starts = linked | {index.rest[s] for s in used}
-    reach: dict[int, Table] = {}
-    batch: Batch = ([], [])
+    templates = cache(partial(_suffix_template, k))
+    reach: dict[int, list[int]] = {}
+    batch: Batch = ([], [], [])
     for s in used:
         word = index.suffixes[s]
         if len(word) == 1:
             reach[s] = trans[word[0]]
             continue
-        starts = states if s in all_starts else range(1)
-        first = inst.fresh_aux("suffix_path", len(starts) * k)
-        outputs = list(range(first, first + len(starts) * k))
-        reach[s] = [outputs[i * k : i * k + k] for i in starts]
-        rests = reach[index.rest[s]]
-        steps = trans[word[0]]
-        terms = [
-            (i * k + j, (rests[mid][j], steps[i][mid]))
-            for i in starts
-            for mid in states
-            for j in states
-        ]
-        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, uses[s])
-    inst.add_clauses(*batch)
+        full = s in all_starts
+        count = k * k if full else k
+        first = inst.fresh_aux("suffix_path", count)
+        outputs = reach[s] = list(range(first, first + count))
+        template = templates(uses[s], full, _doubled(word))
+        _emit(inst, batch, template, [*outputs, *reach[index.rest[s]], *trans[word[0]]])
+    inst.add_flat(*batch)
     return reach
 
 
@@ -353,26 +442,27 @@ def _encode_direct(
     _check_budget(sum(size.total_literals() for size in sizes), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
     states = range(k)
-    batch: Batch = ([], [])
+    batch: Batch = ([], [], [])
     for word, bits in marks:
         terms = [
             (None, _path_conjuncts(trans, finals, word, path))
             for path in product(states, repeat=len(word))
         ]
         _define(inst, batch, None, terms, _direct_families(len(word)), bits)
-    inst.add_clauses(*batch)
+    inst.add_flat(*batch)
     inst.decision_block = inst.layout_size
     return inst
 
 
 def _path_conjuncts(
-    trans: list[Table], finals: list[int], word: Word, path: tuple[int, ...]
+    trans: list[list[int]], finals: list[int], word: Word, path: tuple[int, ...]
 ) -> list[int]:
     """Transitions along the 0-based state path (0, *path), then its end state's final."""
     lits = []
     prev = 0
+    k = len(finals)
     for a, state in zip(word, path):
-        lits.append(trans[a][prev][state])
+        lits.append(trans[a][prev * k + state])
         prev = state
     lits.append(finals[prev])
     return lits
@@ -392,22 +482,19 @@ def _encode_hybrid(
     heads, tails = sample.index.heads, sample.index.tails
     linked = {tails[w][cut] for w, cut in cuts.items() if 0 < cut < len(w)}
     prefix_reach = _emit_prefix_chain(inst, sample, prefix_uses, trans, k)
-    suffix_rows = _emit_suffix_chain(inst, sample, suffix_uses, linked, trans, k)
+    suffix_reach = _emit_suffix_chain(inst, sample, suffix_uses, linked, trans, k)
 
-    states = range(k)
-    batch: Batch = ([], [])
+    verdicts, links = cache(partial(_verdict_template, k)), cache(partial(_link_template, k))
+    batch: Batch = ([], [], [])
     for word, bits in marks:  # the OR of runs into a final state, asserted by the label
         cut = cuts[word]
         if cut in (0, len(word)):  # the pure suffix or prefix form
-            reach = prefix_reach[heads[word][-1]] if cut else suffix_rows[tails[word][0]][0]
-            terms = [(None, lits) for lits in zip(reach, finals)]
-            families = _ACCEPT_FAMILIES
+            reach = prefix_reach[heads[word][-1]] if cut else suffix_reach[tails[word][0]][:k]
+            _emit(inst, batch, verdicts(bits), [*reach, *finals])
         else:  # linked at the cut state; a row per cut state
-            rows = zip(prefix_reach[heads[word][cut - 1]], suffix_rows[tails[word][cut]])
-            terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
-            families = _LINK_FAMILIES
-        _define(inst, batch, None, terms, families, bits)
-    inst.add_clauses(*batch)
+            head, tail = prefix_reach[heads[word][cut - 1]], suffix_reach[tails[word][cut]]
+            _emit(inst, batch, links(bits, _doubled(word)), [*head, *tail, *finals])
+    inst.add_flat(*batch)
     inst.decision_block = inst.layout_size
     return inst
 

@@ -27,10 +27,11 @@ import shlex
 import subprocess
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import cdcl
 from .cnf import CnfError, CnfInstance, _read_dimacs, final_var, trans_var, write_dimacs
@@ -135,10 +136,10 @@ def _check_timeout(timeout_seconds: float | None) -> None:
 
 
 def _solve_clauses(
-    var_count: int, clauses: Iterable, timeout_seconds: float | None, start: float,
-    decided_by: int = 0, solver_vars: int = 0,
+    var_count: int, literals: list[int], arities: Sequence[int], timeout_seconds: float | None,
+    start: float, decided_by: int = 0, solver_vars: int = 0,
 ) -> SolveOutcome:
-    """Run the bundled CDCL core; a SAT assignment covers 1..var_count.
+    """Run the bundled CDCL core on flat clauses; a SAT assignment covers 1..var_count.
 
     start is the perf_counter time the solve began, for its time and
     deadline.  decided_by is the solver's stop rule (0 searches until every
@@ -147,7 +148,7 @@ def _solve_clauses(
     range.
     """
     deadline = start + timeout_seconds if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver(max(var_count, solver_vars), clauses, checked=True)
+    solver = cdcl.CdclSolver.from_flat(max(var_count, solver_vars), literals, arities, checked=True)
     status, model, decisions = solver.solve(deadline, decided_by)
     elapsed = time.perf_counter() - start
     assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
@@ -174,7 +175,7 @@ def solve_dimacs_file(
                 _, top, clauses = _read_dimacs(stream)
         except UnicodeDecodeError as err:
             raise CnfError(f"{cnf_path} is not UTF-8 text: {err}") from err
-        return _solve_clauses(top, clauses, timeout_seconds, time.perf_counter())
+        return _solve_clauses(top, *cdcl.flat(clauses), timeout_seconds, time.perf_counter())
     argv = _render_command(solver_cmd, str(cnf_path), timeout_seconds)
     if timeout_seconds is not None and timeout_seconds > _LONGEST_WAIT_SECONDS:
         timeout_seconds = None
@@ -274,10 +275,11 @@ def solve_in_process(
     but not the search path, so a SAT answer may be a different consistent
     NFA; neither they nor their variables reach the instance or the
     assignment.  Without a decision block there are neither, and the search
-    returns a complete model.  The solver loads both without a range
-    check: ``add_clauses``, the only writer of ``instance.clauses``, checked
-    their ranges, and ``lex_leader`` builds its own in range.  A negative or
-    nan timeout raises ValueError.
+    returns a complete model.  The solver loads the store's flat literals
+    and arities, then the flattened predicate, without a range check:
+    ``add_flat``, the store's only writer, checked their ranges, and
+    ``lex_leader`` builds its own in range.  A negative or nan timeout
+    raises ValueError.
     """
     _check_timeout(timeout_seconds)
     start = time.perf_counter()
@@ -287,9 +289,12 @@ def solve_in_process(
         if timeout_seconds is None or elapsed < timeout_seconds:
             return SolveOutcome(UNSAT, None, 0, elapsed, 0, 0, sample.fooling_set)
     solver_vars, predicate = lex_leader(instance)
+    literals, arities = instance.literals, instance.arities
+    if predicate:
+        more, sizes = cdcl.flat(predicate)
+        literals, arities = literals + more, arities + array("I", sizes)
     return _solve_clauses(
-        instance.var_count, chain(instance.clauses, predicate), timeout_seconds, start,
-        instance.decision_block, solver_vars,
+        instance.var_count, literals, arities, timeout_seconds, start, instance.decision_block, solver_vars
     )
 
 

@@ -12,17 +12,30 @@ writing one token and one clause at a time, the reference for the
 block-wise ``nfasat.cnf`` routines.
 fooling_graph_by_words builds the fooling-set graph from word slices keyed
 by word, the reference for the id-built ``nfasat.sample._fooling_graph``.
+encode_per_definition is the hybrid encoder that calls ``encoders._define``
+once per definition on its real variables, the reference for the
+encoder's per-shape templates.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from nfasat import sample as sample_module
-from nfasat.cnf import CnfError, CnfInstance
+from nfasat.cnf import CnfError, CnfInstance, final_var, trans_var
+from nfasat.encoders import (
+    _ACCEPT_FAMILIES,
+    _LINK_FAMILIES,
+    _PREFIX_FAMILIES,
+    _SUFFIX_FAMILIES,
+    ModelKind,
+    _define,
+    _hybrid_cuts,
+    _part_uses,
+)
 from nfasat.nfa import Nfa
 from nfasat.sample import Sample, Word, word_key
 
@@ -251,8 +264,10 @@ def parse_dimacs_by_token(text: str) -> tuple[int, list[tuple[int, ...]]]:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf" or not parts[2].isdigit():
+            if len(parts) != 4 or parts[1] != "cnf" or not (parts[2].isdecimal() and parts[3].isdecimal()):
                 raise CnfError(f"bad DIMACS header {line!r}")
+            if saw_header:
+                raise CnfError(f"a second DIMACS header {line!r}")
             var_count = int(parts[2])
             saw_header = True
             continue
@@ -310,3 +325,78 @@ def fooling_graph_by_words(sample: Sample) -> tuple[list[tuple[Word, Word]], lis
     for v in range(len(splits)):  # x·y both positive and negative: no self loop
         adjacent[v] &= ~(1 << v)
     return splits, adjacent
+
+
+# ---------------------------------------------------------------------------
+# The hybrid encoder one definition at a time.
+# ---------------------------------------------------------------------------
+
+
+def encode_per_definition(
+    kind: ModelKind, sample: Sample, k: int, cuts: dict | None = None
+) -> CnfInstance:
+    """``encoders.encode`` for pm, sm and hm with no templates: each chain,
+    verdict and link loop builds every definition's terms on its real
+    variables and calls ``_define``; one ``add_flat`` per pass.  No budget."""
+    cuts = _hybrid_cuts(kind, sample, cuts)
+    marks, prefix_uses, suffix_uses = _part_uses(sample, cuts)
+    inst = CnfInstance(k, sample.alphabet_size)
+    inst.sample = sample
+    states = range(k)
+    finals = [inst.lookup(final_var(i + 1)) for i in states]
+    trans = [
+        [[inst.lookup(trans_var(a, i + 1, j + 1)) for j in states] for i in states]
+        for a in range(sample.alphabet_size)
+    ]
+    units = [(finals[0],)] * (() in sample.positives) + [(-finals[0],)] * (() in sample.negatives)
+    inst.add_clauses(units, repeat("empty_word_unit"))
+    index = sample.index
+
+    prefix_reach: dict[int, list[int]] = {}
+    batch: tuple[list[int], list[int], list[str]] = ([], [], [])
+    for p in compress(range(len(prefix_uses)), prefix_uses):
+        word = index.prefixes[p]
+        if len(word) == 1:
+            prefix_reach[p] = trans[word[0]][0]
+            continue
+        first = inst.fresh_aux("prefix_path", k)
+        outputs = prefix_reach[p] = list(range(first, first + k))
+        parent, step = prefix_reach[index.parent[p]], trans[word[-1]]
+        terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
+        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, prefix_uses[p])
+    inst.add_flat(*batch)
+
+    used = list(compress(range(len(suffix_uses)), suffix_uses))
+    linked = {index.tails[w][cut] for w, cut in cuts.items() if 0 < cut < len(w)}
+    all_starts = linked | {index.rest[s] for s in used}
+    suffix_rows: dict[int, list[list[int]]] = {}
+    batch = ([], [], [])
+    for s in used:
+        word = index.suffixes[s]
+        if len(word) == 1:
+            suffix_rows[s] = trans[word[0]]
+            continue
+        starts = states if s in all_starts else range(1)
+        first = inst.fresh_aux("suffix_path", len(starts) * k)
+        outputs = list(range(first, first + len(starts) * k))
+        suffix_rows[s] = [outputs[i * k : i * k + k] for i in starts]
+        rests, steps = suffix_rows[index.rest[s]], trans[word[0]]
+        terms = [(i * k + j, (rests[mid][j], steps[i][mid])) for i in starts for mid in states for j in states]
+        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, suffix_uses[s])
+    inst.add_flat(*batch)
+
+    batch = ([], [], [])
+    for word, bits in marks:
+        cut = cuts[word]
+        if cut in (0, len(word)):
+            reach = prefix_reach[index.heads[word][-1]] if cut else suffix_rows[index.tails[word][0]][0]
+            terms = [(None, lits) for lits in zip(reach, finals)]
+            families = _ACCEPT_FAMILIES
+        else:
+            rows = zip(prefix_reach[index.heads[word][cut - 1]], suffix_rows[index.tails[word][cut]])
+            terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
+            families = _LINK_FAMILIES
+        _define(inst, batch, None, terms, families, bits)
+    inst.add_flat(*batch)
+    inst.decision_block = inst.layout_size
+    return inst

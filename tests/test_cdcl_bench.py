@@ -1,7 +1,8 @@
 """Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load
 alone, with the load's own range check and with ``checked=True`` (how
-``solve_in_process`` loads a clause store's clauses and ``nfasat solve`` a
-parsed file's).
+``nfasat solve`` loads a parsed file's clauses), and ``solve_in_process``
+searching an encoded instance, which loads the store's flat literals and
+arities with its lex-leader clauses.
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
@@ -15,6 +16,8 @@ from nfasat.cli import random_sample
 from nfasat.encoders import ModelKind, encode
 from nfasat.sample import Sample
 from nfasat.solver import solve_in_process
+
+from _helpers import search_in_process
 
 
 def test_cdcl_load_and_solve(benchmark):
@@ -45,6 +48,12 @@ def test_cdcl_load_of_checked_clauses(benchmark):
 
     solver = benchmark.pedantic(load, rounds=3, iterations=1)
     assert solver.decisions == 0 and not solver.unsat_at_load
+
+
+def test_solve_in_process_search_of_the_flat_store(benchmark):
+    instance = encode(ModelKind.PREFIX, random_sample(2, 40, 7, 0.5, seed=7), 4)
+    outcome = benchmark.pedantic(search_in_process, args=(instance,), rounds=3, iterations=1)
+    assert outcome.status == UNSAT and outcome.certificate is None and outcome.conflicts > 0
 
 
 def test_cdcl_wide_layout_solve(benchmark):

@@ -148,6 +148,8 @@ def test_dimacs_round_trip(clause_lists):
         "p cnf 2 1\n-3 0\n",
         "p cnf 2 1\n1 x 0\n",
         "p cnf two 1\n1 0\n",
+        "p cnf 2 x\n1 0\n",
+        "p cnf 1 1\np cnf 5 1\n5 0\n",
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text):
@@ -268,6 +270,46 @@ def test_a_dropped_store_is_freed_without_the_cycle_collector():
     assert gc.collect() == 0  # the family table made no reference cycle
 
 
+def test_the_clauses_view_is_a_copy():
+    inst = _two_vars()
+    inst.add_clauses([(1, 2), (-1,)], ["a", "b"])
+    text = dimacs_text(inst)
+    view = inst.clauses
+    view[0] = (2,)
+    view.append((-2,))
+    assert inst.clauses == [(1, 2), (-1,)] and inst.clauses is not inst.clauses
+    assert dimacs_text(inst) == text and inst.clause_count() == 2
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        ([1, 0], [2], ["new"]),  # literal 0
+        ([1, 3], [2], ["new"]),  # variable beyond var_count
+        ([1, -2], [2, 1], ["new"]),  # the families run out
+        ([1, -2, 1], [2], ["new"]),  # the arities cover two literals of three
+    ],
+)
+def test_a_rejected_batch_leaves_the_flat_store_unchanged(batch):
+    inst = _two_vars()
+    inst.add_flat([1, 2, -1], [2, 1], ["a", "b"])
+    before = (list(inst.literals), inst.arities.tolist(), list(inst._codes), dict(inst._family_codes))
+    with pytest.raises(CnfError):
+        inst.add_flat(*batch)
+    assert (list(inst.literals), inst.arities.tolist(), list(inst._codes), dict(inst._family_codes)) == before
+    inst.add_flat([-2], [1], ["new"])  # the rejected batch's name took no code
+    assert inst.family_hist == {"a": {2: 1}, "b": {1: 1}, "new": {1: 1}}
+
+
+def test_a_clause_of_arity_300_round_trips():
+    inst = CnfInstance()
+    inst.fresh_aux("other", 300)
+    wide = tuple(v if v % 3 else -v for v in range(1, 301))
+    inst.add_clauses([wide, (-1,)], ["wide", "unit"])
+    assert inst.arity_hist == {300: 1, 1: 1}
+    assert parse_dimacs(dimacs_text(inst)) == (300, [wide, (-1,)]) == (inst.var_count, inst.clauses)
+
+
 def test_auxiliary_ranges_are_anonymous_and_named_by_family():
     inst = CnfInstance(1)
     first = inst.fresh_aux("prefix_rec_aux", 3)
@@ -340,8 +382,8 @@ def test_no_lex_leader_below_three_states_or_without_a_layout():
 
 # Tokens that int() reads differently from a plain literal, or not at all.
 _ODD_TOKENS = ["-0", "+2", "007", "1_0", "_1", "--1", "1.5", "x", "c", "p", "\u0663"]
-_EXTRA_LINES = ["c comment", "c", "cp 1 0", "c p cnf 1 1", "", "   "]
-_BAD_HEADERS = ["p", "p cnf 3", "p dnf 3 1", "p cnf 3 1 0", "p cnf two 1", "p cnf -1 1"]
+_EXTRA_LINES = ["c comment", "c", "cp 1 0", "c p cnf 1 1", "", "   ", "p cnf 9 1"]  # a header too, so maybe a second
+_BAD_HEADERS = ["p", "p cnf 3", "p dnf 3 1", "p cnf 3 1 0", "p cnf two 1", "p cnf -1 1", "p cnf 3 x"]
 
 
 @st.composite

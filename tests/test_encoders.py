@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from nfasat import encoders
 from nfasat.cli import random_sample
@@ -33,7 +33,7 @@ from _helpers import (
     samples_with_cuts,
     search_in_process,
 )
-from oracle import oracle_exists
+from oracle import encode_per_definition, oracle_exists
 
 A, B = (0,), (1,)
 AB = (0, 1)
@@ -655,11 +655,44 @@ def test_pinned_size_estimates(case):
         assert _sha(_estimate_text(est)) == pinned, label
 
 
+@st.composite
+def _doubled_letter_samples(draw) -> tuple[Sample, dict]:
+    """A sample rich in two-letter words aa, whose definitions alias, with random cuts."""
+    n = draw(st.integers(1, 3))
+    letter = st.integers(0, n - 1)
+    word = st.one_of(
+        letter.map(lambda a: (a, a)),
+        letter.map(lambda a: (a,)),
+        st.lists(letter, max_size=5).map(tuple),
+        st.tuples(letter, letter, letter),
+    )
+    words = draw(st.lists(word, unique=True, max_size=10))
+    split = draw(st.integers(0, len(words)))
+    sample = Sample.build(n, words[:split], words[split:])
+    return sample, {w: draw(st.integers(0, len(w))) for w in sample.sorted_nonempty_words()}
+
+
+@given(
+    _doubled_letter_samples(),
+    st.integers(1, 4),
+    st.sampled_from([ModelKind.PREFIX, ModelKind.SUFFIX, ModelKind.HYBRID]),
+)
+def test_templates_encode_as_one_define_per_definition(drawn, k, kind):
+    sample, cuts = drawn
+    cuts = cuts if kind == ModelKind.HYBRID else None
+    inst, reference = encode(kind, sample, k, cuts), encode_per_definition(kind, sample, k, cuts)
+    assert inst.clauses == reference.clauses
+    assert dimacs_text(inst) == dimacs_text(reference)
+    assert inst.stats_dict() == reference.stats_dict()
+    assert inst.var_family_counts == reference.var_family_counts
+    assert inst.decision_block == reference.decision_block
+
+
 class TestDefineChecks:
     @pytest.mark.parametrize("lits", [(1, 0), (1, 99)])
     def test_bad_conjunct_raises_and_stores_nothing(self, lits):
-        inst, y, batch = CnfInstance(1), 1, ([], [])
+        inst, y, batch = CnfInstance(1), 1, ([], [], [])
         _define(inst, batch, [y], [(0, lits)], _PREFIX_FAMILIES)
         with pytest.raises(CnfError):
-            inst.add_clauses(*batch)
+            inst.add_flat(*batch)
         assert inst.clauses == []
