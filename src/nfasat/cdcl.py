@@ -19,13 +19,13 @@ lists:
   lowest index on ties.  Assignments are undone by truncating the trail at a
   decision boundary kept in ``trail_lim``; propagation resumes at ``qhead``.
 - Loading walks the clauses flat, one list of literals and one arity per
-  clause, by index; ``CdclSolver.from_flat`` takes them so, as a
-  ``CnfInstance`` stores them, and the constructor flattens a list of
-  clauses first.  It pauses the cyclic garbage collector, as every object
-  it makes stays alive, and then restores the caller's collector state.  It
-  checks literal ranges unless ``checked=True``; as MiniSat's, it is the
-  one place that merges repeated literals and drops tautologies, for every
-  caller.
+  clause, by index.  ``CdclSolver(var_count, clauses)`` takes outside input,
+  so it checks every literal's range before it flattens the clauses;
+  ``CdclSolver.from_flat`` takes them flat, as a ``CnfInstance`` stores
+  them, and checks nothing, as its callers vouch for them.  Loading pauses
+  the cyclic garbage collector, as every object it makes stays alive, then
+  restores the caller's state.  As MiniSat's, it is the one place that
+  merges repeated literals and drops tautologies, for every caller.
 
 Search is first-UIP clause learning with non-chronological backjumping,
 local learnt-clause minimization, VSIDS-style activity and phase saving.  The
@@ -76,19 +76,23 @@ def _extend(table: list, lit: int, items: tuple) -> None:
 
 
 class CdclSolver:
-    def __init__(self, var_count: int, clauses: Iterable[Sequence[int]], *, checked: bool = False) -> None:
-        self._start(var_count, *flat(clauses), checked)
+    def __init__(self, var_count: int, clauses: Iterable[Sequence[int]]) -> None:
+        """A solver over outside clauses: a literal 0 or beyond var_count raises ValueError."""
+        literals, arities = flat(clauses)
+        if literals and (0 in literals or max(literals) > var_count or min(literals) < -var_count):
+            bad = next(lit for lit in sorted(set(literals)) if lit == 0 or abs(lit) > var_count)
+            raise ValueError(f"literal {bad} out of range for {var_count} variables")
+        self._start(var_count, literals, arities)
 
     @classmethod
-    def from_flat(
-        cls, var_count: int, literals: list[int], arities: Sequence[int], *, checked: bool = False
-    ) -> CdclSolver:
-        """A solver over clauses given flat: clause i is the next arities[i] literals."""
+    def from_flat(cls, var_count: int, literals: list[int], arities: Sequence[int]) -> CdclSolver:
+        """A solver over clauses given flat, clause i the next arities[i] literals, unchecked:
+        the caller vouches for them, as ``CnfInstance.add_flat`` and the DIMACS reader do."""
         solver = cls.__new__(cls)
-        solver._start(var_count, literals, arities, checked)
+        solver._start(var_count, literals, arities)
         return solver
 
-    def _start(self, var_count: int, literals: list[int], arities: Sequence[int], checked: bool) -> None:
+    def _start(self, var_count: int, literals: list[int], arities: Sequence[int]) -> None:
         n = var_count
         size = 2 * n + 1
         self.var_count = n
@@ -114,28 +118,20 @@ class CdclSolver:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self._load(literals, arities, checked)
+            self._load(literals, arities)
         finally:
             if collecting:
                 gc.enable()
 
     # -- loading -----------------------------------------------------------
 
-    def _load(self, literals: list[int], arities: Sequence[int], checked: bool) -> None:
-        """Check literal ranges, then file each clause by size, walking the literals by index.
+    def _load(self, literals: list[int], arities: Sequence[int]) -> None:
+        """File each clause by size, walking the literals by index.
 
         A clause with distinct variables (all the encoders emit) passes one
         set test; only the others take the dedupe and tautology path.  A long
         clause is a fresh slice, so the caller's list is never mutated.
-        checked skips the range check, which the caller vouches for.
         """
-        if not checked:
-            n = self.var_count
-            if sum(arities) != len(literals):
-                raise ValueError(f"the arities sum to {sum(arities)}, not to the {len(literals)} literals")
-            if literals and (0 in literals or max(literals) > n or min(literals) < -n):
-                bad = next(lit for lit in sorted(set(literals)) if lit == 0 or abs(lit) > n)
-                raise ValueError(f"literal {bad} out of range for {n} variables")
         bins = self.bins
         watches = self.watches
         at = 0

@@ -19,7 +19,7 @@ counts and the DIMACS writer read the flat arrays.
 
 An encoder records one guarantee as the instance's decision block m:
 setting variables 1..m decides the instance by unit propagation, and
-states 2..k are interchangeable (see ``encoders``).  Every later clause
+states 2..k are interchangeable (see ``encoders``).  Every accepted later
 batch clears it to 0, as a clause over the layout can tell states apart.
 """
 
@@ -60,8 +60,8 @@ class CnfInstance:
     "transition"; every other variable is an anonymous index range.  The
     default (0, 0) has no layout, for instances built by hand.
     decision_block is m while setting 1..m decides the instance and states
-    2..k are interchangeable, else 0: an encoder sets it, and every batch
-    clears it.  sample is the sample an encoder encoded, None for an
+    2..k are interchangeable, else 0: an encoder sets it, and every accepted
+    batch clears it.  sample is the sample an encoder encoded, None for an
     instance built by hand; later clauses only remove models, so no batch
     clears it.  ``solve_in_process`` relies on the writer's range checks;
     treat the instance as immutable once built.
@@ -112,10 +112,9 @@ class CnfInstance:
         Fewer families than clauses, a 257th family name, arities that do not
         sum to the literal count, literal 0 or a variable beyond var_count
         raises CnfError and stores nothing.  A repeated variable is stored as
-        given, as DIMACS allows.  Every batch, an empty one too, clears the
-        decision block.
+        given, as DIMACS allows.  Every accepted batch, an empty one too,
+        clears the decision block.
         """
-        self.decision_block = 0
         names, known = self._family_codes, len(self._family_codes)  # a new name takes the next code
         try:
             codes = bytes(map(names.__getitem__, islice(families, len(arities))))
@@ -132,6 +131,7 @@ class CnfInstance:
         except ValueError as err:  # one of those, or bytes() past code 255: the batch's new names go
             self._family_codes = defaultdict(count(known).__next__, islice(names.items(), known))
             raise err if isinstance(err, CnfError) else CnfError("a store holds at most 256 family names") from None
+        self.decision_block = 0
         self.literals += literals
         self.arities.extend(arities)
         self._codes.append(codes)

@@ -45,19 +45,22 @@ The size bounds count these clauses from the same family tables
 (``_add_definitions``).  Each chain, and each pass of verdicts and links, is
 one checked batch of flat literals (``CnfInstance.add_flat``).
 
-Templates.  The hybrid's definitions come in few shapes, so within one
-encode call ``_define`` runs once per shape, on slot numbers 1..N standing
-for a definition's variables (outputs, the rows and tables it reads, then
-its aux variables).  Each definition of the shape then fills the slots
-with its own variables by one getter over [0, *vars, *negated vars
-reversed], where slot -s picks the negation of slot s.  A shape is its
-form (prefix or suffix chain, verdict, link), its polarity bits, for a
-suffix whether it keeps every start row, and aliasing: in a two-letter
-word aa, the prefix chain's parent row, the suffix chain's rest table and,
-cut at 1, the link's head row are the step's own transitions, so two
-conjuncts of a term name one variable, which ``_negated`` names once.
-Without the alias in the key, their DIMACS would repeat it.  dm calls
-``_define`` on its real variables.
+Templates serve all four models.  Definitions come in few shapes, so one
+encode call runs ``_define``, a pure function of slot numbers, once per
+shape: slots 1..N stand for a definition's outputs and the rows and tables
+it reads, and its aux variables take the slots after.  ``_emit``, the one
+way a definition reaches a batch, fills them with a definition's own
+variables by one getter over [0, *vars, *negated vars reversed], where slot
+-s picks the negation of slot s.  A hybrid shape is its form (prefix or
+suffix chain, verdict, link), its polarity bits, for a suffix whether it
+keeps every start row, and aliasing: in a two-letter word aa, the prefix
+chain's parent row, the suffix chain's rest table and, cut at 1, the link's
+head row are the step's own transitions, so two conjuncts of a term name
+one variable, which ``_negated`` names once; without the alias in the key,
+their DIMACS would repeat it.  A dm shape is the word's letters numbered by
+first use (aba: (0, 1, 0)) and its bits, over the tables of its distinct
+letters, then the finals: two conjuncts share a slot exactly when they
+share a variable, so the merge stays.
 
 Sound and complete: only final and transition
 variables are decoded, the surviving clauses still force every accepted
@@ -109,7 +112,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, neg
 from typing import Callable, Sequence
 
@@ -172,6 +175,7 @@ _BOTH = _POSITIVE | _NEGATIVE
 # Per definition: aux family, (binary family per conjunct), reverse, choice, output.
 # An asserted OR has no output family; its reverse family asserts it false.
 Families = tuple[str, tuple[str, ...], str, str, str | None]
+Terms = list[tuple[int | None, Sequence[int]]]  # per term: its output's index (None: asserted), its conjuncts
 _PREFIX_FAMILIES = ("prefix_rec_aux", ("prefix_rec_bin_prev", "prefix_rec_bin_trans"),
                     "prefix_rec_ternary", "prefix_rec_choice", "prefix_rec_bin_out")
 _SUFFIX_FAMILIES = ("suffix_rec_aux", ("suffix_rec_bin_tail", "suffix_rec_bin_trans"),
@@ -187,46 +191,37 @@ def _direct_families(length: int) -> Families:
 
 
 def _define(
-    inst: CnfInstance,
-    batch: Batch,
-    outputs: list[int] | None,
-    terms: list[tuple[int | None, Sequence[int]]],
-    families: Families,
-    uses: int = _POSITIVE,
-) -> None:
+    slot_count: int, outputs: list[int] | None, terms: Terms, families: Families, uses: int
+) -> tuple[list[int], list[int], list[str], int]:
     """Define each output as the OR of its AND terms, in the module docstring's order.
 
-    The aux variables come from inst; the flat literals, arities and
-    families go on the caller's batch, for one ``inst.add_flat(*batch)``.  A
-    term is (output index, conjunct literals), all terms with as many
-    conjuncts.  families: aux variable family, one binary family per
-    conjunct, then the reverse, choice and output families.  uses: the
-    polarity bits of the outputs.  With outputs None the OR itself is
-    asserted, true for a positive use (one choice clause over the aux
-    variables) and false for a negative one: one [-lits...] clause per term
-    under the reverse family (``reject_bin``, ``link_reject_ternary`` or
-    ``direct_reject``).  The aux variables are one index range.  A
-    one-letter word's reach variables are transition variables, so a
-    conjunct can repeat; a reverse clause names it once.
+    Returns the flat literals, the arity and family of each clause, and the
+    aux variable count; the aux variables are slot_count + 1 onwards.  A term
+    is (output index, conjunct literals), all with as many conjuncts.
+    families: aux family, one binary family per conjunct, then the reverse,
+    choice and output families; uses: the outputs' polarity bits.  With
+    outputs None the OR itself is asserted, true for a positive use (one
+    choice clause over the aux variables) and false for a negative one (one
+    [-lits...] reverse clause per term).  A conjunct named twice in a term
+    (an aliased shape) is named once in its reverse clause.
     """
-    aux_family, bin_families, reverse_family, choice_family, out_family = families
-    literals, arities, clause_families = batch
+    _, bin_families, reverse_family, choice_family, out_family = families
+    aux = range(slot_count + 1, slot_count + 1 + len(terms) * (uses != _NEGATIVE))
     if uses == _NEGATIVE:
         if outputs is None:
             clauses = [_negated(conjuncts) for _, conjuncts in terms]
         else:
             clauses = [(outputs[out], *_negated(conjuncts)) for out, conjuncts in terms]
-        clause_families += [reverse_family] * len(terms)
+        clause_families = [reverse_family] * len(terms)
     else:
         both = uses == _BOTH
-        first = inst.fresh_aux(aux_family, len(terms))
-        aux = range(first, first + len(terms))
         clauses = []
         for x, (_, conjuncts) in zip(aux, terms):
             clauses += zip(repeat(-x), conjuncts)
             if both:
                 clauses.append((x, *_negated(conjuncts)))
-        clause_families += ([*bin_families, reverse_family] if both else bin_families) * len(terms)
+        per_term = [*bin_families, reverse_family] if both else [*bin_families]
+        clause_families = per_term * len(terms)
         if outputs is None:
             clauses.append(tuple(aux))
             clause_families.append(choice_family)
@@ -239,8 +234,7 @@ def _define(
             if both:
                 clauses += [(outputs[out], -x) for x, (out, _) in zip(aux, terms)]
                 clause_families += [out_family] * len(terms)
-    literals += chain.from_iterable(clauses)
-    arities += map(len, clauses)
+    return list(chain.from_iterable(clauses)), list(map(len, clauses)), clause_families, len(aux)
 
 
 def _negated(lits: Sequence[int]) -> tuple[int, ...]:
@@ -261,21 +255,15 @@ def _slots(*sizes: int) -> list[list[int]]:
 
 
 def _template(
-    slot_count: int, outputs: list[int] | None, terms: list[tuple[int | None, Sequence[int]]],
-    families: Families, uses: int,
+    slot_count: int, outputs: list[int] | None, terms: Terms, families: Families, uses: int
 ) -> Template:
-    """``_define`` run once on slots 1..slot_count; its aux variables take the slots after."""
-    scratch = CnfInstance()
-    scratch.fresh_aux(families[0], slot_count)
-    batch: Batch = ([], [], [])
-    _define(scratch, batch, outputs, terms, families, uses)
-    literals, arities, clause_families = batch
-    return itemgetter(*literals), arities, clause_families, families[0], scratch.var_count - slot_count
+    """``_define`` on slots 1..slot_count, its literals read by one getter."""
+    literals, arities, clause_families, aux = _define(slot_count, outputs, terms, families, uses)
+    return itemgetter(*literals), arities, clause_families, families[0], aux
 
 
 def _emit(inst: CnfInstance, batch: Batch, template: Template, slots: list[int]) -> None:
-    """One definition of a template's shape over its variables in slot
-    order; its aux variables are appended to slots."""
+    """One definition of a template's shape over its variables in slot order, then its new aux variables."""
     pick, arities, families, aux_family, aux = template
     if aux:
         first = inst.fresh_aux(aux_family, aux)
@@ -325,6 +313,17 @@ def _link_template(k: int, bits: int, alias: bool) -> Template:
     states = range(k)
     terms = [(None, (heads[mid], rows[mid * k + end], finals[end])) for mid in states for end in states]
     return _template(2 * k + k * k, None, terms, _LINK_FAMILIES, bits)
+
+
+def _direct_template(k: int, pattern: tuple[int, ...], bits: int) -> Template:
+    """A word's state paths from state 1 into a final state, over the tables of
+    its distinct letters (pattern: its letters numbered by first use), then the finals."""
+    *tables, finals = _slots(*[k * k] * (max(pattern) + 1), k)
+    runs = [((), 0)]  # per state path so far, in lexicographic order: its transitions, its end state
+    for a in pattern:
+        runs = [(steps + (tables[a][i * k + j],), j) for steps, i in runs for j in range(k)]
+    terms = [(None, (*steps, finals[i])) for steps, i in runs]
+    return _template(finals[-1], None, terms, _direct_families(len(pattern)), bits)
 
 
 def _marks(sample: Sample) -> list[tuple[Word, int]]:
@@ -441,31 +440,15 @@ def _encode_direct(
     ]
     _check_budget(sum(size.total_literals() for size in sizes), literal_budget)
     inst, finals, trans = _base_instance(sample, k)
-    states = range(k)
+    templates = cache(partial(_direct_template, k))
     batch: Batch = ([], [], [])
     for word, bits in marks:
-        terms = [
-            (None, _path_conjuncts(trans, finals, word, path))
-            for path in product(states, repeat=len(word))
-        ]
-        _define(inst, batch, None, terms, _direct_families(len(word)), bits)
+        letters = list(dict.fromkeys(word))
+        tables = chain.from_iterable(trans[a] for a in letters)
+        _emit(inst, batch, templates(tuple(map(letters.index, word)), bits), [*tables, *finals])
     inst.add_flat(*batch)
     inst.decision_block = inst.layout_size
     return inst
-
-
-def _path_conjuncts(
-    trans: list[list[int]], finals: list[int], word: Word, path: tuple[int, ...]
-) -> list[int]:
-    """Transitions along the 0-based state path (0, *path), then its end state's final."""
-    lits = []
-    prev = 0
-    k = len(finals)
-    for a, state in zip(word, path):
-        lits.append(trans[a][prev * k + state])
-        prev = state
-    lits.append(finals[prev])
-    return lits
 
 
 def _encode_hybrid(

@@ -148,7 +148,7 @@ def _solve_clauses(
     range.
     """
     deadline = start + timeout_seconds if timeout_seconds is not None else None
-    solver = cdcl.CdclSolver.from_flat(max(var_count, solver_vars), literals, arities, checked=True)
+    solver = cdcl.CdclSolver.from_flat(max(var_count, solver_vars), literals, arities)
     status, model, decisions = solver.solve(deadline, decided_by)
     elapsed = time.perf_counter() - start
     assignment = {v: model[v] for v in range(1, var_count + 1)} if status == SAT else None
@@ -275,10 +275,10 @@ def solve_in_process(
     but not the search path, so a SAT answer may be a different consistent
     NFA; neither they nor their variables reach the instance or the
     assignment.  Without a decision block there are neither, and the search
-    returns a complete model.  The solver loads the store's flat literals
-    and arities, then the flattened predicate, without a range check:
-    ``add_flat``, the store's only writer, checked their ranges, and
-    ``lex_leader`` builds its own in range.  A negative or nan timeout
+    returns a complete model.  ``CdclSolver.from_flat`` loads the store's
+    flat literals and arities, then the flattened predicate, and checks
+    nothing: ``add_flat``, the store's only writer, checked their ranges,
+    and ``lex_leader`` builds its own in range.  A negative or nan timeout
     raises ValueError.
     """
     _check_timeout(timeout_seconds)

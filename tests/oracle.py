@@ -12,14 +12,14 @@ writing one token and one clause at a time, the reference for the
 block-wise ``nfasat.cnf`` routines.
 fooling_graph_by_words builds the fooling-set graph from word slices keyed
 by word, the reference for the id-built ``nfasat.sample._fooling_graph``.
-encode_per_definition is the hybrid encoder that calls ``encoders._define``
-once per definition on its real variables, the reference for the
-encoder's per-shape templates.
+encode_per_definition is the encoder of all four models that calls
+``encoders._define`` once per definition on its real variables, the
+reference for the encoder's per-shape templates.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -33,7 +33,9 @@ from nfasat.encoders import (
     _SUFFIX_FAMILIES,
     ModelKind,
     _define,
+    _direct_families,
     _hybrid_cuts,
+    _marks,
     _part_uses,
 )
 from nfasat.nfa import Nfa
@@ -328,18 +330,27 @@ def fooling_graph_by_words(sample: Sample) -> tuple[list[tuple[Word, Word]], lis
 
 
 # ---------------------------------------------------------------------------
-# The hybrid encoder one definition at a time.
+# The encoders one definition at a time.
 # ---------------------------------------------------------------------------
+
+
+def _define_on(inst: CnfInstance, batch: tuple, outputs, terms, families, uses: int) -> None:
+    """``_define`` on inst's real variables, its aux variables taken from
+    inst; the clauses go on batch."""
+    literals, arities, clause_families, aux = _define(inst.var_count, outputs, terms, families, uses)
+    if aux:
+        inst.fresh_aux(families[0], aux)
+    for store, part in zip(batch, (literals, arities, clause_families)):
+        store += part
 
 
 def encode_per_definition(
     kind: ModelKind, sample: Sample, k: int, cuts: dict | None = None
 ) -> CnfInstance:
-    """``encoders.encode`` for pm, sm and hm with no templates: each chain,
-    verdict and link loop builds every definition's terms on its real
-    variables and calls ``_define``; one ``add_flat`` per pass.  No budget."""
-    cuts = _hybrid_cuts(kind, sample, cuts)
-    marks, prefix_uses, suffix_uses = _part_uses(sample, cuts)
+    """``encoders.encode`` with no templates: dm's loop over each word's
+    explicit state paths, and the hybrid's chain, verdict and link loops,
+    build every definition's terms on its real variables and call
+    ``_define``; one ``add_flat`` per pass.  No budget."""
     inst = CnfInstance(k, sample.alphabet_size)
     inst.sample = sample
     states = range(k)
@@ -350,10 +361,26 @@ def encode_per_definition(
     ]
     units = [(finals[0],)] * (() in sample.positives) + [(-finals[0],)] * (() in sample.negatives)
     inst.add_clauses(units, repeat("empty_word_unit"))
+    if kind == ModelKind.DIRECT:
+        batch: tuple[list[int], list[int], list[str]] = ([], [], [])
+        for word, bits in _marks(sample):
+            terms = []
+            for path in product(states, repeat=len(word)):
+                lits, prev = [], 0
+                for a, state in zip(word, path):
+                    lits.append(trans[a][prev][state])
+                    prev = state
+                terms.append((None, [*lits, finals[prev]]))
+            _define_on(inst, batch, None, terms, _direct_families(len(word)), bits)
+        inst.add_flat(*batch)
+        inst.decision_block = inst.layout_size
+        return inst
+    cuts = _hybrid_cuts(kind, sample, cuts)
+    marks, prefix_uses, suffix_uses = _part_uses(sample, cuts)
     index = sample.index
 
     prefix_reach: dict[int, list[int]] = {}
-    batch: tuple[list[int], list[int], list[str]] = ([], [], [])
+    batch = ([], [], [])
     for p in compress(range(len(prefix_uses)), prefix_uses):
         word = index.prefixes[p]
         if len(word) == 1:
@@ -363,7 +390,7 @@ def encode_per_definition(
         outputs = prefix_reach[p] = list(range(first, first + k))
         parent, step = prefix_reach[index.parent[p]], trans[word[-1]]
         terms = [(i, (parent[j], step[j][i])) for j in states for i in states]
-        _define(inst, batch, outputs, terms, _PREFIX_FAMILIES, prefix_uses[p])
+        _define_on(inst, batch, outputs, terms, _PREFIX_FAMILIES, prefix_uses[p])
     inst.add_flat(*batch)
 
     used = list(compress(range(len(suffix_uses)), suffix_uses))
@@ -382,7 +409,7 @@ def encode_per_definition(
         suffix_rows[s] = [outputs[i * k : i * k + k] for i in starts]
         rests, steps = suffix_rows[index.rest[s]], trans[word[0]]
         terms = [(i * k + j, (rests[mid][j], steps[i][mid])) for i in starts for mid in states for j in states]
-        _define(inst, batch, outputs, terms, _SUFFIX_FAMILIES, suffix_uses[s])
+        _define_on(inst, batch, outputs, terms, _SUFFIX_FAMILIES, suffix_uses[s])
     inst.add_flat(*batch)
 
     batch = ([], [], [])
@@ -396,7 +423,7 @@ def encode_per_definition(
             rows = zip(prefix_reach[index.heads[word][cut - 1]], suffix_rows[index.tails[word][cut]])
             terms = [(None, (x, row[end], finals[end])) for x, row in rows for end in states]
             families = _LINK_FAMILIES
-        _define(inst, batch, None, terms, families, bits)
+        _define_on(inst, batch, None, terms, families, bits)
     inst.add_flat(*batch)
     inst.decision_block = inst.layout_size
     return inst

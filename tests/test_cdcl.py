@@ -213,6 +213,18 @@ def test_failed_load_restores_the_collector():
         gc.enable() if was else gc.disable()
 
 
+def test_a_load_that_raises_while_the_collector_is_paused_restores_it():
+    """from_flat checks nothing, so arities past the literals raise inside the paused load."""
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(IndexError):
+            CdclSolver.from_flat(3, [1], [2])
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 # (status, decisions, conflicts, propagations) under the stop rule; a load
 # that attached clauses in another order would take another search path.
 PINNED_SEARCHES = {

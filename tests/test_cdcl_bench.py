@@ -1,8 +1,9 @@
 """Per-layer microbenchmarks of the bundled CDCL core: load plus solve, and load
-alone, with the load's own range check and with ``checked=True`` (how
-``nfasat solve`` loads a parsed file's clauses), and ``solve_in_process``
-searching an encoded instance, which loads the store's flat literals and
-arities with its lex-leader clauses.
+alone, through ``CdclSolver(var_count, clauses)`` with its range check and
+through the unchecked ``CdclSolver.from_flat`` on the store's flat literals
+and arities (the route ``solve_in_process`` and ``nfasat solve`` take), and
+``solve_in_process`` searching an encoded instance, which loads the store's
+flat literals and arities with its lex-leader clauses.
 
 One fixed UNSAT instance (the prefix encoding of a seeded random sample at
 k=4), timed with pytest-benchmark over a few rounds so tier-1 stays fast.
@@ -41,10 +42,11 @@ def test_cdcl_load(benchmark):
 
 
 def test_cdcl_load_of_checked_clauses(benchmark):
+    """The store's clauses, which ``add_flat`` checked, loaded flat and unchecked."""
     instance = encode(ModelKind.PREFIX, random_sample(2, 40, 7, 0.5, seed=7), 4)
 
     def load():
-        return CdclSolver(instance.var_count, instance.clauses, checked=True)
+        return CdclSolver.from_flat(instance.var_count, instance.literals, instance.arities)
 
     solver = benchmark.pedantic(load, rounds=3, iterations=1)
     assert solver.decisions == 0 and not solver.unsat_at_load

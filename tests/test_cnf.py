@@ -293,10 +293,18 @@ def test_the_clauses_view_is_a_copy():
 def test_a_rejected_batch_leaves_the_flat_store_unchanged(batch):
     inst = _two_vars()
     inst.add_flat([1, 2, -1], [2, 1], ["a", "b"])
-    before = (list(inst.literals), inst.arities.tolist(), list(inst._codes), dict(inst._family_codes))
+    inst.decision_block = 2
+
+    def state():
+        return (
+            list(inst.literals), inst.arities.tolist(), list(inst._codes), dict(inst._family_codes),
+            inst.decision_block,
+        )
+
+    before = state()
     with pytest.raises(CnfError):
         inst.add_flat(*batch)
-    assert (list(inst.literals), inst.arities.tolist(), list(inst._codes), dict(inst._family_codes)) == before
+    assert state() == before
     inst.add_flat([-2], [1], ["new"])  # the rejected batch's name took no code
     assert inst.family_hist == {"a": {2: 1}, "b": {1: 1}, "new": {1: 1}}
 

@@ -1,7 +1,10 @@
-"""Per-layer microbenchmark of the encoders: encode one sample under pm, sm and hm.
+"""Per-layer microbenchmark of the encoders: encode one sample under pm, sm and hm,
+and a smaller one under dm.
 
 One seeded random sample at k=3 (hm with ILS cuts found beforehand), timed
-with pytest-benchmark over a few rounds so tier-1 stays fast.  Each round
+with pytest-benchmark over a few rounds so tier-1 stays fast.  dm, whose
+instance grows as k^|w|, encodes a sample of 30 words of at most 6 letters
+at k=3 (19,231 clauses); no perfbench workload runs dm.  Each round
 encodes a fresh copy of the sample, so it is timed cold, index build included.  Compare runs
 with ``pytest tests/test_encode_bench.py --benchmark-only``.
 """
@@ -24,3 +27,13 @@ def test_encode(benchmark, kind):
 
     instance = benchmark.pedantic(encode, setup=cold, rounds=3, iterations=1)
     assert instance.clause_count() > 0
+
+
+def test_encode_direct(benchmark):
+    sample = random_sample(2, 30, 6, 0.5, seed=7)
+
+    def cold():
+        return (ModelKind.DIRECT, Sample(sample.alphabet_size, sample.positives, sample.negatives), 3), {}
+
+    instance = benchmark.pedantic(encode, setup=cold, rounds=3, iterations=1)
+    assert instance.clause_count() == 19_231

@@ -656,15 +656,18 @@ def test_pinned_size_estimates(case):
 
 
 @st.composite
-def _doubled_letter_samples(draw) -> tuple[Sample, dict]:
-    """A sample rich in two-letter words aa, whose definitions alias, with random cuts."""
+def _repeated_letter_samples(draw, max_len: int) -> tuple[Sample, dict]:
+    """A sample rich in words that repeat a letter (aa, aba, aab), whose
+    definitions alias, with random cuts."""
     n = draw(st.integers(1, 3))
     letter = st.integers(0, n - 1)
     word = st.one_of(
         letter.map(lambda a: (a, a)),
         letter.map(lambda a: (a,)),
-        st.lists(letter, max_size=5).map(tuple),
+        st.lists(letter, max_size=max_len).map(tuple),
         st.tuples(letter, letter, letter),
+        st.tuples(letter, letter).map(lambda ab: (ab[0], ab[1], ab[0])),
+        st.tuples(letter, letter).map(lambda ab: (ab[0], ab[0], ab[1])),
     )
     words = draw(st.lists(word, unique=True, max_size=10))
     split = draw(st.integers(0, len(words)))
@@ -672,13 +675,12 @@ def _doubled_letter_samples(draw) -> tuple[Sample, dict]:
     return sample, {w: draw(st.integers(0, len(w))) for w in sample.sorted_nonempty_words()}
 
 
-@given(
-    _doubled_letter_samples(),
-    st.integers(1, 4),
-    st.sampled_from([ModelKind.PREFIX, ModelKind.SUFFIX, ModelKind.HYBRID]),
-)
-def test_templates_encode_as_one_define_per_definition(drawn, k, kind):
-    sample, cuts = drawn
+@given(st.data(), st.sampled_from(list(ModelKind)))
+def test_templates_encode_as_one_define_per_definition(data, kind):
+    """dm, whose instance grows as k^|w|, draws k up to 3 and words of at most 4 letters."""
+    direct = kind == ModelKind.DIRECT
+    sample, cuts = data.draw(_repeated_letter_samples(4 if direct else 5))
+    k = data.draw(st.integers(1, 3 if direct else 4))
     cuts = cuts if kind == ModelKind.HYBRID else None
     inst, reference = encode(kind, sample, k, cuts), encode_per_definition(kind, sample, k, cuts)
     assert inst.clauses == reference.clauses
@@ -691,8 +693,9 @@ def test_templates_encode_as_one_define_per_definition(drawn, k, kind):
 class TestDefineChecks:
     @pytest.mark.parametrize("lits", [(1, 0), (1, 99)])
     def test_bad_conjunct_raises_and_stores_nothing(self, lits):
-        inst, y, batch = CnfInstance(1), 1, ([], [], [])
-        _define(inst, batch, [y], [(0, lits)], _PREFIX_FAMILIES)
+        inst, y = CnfInstance(1), 1
+        *batch, aux = _define(inst.var_count, [y], [(0, lits)], _PREFIX_FAMILIES, encoders._POSITIVE)
+        inst.fresh_aux(_PREFIX_FAMILIES[0], aux)
         with pytest.raises(CnfError):
             inst.add_flat(*batch)
         assert inst.clauses == []
